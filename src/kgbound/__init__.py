@@ -17,8 +17,7 @@ from .model import (DEFAULT_HBAR_C, NEUTRAL_PION_M0C2, CaseParameters,
 from .quantization import (ResidualSpec, SpectrumEntry, build_residual_spec,
                            constant_mass_b, residual, sign_validity)
 from .rootfind import (CellResult, RefineResult, SolverConfig, SpectrumTable,
-                       bracket_scan, locate_poles, secant_refine, solve_cell,
-                       solve_spectrum)
+                       bracket_scan, secant_refine, solve_cell, solve_spectrum)
 from .special import (BoundaryReport, KummerParams, WaveSolution,
                       boundary_report, build_wave_solution, default_r_max,
                       kummer_1f1, normalize_on_grid, wavefunction_grid,
@@ -37,7 +36,7 @@ __all__ = [
     "ResidualSpec", "SpectrumEntry", "build_residual_spec", "residual",
     "sign_validity", "constant_mass_b",
     "SolverConfig", "RefineResult", "CellResult", "SpectrumTable",
-    "bracket_scan", "secant_refine", "locate_poles", "solve_cell",
+    "bracket_scan", "secant_refine", "solve_cell",
     "solve_spectrum",
     "KummerParams", "WaveSolution", "BoundaryReport", "kummer_1f1",
     "build_wave_solution", "wavefunction_u", "wavefunction_grid",

@@ -1,8 +1,9 @@
-"""NumPy implementation of the residual kernels.
+"""Residual kernels: the one source of the quantization arithmetic.
 
-The compiled extension (_residual.pyx) mirrors this file operation for
-operation.  Keep the two in lockstep: both must perform the same IEEE-754
-double operations in the same order so their outputs agree bit for bit.
+energy_terms holds the scalar validity checks and the energy-dependent
+terms g = 1 + delta E, K = k2 g^2 + l(l+1) and sqrt(1/4 + K); residual_point
+and model.case_parameters both build on it.  residual_grid is the array
+form of residual_point and must agree with it bit for bit.
 
 Status codes:
     0  valid evaluation
@@ -18,11 +19,49 @@ import math
 
 import numpy as np
 
+from .errors import BranchError, DomainError
+
+# The benchmark stamps this on every run; only the NumPy kernel exists.
+BACKEND = "fallback"
+
 STATUS_OK = 0
 STATUS_WINDOW = 1
 STATUS_ENERGY_FACTOR = 2
 STATUS_COMPLEX_ETA = 3
 STATUS_POLE = 4
+
+_NAN = math.nan
+
+
+def energy_terms(E, m0c2, delta, k2, ll1):
+    """Validity status and (g, K, sqrt(1/4 + K)) at one energy.
+
+    Returns (status, g, K, root); the terms are NaN where the status marks
+    E invalid.
+    """
+    if not (-m0c2 < E < m0c2):
+        return STATUS_WINDOW, _NAN, _NAN, _NAN
+    g = 1.0 + delta * E
+    if not (g > 0.0):
+        return STATUS_ENERGY_FACTOR, _NAN, _NAN, _NAN
+    K = k2 * (g * g) + ll1
+    quarter = 0.25 + K
+    if quarter < 0.0:
+        return STATUS_COMPLEX_ETA, _NAN, _NAN, _NAN
+    return STATUS_OK, g, K, math.sqrt(quarter)
+
+
+def raise_for_status(status, E):
+    """Raise the DomainError or BranchError a non-OK status stands for."""
+    if status == STATUS_OK:
+        return
+    if status == STATUS_WINDOW:
+        raise DomainError(f"E={E} outside the bound-state window")
+    if status == STATUS_ENERGY_FACTOR:
+        raise DomainError(f"energy factor 1 + delta*E not positive at E={E}")
+    if status == STATUS_COMPLEX_ETA:
+        raise BranchError(f"1/4 + K < 0 at E={E}; eta is complex")
+    raise DomainError(f"quantization denominator vanishes at E={E}")
 
 
 def residual_point(E, m0c2, delta, alpha, c0, c1, k2, ll1, branch_sign,
@@ -32,24 +71,15 @@ def residual_point(E, m0c2, delta, alpha, c0, c1, k2, ll1, branch_sign,
     Returns (res, rhs, den, status); res/rhs/den are NaN where the status
     marks the evaluation invalid (den is still reported at a pole).
     """
-    nan = math.nan
-    if not (-m0c2 < E < m0c2):
-        return nan, nan, nan, STATUS_WINDOW
-    g = 1.0 + delta * E
-    if not (g > 0.0):
-        return nan, nan, nan, STATUS_ENERGY_FACTOR
-    gg = g * g
-    quarter = 0.25 + (k2 * gg + ll1)
-    if quarter < 0.0:
-        return nan, nan, nan, STATUS_COMPLEX_ETA
-    root = math.sqrt(quarter)
+    status, g, _, root = energy_terms(E, m0c2, delta, k2, ll1)
+    if status != STATUS_OK:
+        return _NAN, _NAN, _NAN, status
     den = n_plus_half + branch_sign * root
     if abs(den) <= pole_eps:
-        return nan, nan, den, STATUS_POLE
+        return _NAN, _NAN, den, STATUS_POLE
     rhs = alpha * (c0 + c1 * E) / den
     lhs = math.sqrt((m0c2 - E) * (m0c2 + E)) / g
-    res = lhs - rhs
-    return res, rhs, den, STATUS_OK
+    return lhs - rhs, rhs, den, STATUS_OK
 
 
 def residual_grid(E, m0c2, delta, alpha, c0, c1, k2, ll1, branch_sign,

@@ -20,13 +20,14 @@ import io
 import json
 import math
 import random
+import re
 import sys
 from datetime import datetime, timezone
 from fractions import Fraction
 
 import numpy as np
 
-from . import __version__, _kernels, aim
+from . import __version__, aim
 from .errors import (AbsentError, BranchError, ConvergenceError, DomainError,
                      EvaluationError)
 from .model import (DEFAULT_HBAR_C, NEUTRAL_PION_M0C2, CouplingMode,
@@ -50,7 +51,16 @@ class _UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse exits 2 on bad usage; the contract here is exit code 1."""
+    """argparse exits 2 on bad usage; the contract here is exit code 1.
+
+    argparse's own negative-number pattern has no exponent, so it would read
+    "--delta -5e-05" as two options; subparsers inherit the wider pattern.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(
+            r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
 
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -260,7 +270,6 @@ def _base_manifest(command: str, constants, particle, A, mode, branch,
     manifest = {
         "command": command,
         "version": __version__,
-        "kernel_backend": _kernels.BACKEND,
         "hbar_c": constants.hbar_c,
         "m0c2": particle.m0c2,
         "lambda": particle.lam,

@@ -25,7 +25,8 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .errors import BranchError, DomainError
+from . import _kernels
+from .errors import DomainError
 
 DEFAULT_HBAR_C = 197.3269804  # MeV fm
 NEUTRAL_PION_M0C2 = 134.977   # MeV
@@ -206,22 +207,16 @@ def case_parameters(constants: PhysicalConstants, particle: ParticleSpec,
     """
     sgn = parse_branch(branch)
     m0c2 = particle.m0c2
-    if not (-m0c2 < E < m0c2):
-        raise DomainError(f"E={E} outside the bound-state window (-{m0c2}, {m0c2})")
-    g = energy_factor(pot, E)
-    if not (g > 0.0):
-        raise DomainError(f"energy factor 1 + delta*E = {g} must be positive")
     hc = constants.hbar_c
     w = pot.lambda_b(particle) * m0c2
     alpha = pot.A / hc
     c0, c1, k2 = mode_coefficients(pot.mode, m0c2, w, alpha)
+    status, g, K, root = _kernels.energy_terms(E, m0c2, pot.delta, k2,
+                                               float(qn.l * (qn.l + 1)))
+    _kernels.raise_for_status(status, E)
     # Shared bound-state momentum scale: identical expression for every
     # mode so cross-mode comparisons are bit-for-bit reproducible.
     tau_sq = (m0c2 - E) * (m0c2 + E) / (hc * hc * (g * g))
     beta_sq = 2.0 * pot.A * (c0 + c1 * E) / (hc * hc)
-    K = k2 * (g * g) + float(qn.l * (qn.l + 1))
-    quarter = 0.25 + K
-    if quarter < 0.0:
-        raise BranchError(f"1/4 + K = {quarter} < 0 at E={E}; eta is complex")
-    eta = -0.5 + sgn * math.sqrt(quarter)
-    return CaseParameters(tau_sq=tau_sq, beta_sq=beta_sq, K=K, eta=eta)
+    return CaseParameters(tau_sq=tau_sq, beta_sq=beta_sq, K=K,
+                          eta=-0.5 + sgn * root)

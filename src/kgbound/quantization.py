@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from . import _kernels
-from .errors import BranchError, DomainError
+from .errors import DomainError
 from .model import (CouplingMode, ParticleSpec, PhysicalConstants,
                     PotentialSpec, QuantumNumbers, mode_coefficients,
                     parse_branch)
@@ -104,15 +104,9 @@ def evaluate_grid(spec: ResidualSpec, energies):
 def residual(spec: ResidualSpec, E: float) -> float:
     """LHS - RHS of the quantization condition, raising on invalid E."""
     res, _, _, status = evaluate(spec, E)
-    if status == _kernels.STATUS_OK:
-        return res
-    if status == _kernels.STATUS_WINDOW:
-        raise DomainError(f"E={E} outside the bound-state window")
-    if status == _kernels.STATUS_ENERGY_FACTOR:
-        raise DomainError(f"energy factor 1 + delta*E not positive at E={E}")
-    if status == _kernels.STATUS_COMPLEX_ETA:
-        raise BranchError(f"1/4 + K < 0 at E={E}; eta is complex")
-    raise DomainError(f"quantization denominator vanishes at E={E}")
+    if status != _kernels.STATUS_OK:
+        _kernels.raise_for_status(status, E)
+    return res
 
 
 def sign_validity(spec: ResidualSpec, E: float) -> bool:

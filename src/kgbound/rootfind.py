@@ -24,6 +24,8 @@ from .model import (CouplingMode, ParticleSpec, PhysicalConstants,
 from .quantization import ResidualSpec, SpectrumEntry, build_residual_spec
 
 DEDUP_FACTOR = 10.0
+# Each scan array costs 8 bytes per point; this keeps one under 8 MB.
+MAX_GRID_POINTS = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -35,8 +37,10 @@ class SolverConfig:
     window_margin: float = quantization.DEFAULT_WINDOW_MARGIN  # MeV
 
     def __post_init__(self):
-        if not (isinstance(self.grid_points, int) and self.grid_points >= 100):
-            raise DomainError(f"grid_points must be an integer >= 100, got {self.grid_points!r}")
+        if not (isinstance(self.grid_points, int)
+                and 100 <= self.grid_points <= MAX_GRID_POINTS):
+            raise DomainError(f"grid_points must be an integer in "
+                              f"[100, {MAX_GRID_POINTS}], got {self.grid_points!r}")
         for name in ("tol_energy", "tol_residual", "window_margin"):
             v = getattr(self, name)
             if not (v > 0.0 and math.isfinite(v)):
@@ -74,29 +78,6 @@ def bracket_scan(spec: ResidualSpec, config: SolverConfig) -> List[Tuple[float, 
         brackets.append((float(E[i]), float(E[i])))
     brackets.sort(key=lambda ab: ab[0] + ab[1])
     return brackets
-
-
-def locate_poles(spec: ResidualSpec, config: SolverConfig) -> List[float]:
-    """Energies where the quantization denominator n + eta + 1 vanishes,
-    found by bisecting denominator sign changes on the scan grid."""
-    E = energy_grid(spec, config)
-    _, _, den, status = quantization.evaluate_grid(spec, E)
-    usable = np.isfinite(den)
-    poles = []
-    for i in np.nonzero(usable[:-1] & usable[1:] & (den[:-1] * den[1:] < 0.0))[0]:
-        a, b = float(E[i]), float(E[i + 1])
-        da = float(den[i])
-        while b - a > config.tol_energy:
-            mid = 0.5 * (a + b)
-            dm = quantization.evaluate(spec, mid)[2]
-            if not math.isfinite(dm):
-                break
-            if da * dm <= 0.0:
-                b = mid
-            else:
-                a, da = mid, dm
-        poles.append(0.5 * (a + b))
-    return poles
 
 
 def secant_refine(f: Callable[[float], float], bracket: Tuple[float, float],

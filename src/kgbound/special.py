@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import DomainError, EvaluationError
 from .model import (ParticleSpec, PhysicalConstants, PotentialSpec,
-                    QuantumNumbers, case_parameters)
+                    QuantumNumbers, case_parameters, energy_factor)
 
 SNAP_TOL = 1e-8          # distance to a non-positive integer that truncates
 TERM_CAP = 10_000        # series terms before giving up
@@ -110,7 +110,7 @@ def build_wave_solution(constants: PhysicalConstants, particle: ParticleSpec,
     tau = math.sqrt(case.tau_sq)
     if not (tau > 0.0):
         raise DomainError(f"tau must be positive, got {tau} at E={energy}")
-    g = 1.0 + pot.delta * energy
+    g = energy_factor(pot, energy)
     a = (case.eta + 1.0) - case.beta_sq / (2.0 * tau)
     c = 2.0 * (case.eta + 1.0)
     return WaveSolution(energy=energy, n=qn.n, l=qn.l, eta=case.eta, tau=tau,

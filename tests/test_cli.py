@@ -175,6 +175,34 @@ def test_sweep_rejects_bad_step(capsys):
     assert "--step must be positive" in capsys.readouterr().err
 
 
+def test_solve_accepts_spaced_negative_exponent(capsys):
+    base = ["solve", "--mode", "ps", "--nmax", "1", "--format", "json"]
+    assert main(base + ["--delta", "-5e-05"]) == 0
+    spaced = json.loads(capsys.readouterr().out)
+    assert main(base + ["--delta=-5e-05"]) == 0
+    joined = json.loads(capsys.readouterr().out)
+    assert spaced["manifest"]["delta"] == -5e-05
+    assert spaced["table"] == joined["table"]
+    with pytest.raises(SystemExit) as exit_info:
+        main(base + ["--delta", "-x"])
+    assert exit_info.value.code == 1
+
+
+def test_sweep_accepts_spaced_negative_exponent(capsys):
+    assert main(["sweep", "--mode", "ps", "--axis", "delta", "--nmax", "0",
+                 "--start", "-5e-3", "--stop", "-5e-3", "--step", "0.001",
+                 "--format", "json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert [p["value"] for p in payload["points"]] == [-5e-3]
+
+
+def test_grid_points_above_bound_is_usage_error(capsys):
+    # rejected while the options are resolved, before any grid exists
+    assert main(["solve", "--mode", "ps", "--nmax=0",
+                 "--grid-points=1000000000"]) == 1
+    assert "grid_points" in capsys.readouterr().err
+
+
 def test_wavefunction_csv_layout(tmp_path):
     out = tmp_path / "wf.csv"
     assert main(["wavefunction", "--mode", "ps", "--n", "0", "--l", "0",

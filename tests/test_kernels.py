@@ -1,27 +1,17 @@
-import os
-import subprocess
-import sys
-
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from kgbound import CouplingMode, PotentialSpec, QuantumNumbers
+from kgbound import (BranchError, CouplingMode, DomainError, PotentialSpec,
+                     QuantumNumbers, case_parameters)
 from kgbound import _kernels
-from kgbound._kernels import py_fallback
 from kgbound.quantization import build_residual_spec
-
-try:
-    from kgbound._kernels import _residual as compiled
-except ImportError:
-    compiled = None
-
-needs_compiled = pytest.mark.skipif(compiled is None,
-                                    reason="compiled kernel not built")
 
 
 def spec_pack(constants, pion, mode, n=0, l=0, delta=0.0, lambda_b=0.0,
-              branch="plus"):
-    pot = PotentialSpec.from_lambda_b(A=200.0, delta=delta, lambda_b=lambda_b,
+              branch="plus", A=200.0):
+    pot = PotentialSpec.from_lambda_b(A=A, delta=delta, lambda_b=lambda_b,
                                       particle=pion, mode=mode)
     s = build_residual_spec(constants, pion, pot, QuantumNumbers(n=n, l=l),
                             branch=branch)
@@ -33,94 +23,81 @@ def spec_pack(constants, pion, mode, n=0, l=0, delta=0.0, lambda_b=0.0,
 # quarter = 0.25 + 2.0 = 2.25, root = 1.5, den = 1.5 - 1.5
 POLE_PACK = (100.0, 0.0, 1.0, 1.0, 0.0, 2.0, 0.0, -1.0, 1.5, 1e-9)
 
+# random inputs spanning every coupling mode, both branches and all five
+# statuses: A in [20, 400], |delta|, |lambda_b| <= 0.01, n, l <= 6
+case_inputs = st.fixed_dictionaries({
+    "mode": st.sampled_from(list(CouplingMode)),
+    "A": st.floats(20.0, 400.0),
+    "delta": st.floats(-0.01, 0.01),
+    "lambda_b": st.floats(-0.01, 0.01),
+    "n": st.integers(0, 6),
+    "l": st.integers(0, 6),
+    "branch": st.sampled_from(["plus", "minus"]),
+})
 
-def all_status_packs(constants, pion):
-    return [
-        spec_pack(constants, pion, CouplingMode.EMES),
-        spec_pack(constants, pion, CouplingMode.EMES, delta=0.01),
-        spec_pack(constants, pion, CouplingMode.EMES, n=2, l=1, delta=-0.003,
-                  lambda_b=0.003),
-        spec_pack(constants, pion, CouplingMode.EMOS, lambda_b=0.003),
-        spec_pack(constants, pion, CouplingMode.PURE_VECTOR),
-        spec_pack(constants, pion, CouplingMode.PURE_SCALAR, branch="minus"),
-        POLE_PACK,
-    ]
+
+def probe_energies(m0c2, delta):
+    """Energies beyond both window edges, on them, and at g = 0."""
+    E = [np.linspace(-1.2 * m0c2, 1.2 * m0c2, 601), [-m0c2, m0c2]]
+    if abs(delta) * 1.2 * m0c2 >= 1.0:
+        E.append([-1.0 / delta])
+    return np.concatenate(E)
 
 
 def test_fallback_status_codes(constants, pion):
     pack = spec_pack(constants, pion, CouplingMode.EMES, delta=0.01)
-    assert py_fallback.residual_point(0.0, *pack)[3] == py_fallback.STATUS_OK
-    assert py_fallback.residual_point(200.0, *pack)[3] == py_fallback.STATUS_WINDOW
-    assert py_fallback.residual_point(-110.0, *pack)[3] == \
-        py_fallback.STATUS_ENERGY_FACTOR
+    assert _kernels.residual_point(0.0, *pack)[3] == _kernels.STATUS_OK
+    assert _kernels.residual_point(200.0, *pack)[3] == _kernels.STATUS_WINDOW
+    assert _kernels.residual_point(-110.0, *pack)[3] == \
+        _kernels.STATUS_ENERGY_FACTOR
     pack = spec_pack(constants, pion, CouplingMode.PURE_VECTOR)
-    assert py_fallback.residual_point(0.0, *pack)[3] == \
-        py_fallback.STATUS_COMPLEX_ETA
-    res, rhs, den, status = py_fallback.residual_point(0.0, *POLE_PACK)
-    assert status == py_fallback.STATUS_POLE
+    assert _kernels.residual_point(0.0, *pack)[3] == \
+        _kernels.STATUS_COMPLEX_ETA
+    res, rhs, den, status = _kernels.residual_point(0.0, *POLE_PACK)
+    assert status == _kernels.STATUS_POLE
     assert den == 0.0
     assert np.isnan(res) and np.isnan(rhs)
 
 
-def test_fallback_grid_matches_point(constants, pion):
-    E = np.linspace(-150.0, 150.0, 1501)
-    for pack in all_status_packs(constants, pion):
-        res, rhs, den, status = py_fallback.residual_grid(E, *pack)
-        for i in (0, 100, 750, 900, 1500):
-            p = py_fallback.residual_point(float(E[i]), *pack)
-            assert np.float64(p[0]).tobytes() == res[i].tobytes()
-            assert np.float64(p[1]).tobytes() == rhs[i].tobytes()
-            assert np.float64(p[2]).tobytes() == den[i].tobytes()
-            assert p[3] == status[i]
+def assert_grid_matches_point(E, pack):
+    res, rhs, den, status = _kernels.residual_grid(E, *pack)
+    assert status.dtype == np.int32
+    for i, e in enumerate(E):
+        p = _kernels.residual_point(float(e), *pack)
+        assert np.float64(p[0]).tobytes() == res[i].tobytes()
+        assert np.float64(p[1]).tobytes() == rhs[i].tobytes()
+        assert np.float64(p[2]).tobytes() == den[i].tobytes()
+        assert p[3] == status[i]
 
 
-@needs_compiled
-def test_compiled_point_is_bit_identical(constants, pion):
-    energies = np.linspace(-150.0, 150.0, 257)
-    for pack in all_status_packs(constants, pion):
-        for E in energies:
-            a = py_fallback.residual_point(float(E), *pack)
-            b = compiled.residual_point(float(E), *pack)
-            for x, y in zip(a[:3], b[:3]):
-                assert np.float64(x).tobytes() == np.float64(y).tobytes()
-            assert a[3] == b[3]
+def test_fallback_grid_matches_point_at_a_pole():
+    assert_grid_matches_point(np.linspace(-150.0, 150.0, 301), POLE_PACK)
 
 
-@needs_compiled
-def test_compiled_grid_is_bit_identical(constants, pion):
-    E = np.linspace(-150.0, 150.0, 4001)
-    for pack in all_status_packs(constants, pion):
-        fa = py_fallback.residual_grid(E, *pack)
-        co = compiled.residual_grid(E, *pack)
-        for x, y in zip(fa[:3], co[:3]):
-            assert x.tobytes() == y.tobytes()
-        assert np.array_equal(fa[3], co[3])
-        assert co[3].dtype == np.int32
+@settings(deadline=None)
+@given(case_inputs)
+def test_fallback_grid_matches_point(constants, pion, case):
+    pack = spec_pack(constants, pion, **case)
+    assert_grid_matches_point(probe_energies(pion.m0c2, case["delta"]), pack)
 
 
-def test_selected_backend_matches_environment():
-    expected = "fallback" if os.environ.get("KGBOUND_PURE", "").strip() in \
-        ("1", "true", "yes") else None
-    if expected == "fallback":
-        assert _kernels.BACKEND == "fallback"
+@settings(deadline=None)
+@given(case_inputs, st.floats(-1.1, 1.1))
+def test_case_parameters_uses_energy_terms(constants, pion, case, x):
+    pot = PotentialSpec.from_lambda_b(A=case["A"], delta=case["delta"],
+                                      lambda_b=case["lambda_b"],
+                                      particle=pion, mode=case["mode"])
+    qn = QuantumNumbers(n=case["n"], l=case["l"])
+    spec = build_residual_spec(constants, pion, pot, qn, branch=case["branch"])
+    E = x * pion.m0c2
+    status, _, K, root = _kernels.energy_terms(E, spec.m0c2, spec.delta,
+                                               spec.k2, spec.ll1)
+    if status == _kernels.STATUS_OK:
+        cp = case_parameters(constants, pion, pot, qn, E, case["branch"])
+        assert cp.K == K
+        assert cp.eta == -0.5 + spec.branch_sign * root
     else:
-        assert _kernels.BACKEND in ("compiled", "fallback")
-
-
-def test_pure_python_override_forces_fallback():
-    env = dict(os.environ, KGBOUND_PURE="1")
-    out = subprocess.run(
-        [sys.executable, "-c",
-         "from kgbound._kernels import BACKEND; print(BACKEND)"],
-        env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "fallback"
-
-
-@needs_compiled
-def test_default_import_prefers_compiled():
-    env = {k: v for k, v in os.environ.items() if k != "KGBOUND_PURE"}
-    out = subprocess.run(
-        [sys.executable, "-c",
-         "from kgbound._kernels import BACKEND; print(BACKEND)"],
-        env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "compiled"
+        error = BranchError if status == _kernels.STATUS_COMPLEX_ETA \
+            else DomainError
+        with pytest.raises(error):
+            case_parameters(constants, pion, pot, qn, E, case["branch"])

@@ -1,14 +1,16 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 from kgbound import (ConvergenceError, CouplingMode, DomainError,
                      PotentialSpec, QuantumNumbers, SolverConfig,
-                     build_residual_spec, bracket_scan, locate_poles,
+                     build_residual_spec, bracket_scan,
                      secant_refine, solve_cell, solve_spectrum)
 from kgbound.quantization import residual
-from kgbound.rootfind import RefineResult, _dedup, spectrum_cells
+from kgbound.rootfind import (MAX_GRID_POINTS, RefineResult, _dedup,
+                              energy_grid, spectrum_cells)
 
 from conftest import A_DEFAULT, GRID_VALUES, load_reference
 
@@ -44,6 +46,9 @@ def test_solver_config_validation():
     SolverConfig()
     with pytest.raises(DomainError):
         SolverConfig(grid_points=99)
+    SolverConfig(grid_points=MAX_GRID_POINTS)
+    with pytest.raises(DomainError):
+        SolverConfig(grid_points=10**9)
     with pytest.raises(DomainError):
         SolverConfig(max_iter=7)
     with pytest.raises(DomainError):
@@ -104,24 +109,28 @@ def test_bracket_scan_empty_when_rhs_negative(constants, pion):
     assert bracket_scan(spec, SolverConfig()) == []
 
 
-def test_locate_poles_on_minus_branch(constants, pion):
+def test_bracket_scan_rejects_sign_change_through_pole(constants, pion):
     # pv with A = 300 on the minus branch: the denominator 1 + 1/2 +
     # branch_sign sqrt(1/4 + K(E)) crosses zero where K(E) = 2, i.e. at
     # g = 2 hbar_c / A, E = (g - 1) / delta
     delta = 0.003
     spec = make_spec(constants, pion, CouplingMode.PURE_VECTOR, n=1, l=2,
                      delta=delta, branch="minus", A=300.0)
-    alpha = 300.0 / constants.hbar_c
-    expected = (2.0 / alpha - 1.0) / delta
-    poles = locate_poles(spec, SolverConfig())
-    assert len(poles) == 1
-    assert poles[0] == pytest.approx(expected, abs=1e-6)
+    pole = (2.0 * constants.hbar_c / 300.0 - 1.0) / delta
+    config = SolverConfig()
+    E = energy_grid(spec, config)
+    i = int(np.searchsorted(E, pole))
+    # the residual does flip sign between the grid nodes around the pole
+    assert residual(spec, E[i - 1]) * residual(spec, E[i]) < 0.0
+    assert not any(a <= pole <= b for a, b in bracket_scan(spec, config))
 
-
-def test_locate_poles_absent_on_plus_branch(constants, pion):
-    spec = make_spec(constants, pion, CouplingMode.EMES, delta=0.003,
-                     lambda_b=0.003)
-    assert locate_poles(spec, SolverConfig()) == []
+    cell = solve_cell(spec, config)
+    assert cell.lower.status == "converged"
+    assert cell.lower.energy == pytest.approx(-65.885, abs=1e-3)
+    assert cell.upper.status == "absent"
+    assert cell.extras == ()
+    assert all(e.energy is None or abs(e.energy - pole) > 1e-3
+               for e in cell.entries)
 
 
 def test_dedup_keeps_smallest_residual():
