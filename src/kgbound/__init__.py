@@ -20,8 +20,8 @@ from .rootfind import (CellResult, RefineResult, SolverConfig, SpectrumTable,
                        bracket_scan, secant_refine, solve_cell, solve_spectrum)
 from .special import (BoundaryReport, KummerParams, WaveSolution,
                       boundary_report, build_wave_solution, default_r_max,
-                      kummer_1f1, normalize_on_grid, wavefunction_grid,
-                      wavefunction_u)
+                      grid_report, kummer_1f1, normalize_on_grid,
+                      wavefunction_grid, wavefunction_u)
 
 __version__ = "0.1.0"
 
@@ -40,7 +40,7 @@ __all__ = [
     "solve_spectrum",
     "KummerParams", "WaveSolution", "BoundaryReport", "kummer_1f1",
     "build_wave_solution", "wavefunction_u", "wavefunction_grid",
-    "boundary_report", "default_r_max", "normalize_on_grid",
+    "boundary_report", "grid_report", "default_r_max", "normalize_on_grid",
     "LimitCase", "classify", "constant_mass_identity_check",
     "default_identity_samples",
 ]

@@ -16,8 +16,15 @@ The iteration terminates at level n exactly when
     delta_n(z) = s_n lambda_{n-1} - s_{n-1} lambda_n
 
 vanishes identically, which happens iff tau = beta^2 / (2 (eta + n + 1)).
-Everything here is exact rational-function arithmetic over Fraction, so
-"vanishes identically" is a symbolic statement, not a numerical one.
+
+Both seeds are polynomials in w = 1/z,
+
+    lambda_0 = 2 tau - 2 (eta + 1) w,    s_0 = (2 tau (eta + 1) - beta^2) w,
+
+and d/dz = -w^2 d/dw maps polynomials in w to polynomials in w, so every
+lambda_n, s_n and delta_n is a polynomial in w as well.  The chain is
+carried as Fraction-coefficient Polys in w: no denominators, no gcd, and
+"vanishes identically" is the exact statement "every coefficient is 0".
 """
 
 from __future__ import annotations
@@ -39,8 +46,9 @@ def _coeff(value) -> Fraction:
 class Poly:
     """Dense univariate polynomial with Fraction coefficients.
 
-    coeffs[k] multiplies z**k; trailing zeros are stripped so the zero
-    polynomial has an empty coefficient tuple and degree -1.
+    coeffs[k] multiplies w**k (w = 1/z in the iteration below); trailing
+    zeros are stripped so the zero polynomial has an empty coefficient
+    tuple and degree -1.
     """
 
     __slots__ = ("coeffs",)
@@ -129,9 +137,6 @@ class Poly:
                 rem[k - d + j] -= q * b
         return Poly(quot), Poly(rem)
 
-    def __floordiv__(self, other: "Poly") -> "Poly":
-        return self.divmod(other)[0]
-
     def __mod__(self, other: "Poly") -> "Poly":
         return self.divmod(other)[1]
 
@@ -142,16 +147,9 @@ class Poly:
         return Poly(tuple(c * inv for c in self.coeffs))
 
     def scale_arg(self, c) -> "Poly":
-        """p(z) -> p(c z)."""
+        """p(w) -> p(c w)."""
         f = _coeff(c)
         return Poly(tuple(coef * f ** k for k, coef in enumerate(self.coeffs)))
-
-    def evaluate(self, z) -> Fraction:
-        zf = _coeff(z)
-        acc = Fraction(0)
-        for coef in reversed(self.coeffs):
-            acc = acc * zf + coef
-        return acc
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Poly) and self.coeffs == other.coeffs
@@ -162,10 +160,12 @@ class Poly:
     def __repr__(self):
         if self.is_zero:
             return "Poly(0)"
-        terms = [f"{c}*z^{k}" for k, c in enumerate(self.coeffs) if c != 0]
+        terms = [f"{c}*w^{k}" for k, c in enumerate(self.coeffs) if c != 0]
         return "Poly(" + " + ".join(terms) + ")"
 
 
+# Nothing in the iteration divides: poly_gcd and Poly.divmod stay only
+# because perfbench/layers.py traces them by name.
 def poly_gcd(a: Poly, b: Poly) -> Poly:
     while not b.is_zero:
         a, b = b, a % b
@@ -174,85 +174,21 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
     return a.monic()
 
 
-class RationalFn:
-    """Reduced ratio of two Polys with a monic denominator, so equal
-    rational functions have identical representations."""
-
-    __slots__ = ("num", "den")
-
-    def __init__(self, num: Poly, den: Poly = Poly.one()):
-        if den.is_zero:
-            raise ZeroDivisionError("rational function with zero denominator")
-        if num.is_zero:
-            num, den = Poly.zero(), Poly.one()
-        else:
-            g = poly_gcd(num, den)
-            if g.degree > 0:
-                num, den = num // g, den // g
-            lead_inv = 1 / den.lead
-            num = num * lead_inv
-            den = den.monic()
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den", den)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("RationalFn is immutable")
-
-    @property
-    def is_zero(self) -> bool:
-        return self.num.is_zero
-
-    def __add__(self, other: "RationalFn") -> "RationalFn":
-        return RationalFn(self.num * other.den + other.num * self.den,
-                          self.den * other.den)
-
-    def __neg__(self) -> "RationalFn":
-        return RationalFn(-self.num, self.den)
-
-    def __sub__(self, other: "RationalFn") -> "RationalFn":
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return RationalFn(self.num * other, self.den)
-        return RationalFn(self.num * other.num, self.den * other.den)
-
-    __rmul__ = __mul__
-
-    def derivative(self) -> "RationalFn":
-        return RationalFn(self.num.derivative() * self.den
-                          - self.num * self.den.derivative(),
-                          self.den * self.den)
-
-    def scale_arg(self, c) -> "RationalFn":
-        return RationalFn(self.num.scale_arg(c), self.den.scale_arg(c))
-
-    def evaluate(self, z) -> Fraction:
-        db = self.den.evaluate(z)
-        if db == 0:
-            raise ZeroDivisionError(f"pole at z={z}")
-        return self.num.evaluate(z) / db
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, RationalFn)
-                and self.num == other.num and self.den == other.den)
-
-    def __hash__(self):
-        return hash((self.num, self.den))
-
-    def __repr__(self):
-        return f"RationalFn({self.num!r} / {self.den!r})"
+def d_dz(p: Poly) -> Poly:
+    """The z-derivative of a polynomial in w = 1/z: p -> -w^2 p'(w)."""
+    return Poly((0, 0, *(-p.derivative()).coeffs))
 
 
 @dataclass(frozen=True)
 class AimState:
-    """Iteration state: level n together with the seed pair it grew from."""
+    """Iteration state: level n together with the seed pair it grew from,
+    all four as polynomials in w = 1/z."""
 
     n: int
-    lam0: RationalFn
-    s0: RationalFn
-    lam: RationalFn
-    s: RationalFn
+    lam0: Poly
+    s0: Poly
+    lam: Poly
+    s: Poly
 
 
 def seed(tau, eta, beta_sq) -> AimState:
@@ -260,21 +196,20 @@ def seed(tau, eta, beta_sq) -> AimState:
     tau = _coeff(tau)
     eta = _coeff(eta)
     beta_sq = _coeff(beta_sq)
-    z = Poly.x()
-    lam0 = RationalFn(Poly((-2 * (eta + 1), 2 * tau)), z)
-    s0 = RationalFn(Poly((2 * tau * (eta + 1) - beta_sq,)), z)
+    lam0 = Poly((2 * tau, -2 * (eta + 1)))
+    s0 = Poly((0, 2 * tau * (eta + 1) - beta_sq))
     return AimState(n=0, lam0=lam0, s0=s0, lam=lam0, s=s0)
 
 
 def iterate(state: AimState) -> AimState:
     """One step of the recurrence, n -> n + 1."""
-    lam_next = state.lam.derivative() + state.lam0 * state.lam + state.s
-    s_next = state.s.derivative() + state.s0 * state.lam
+    lam_next = d_dz(state.lam) + state.lam0 * state.lam + state.s
+    s_next = d_dz(state.s) + state.s0 * state.lam
     return AimState(n=state.n + 1, lam0=state.lam0, s0=state.s0,
                     lam=lam_next, s=s_next)
 
 
-def termination_delta(state: AimState, previous: AimState) -> RationalFn:
+def termination_delta(state: AimState, previous: AimState) -> Poly:
     """delta = s_n lambda_{n-1} - s_{n-1} lambda_n for consecutive states."""
     if state.n != previous.n + 1:
         raise DomainError(f"states must be consecutive, got n={state.n} "
@@ -286,23 +221,25 @@ def exact_tau(eta, beta_sq, n: int) -> Fraction:
     """The tau at which the level-n iteration terminates exactly."""
     if not (isinstance(n, int) and n >= 0):
         raise DomainError(f"n must be a non-negative integer, got {n!r}")
-    return _coeff(beta_sq) / (2 * (_coeff(eta) + n + 1))
+    shift = _coeff(eta) + n + 1
+    if shift == 0:
+        raise DomainError(f"eta + n + 1 = 0 at eta={eta}, n={n}: no tau "
+                          "terminates this level")
+    return _coeff(beta_sq) / (2 * shift)
 
 
 def terminates_at(n: int, tau, eta, beta_sq) -> bool:
     """Whether the iteration terminates identically at level n for this tau.
 
     Builds the seed, iterates to level n + 1, and checks that the
-    termination delta between levels n + 1 and n is the zero function.
+    termination delta between levels n + 1 and n is the zero polynomial.
     """
     if not (isinstance(n, int) and n >= 0):
         raise DomainError(f"n must be a non-negative integer, got {n!r}")
-    state = seed(tau, eta, beta_sq)
-    states = [state]
+    previous = state = seed(tau, eta, beta_sq)
     for _ in range(n + 1):
-        state = iterate(state)
-        states.append(state)
-    return termination_delta(states[n + 1], states[n]).is_zero
+        previous, state = state, iterate(state)
+    return termination_delta(state, previous).is_zero
 
 
 def verify_level(n: int, eta, beta_sq) -> bool:

@@ -35,15 +35,16 @@ from .model import (DEFAULT_HBAR_C, NEUTRAL_PION_M0C2, CouplingMode,
                     QuantumNumbers, mass_at, vector_potential)
 from .quantization import build_residual_spec
 from .rootfind import SolverConfig, solve_cell, solve_spectrum
-from .special import (boundary_report, build_wave_solution, default_r_max,
-                      normalize_on_grid, wavefunction_grid)
+from .special import (MAX_RADIAL_POINTS, build_wave_solution, default_r_max,
+                      grid_report, normalize_on_grid, wavefunction_grid)
 
 GRID_VALUES = (-0.003, 0.0, 0.003)
 GRID_NMAX = 3
 GRID_CELLS = tuple((n, l) for n in range(GRID_NMAX + 1) for l in range(n + 1))
 DEFAULT_A = 200.0
 DEFAULT_CHECK_TOL = 0.02
-DEFAULT_AIM_CAP = 8
+DEFAULT_AIM_CAP = 32
+MAX_AXIS_POINTS = 10_000
 
 
 class _UsageError(Exception):
@@ -89,17 +90,21 @@ def _add_physics_options(p: argparse.ArgumentParser):
                    help="key = value file supplying defaults for any option")
 
 
+_SOLVER_OPTIONS = (
+    ("grid_points", int, "scan grid size"),
+    ("tol_energy", float, "energy tolerance in MeV"),
+    ("tol_residual", float, "residual tolerance in MeV"),
+    ("max_iter", int, "refinement iteration cap"),
+    ("window_margin", float, "margin kept from the window edges in MeV"),
+)
+
+
 def _add_solver_options(p: argparse.ArgumentParser):
-    p.add_argument("--grid-points", dest="grid_points", type=int, default=None,
-                   help="scan grid size (default 4000)")
-    p.add_argument("--tol-energy", dest="tol_energy", type=float, default=None,
-                   help="energy tolerance in MeV (default 1e-9)")
-    p.add_argument("--tol-residual", dest="tol_residual", type=float,
-                   default=None, help="residual tolerance in MeV (default 1e-8)")
-    p.add_argument("--max-iter", dest="max_iter", type=int, default=None,
-                   help="refinement iteration cap (default 200)")
-    p.add_argument("--window-margin", dest="window_margin", type=float,
-                   default=None, help="margin kept from the window edges in MeV")
+    defaults = SolverConfig()
+    for name, kind, text in _SOLVER_OPTIONS:
+        p.add_argument("--" + name.replace("_", "-"), dest=name, type=kind,
+                       default=None,
+                       help=f"{text} (default {getattr(defaults, name)})")
 
 
 def _add_output_options(p: argparse.ArgumentParser):
@@ -255,13 +260,10 @@ def _resolve_inputs(args, need_mode: bool = True):
         raise _UsageError("--mode is required (emes, emos, pv, or ps)")
     mode = CouplingMode.parse(mode_name) if mode_name is not None else None
     branch = _pick(args, cfg, "branch", "plus")
-    config = SolverConfig(
-        grid_points=_pick(args, cfg, "grid_points", 4000),
-        tol_energy=_pick(args, cfg, "tol_energy", 1e-9),
-        tol_residual=_pick(args, cfg, "tol_residual", 1e-8),
-        max_iter=_pick(args, cfg, "max_iter", 200),
-        window_margin=_pick(args, cfg, "window_margin", 1e-6),
-    )
+    supplied = {name: _pick(args, cfg, name, None)
+                for name, _, _ in _SOLVER_OPTIONS}
+    config = SolverConfig(**{name: value for name, value in supplied.items()
+                             if value is not None})
     return constants, particle, A, delta, lambda_b, mode, branch, config, cfg
 
 
@@ -470,8 +472,9 @@ def _cmd_wavefunction(args) -> int:
      config, cfg) = _resolve_inputs(args)
     if args.n < 0 or args.l < 0:
         raise _UsageError("--n and --l must be non-negative")
-    if args.points < 16:
-        raise _UsageError("--points must be at least 16")
+    if not 16 <= args.points <= MAX_RADIAL_POINTS:
+        raise _UsageError(f"--points must be in [16, {MAX_RADIAL_POINTS}], "
+                          f"got {args.points}")
     pot = PotentialSpec.from_lambda_b(A=A, delta=delta, lambda_b=lambda_b,
                                       particle=particle, mode=mode)
     qn = QuantumNumbers(n=args.n, l=args.l)
@@ -498,8 +501,8 @@ def _cmd_wavefunction(args) -> int:
     r_max = args.r_max
     if r_max is None:
         r_max = max(default_r_max(sol) for _, _, sol in solutions)
-    if not (r_max > 0.0):
-        raise _UsageError(f"--r-max must be positive, got {r_max}")
+    if not (r_max > 0.0 and math.isfinite(r_max)):
+        raise _UsageError(f"--r-max must be positive and finite, got {r_max}")
     radii = np.linspace(0.0, r_max, args.points)
 
     manifest = _base_manifest("wavefunction", constants, particle, A, mode,
@@ -508,8 +511,8 @@ def _cmd_wavefunction(args) -> int:
                      "l": args.l, "r_max": r_max, "points": args.points})
     line_blocks = []
     for name, entry, sol in solutions:
-        rep = boundary_report(sol, r_max=r_max, grid_points=args.points)
         samples = wavefunction_grid(sol, radii)
+        rep = grid_report(samples, radii)
         if args.normalize:
             samples = normalize_on_grid(samples, radii)
         u = [float(v) for v in samples]
@@ -563,19 +566,25 @@ def _cmd_wavefunction(args) -> int:
 # --------------------------------------------------------------- sweep
 
 def _axis_values(start: float, stop: float, step: float):
+    for name, value in (("--start", start), ("--stop", stop), ("--step", step)):
+        if not math.isfinite(value):
+            raise _UsageError(f"{name} must be finite, got {value}")
     if step <= 0.0:
         raise _UsageError("--step must be positive")
     if stop < start:
         raise _UsageError("--stop must not be below --start")
+    too_many = _UsageError(f"the axis has more than {MAX_AXIS_POINTS} points")
+    if (stop - start) / step >= MAX_AXIS_POINTS:
+        raise too_many
     values = []
-    k = 0
-    while True:
+    # Bounded too: a step below the spacing of doubles near start never
+    # moves past stop, whatever the quotient above says.
+    for k in range(MAX_AXIS_POINTS + 1):
         v = start + k * step
         if v > stop + 1e-12 * step:
-            break
+            return values
         values.append(v)
-        k += 1
-    return values
+    raise too_many
 
 
 def _cmd_sweep(args) -> int:

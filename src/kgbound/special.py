@@ -28,6 +28,7 @@ SNAP_TOL = 1e-8          # distance to a non-positive integer that truncates
 TERM_CAP = 10_000        # series terms before giving up
 RATIO_TOL = 1e-16        # relative tail size that ends the summation
 _LOG_HUGE = 700.0        # ln of roughly the largest finite double
+MAX_RADIAL_POINTS = 100_000  # radii per evaluated line; bounds memory
 
 
 @dataclass(frozen=True)
@@ -183,14 +184,20 @@ class BoundaryReport:
 
 def boundary_report(sol: WaveSolution, r_max: Optional[float] = None,
                     grid_points: int = 2000) -> BoundaryReport:
-    if grid_points < 16:
-        raise DomainError(f"grid_points must be at least 16, got {grid_points}")
+    if not 16 <= grid_points <= MAX_RADIAL_POINTS:
+        raise DomainError(f"grid_points must be in [16, {MAX_RADIAL_POINTS}], "
+                          f"got {grid_points}")
     if r_max is None:
         r_max = default_r_max(sol)
     if not (r_max > 0.0 and math.isfinite(r_max)):
         raise DomainError(f"r_max must be positive and finite, got {r_max}")
     radii = np.linspace(0.0, r_max, grid_points)
-    u = wavefunction_grid(sol, radii)
+    return grid_report(wavefunction_grid(sol, radii), radii)
+
+
+def grid_report(u: np.ndarray, radii: np.ndarray) -> BoundaryReport:
+    """Diagnostics of unnormalized samples u on radii running from 0 to
+    r_max."""
     max_abs = float(np.max(np.abs(u)))
     if max_abs == 0.0:
         raise EvaluationError("wave function vanished on the whole grid")
@@ -199,6 +206,6 @@ def boundary_report(sol: WaveSolution, r_max: Optional[float] = None,
     # (the origin, underflowed tail points) separate no nodes themselves.
     signs = [1.0 if v > 0.0 else -1.0 for v in u if v != 0.0]
     nodes = sum(1 for s0, s1 in zip(signs, signs[1:]) if s0 != s1)
-    return BoundaryReport(r_max=float(r_max), grid_points=grid_points,
+    return BoundaryReport(r_max=float(radii[-1]), grid_points=len(radii),
                           u_origin=float(u[0]), max_abs=max_abs,
                           tail_ratio=tail_ratio, node_count=nodes)

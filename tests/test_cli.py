@@ -1,13 +1,16 @@
 import csv
+import dataclasses
 import json
 import shutil
+import warnings
 
 import numpy as np
 import pytest
 
 from kgbound import (NEUTRAL_PION_M0C2, ParticleSpec, PhysicalConstants,
                      PotentialSpec, SolverConfig, solve_spectrum)
-from kgbound.cli import main
+from kgbound.cli import DEFAULT_AIM_CAP, MAX_AXIS_POINTS, main
+from kgbound.special import MAX_RADIAL_POINTS
 from kgbound.model import CouplingMode
 from kgbound.rootfind import SpectrumTable
 
@@ -175,6 +178,53 @@ def test_sweep_rejects_bad_step(capsys):
     assert "--step must be positive" in capsys.readouterr().err
 
 
+SWEEP_PS = ["sweep", "--mode", "ps", "--axis", "delta", "--nmax=0"]
+
+
+def test_sweep_axis_values_are_start_plus_k_step(capsys):
+    assert main(SWEEP_PS + ["--start=-0.001", "--stop=0.0005",
+                            "--step=0.0005", "--format", "json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert ([p["value"] for p in payload["points"]]
+            == [-0.001 + k * 0.0005 for k in range(4)])
+
+
+@pytest.mark.parametrize("flag", ["--step=nan", "--stop=inf",
+                                  "--start=-inf"])
+def test_sweep_rejects_non_finite_axis(flag, capsys):
+    argv = {"--start": "--start=-0.001", "--stop": "--stop=0.001",
+            "--step": "--step=0.0005"}
+    argv[flag.split("=")[0]] = flag
+    assert main(SWEEP_PS + list(argv.values())) == 1
+    assert "must be finite" in capsys.readouterr().err
+
+
+def test_sweep_rejects_axis_above_point_bound(capsys):
+    # counted from (stop - start) / step, before any value exists
+    assert main(SWEEP_PS + ["--start=-0.001", "--stop=0.001",
+                            "--step=1e-300"]) == 1
+    assert f"more than {MAX_AXIS_POINTS} points" in capsys.readouterr().err
+    # a step below the spacing of doubles near start never passes stop
+    assert main(SWEEP_PS + ["--start=1.0", "--stop=1.0",
+                            "--step=1e-300"]) == 1
+    assert f"more than {MAX_AXIS_POINTS} points" in capsys.readouterr().err
+
+
+def test_solver_defaults_come_from_solver_config(capsys):
+    assert main(["solve", "--mode", "ps", "--nmax=0", "--format", "json"]) == 0
+    manifest = json.loads(capsys.readouterr().out)["manifest"]
+    defaults = dataclasses.asdict(SolverConfig())
+    assert {k: manifest[k] for k in defaults} == defaults
+    assert main(["solve", "--mode", "ps", "--nmax=0", "--format", "json",
+                 "--tol-energy=1e-10"]) == 0
+    manifest = json.loads(capsys.readouterr().out)["manifest"]
+    assert manifest["tol_energy"] == 1e-10
+    assert manifest["max_iter"] == defaults["max_iter"]
+    with pytest.raises(SystemExit):
+        main(["solve", "--help"])
+    assert f"(default {SolverConfig().tol_energy})" in capsys.readouterr().out
+
+
 def test_solve_accepts_spaced_negative_exponent(capsys):
     base = ["solve", "--mode", "ps", "--nmax", "1", "--format", "json"]
     assert main(base + ["--delta", "-5e-05"]) == 0
@@ -228,6 +278,25 @@ def test_wavefunction_csv_layout(tmp_path):
     assert interior[2] != "" and interior[3] != ""
 
 
+def test_wavefunction_points_above_bound_is_usage_error(capsys):
+    # rejected before the cell is solved or any radius exists
+    assert main(["wavefunction", "--mode", "ps", "--n=0", "--l=0",
+                 "--points=1000000000"]) == 1
+    err = capsys.readouterr().err
+    assert f"--points must be in [16, {MAX_RADIAL_POINTS}]" in err
+    assert "Traceback" not in err
+
+
+def test_wavefunction_infinite_r_max_is_usage_error(capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["wavefunction", "--mode", "ps", "--n=0", "--l=0",
+                     "--points=64", "--r-max", "inf"]) == 1
+    err = capsys.readouterr().err
+    assert "--r-max must be positive and finite" in err
+    assert "Traceback" not in err
+
+
 def test_wavefunction_requires_present_line(capsys):
     rc = main(["wavefunction", "--mode", "emos", "--n", "0", "--l", "0",
                "--line", "lower"])
@@ -263,7 +332,7 @@ def test_aim_verify_perturbed_tau_fails(capsys):
 
 
 def test_aim_verify_honors_level_cap(capsys):
-    assert main(["aim-verify", "--nmax", "9"]) == 1
+    assert main(["aim-verify", "--nmax", str(DEFAULT_AIM_CAP + 1)]) == 1
     assert "exceeds the level cap" in capsys.readouterr().err
 
 

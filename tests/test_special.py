@@ -7,10 +7,11 @@ import pytest
 
 from kgbound import (CouplingMode, DomainError, EvaluationError,
                      PotentialSpec, QuantumNumbers)
-from kgbound.special import (SNAP_TOL, BoundaryReport, KummerParams,
-                             boundary_report, build_wave_solution,
-                             default_r_max, kummer_1f1, normalize_on_grid,
-                             wavefunction_grid, wavefunction_u)
+from kgbound.special import (MAX_RADIAL_POINTS, SNAP_TOL, BoundaryReport,
+                             KummerParams, boundary_report,
+                             build_wave_solution, default_r_max, grid_report,
+                             kummer_1f1, normalize_on_grid, wavefunction_grid,
+                             wavefunction_u)
 
 mpmath.mp.dps = 40
 
@@ -253,3 +254,23 @@ def test_boundary_report_validation(constants, pion, solve_block):
     assert isinstance(report, BoundaryReport)
     assert report.r_max == 30.0 and report.grid_points == 256
     assert report.max_abs > 0.0
+    with pytest.raises(DomainError):
+        boundary_report(sol, grid_points=MAX_RADIAL_POINTS + 1)
+    with pytest.raises(DomainError):
+        boundary_report(sol, r_max=math.inf)
+
+
+def test_grid_report_reads_given_samples(constants, pion, solve_block):
+    # boundary_report is grid_report on its own linspace; the CLI passes
+    # the samples it already holds
+    entry = converged_entry(solve_block, "emes", 0.0, 0.0, 2, 0, "upper")
+    pot = make_pot(CouplingMode.EMES, pion=pion)
+    sol = build_wave_solution(constants, pion, pot, QuantumNumbers(n=2, l=0),
+                              entry.energy)
+    radii = np.linspace(0.0, 40.0, 300)
+    u = wavefunction_grid(sol, radii)
+    assert grid_report(u, radii) == boundary_report(sol, r_max=40.0,
+                                                    grid_points=300)
+    assert grid_report(u, radii).node_count == 2
+    with pytest.raises(EvaluationError):
+        grid_report(np.zeros_like(radii), radii)
