@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -69,42 +70,75 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-def _add_physics_options(p: argparse.ArgumentParser):
-    p.add_argument("--mode", default=None,
-                   help="coupling mode: emes, emos, pv, or ps")
-    p.add_argument("--m0c2", type=float, default=None,
-                   help=f"rest energy in MeV (default {NEUTRAL_PION_M0C2})")
-    p.add_argument("--lambda", dest="lam", type=float, default=None,
-                   help="length scale lambda in fm (default hbar_c / m0c2)")
-    p.add_argument("--A", dest="A", type=float, default=None,
-                   help=f"potential strength in MeV fm (default {DEFAULT_A})")
-    p.add_argument("--delta", type=float, default=None,
-                   help="energy-dependence tuning in 1/MeV (default 0)")
-    p.add_argument("--lambda-b", dest="lambda_b", type=float, default=None,
-                   help="mass coupling product lambda*b in 1/MeV (default 0)")
-    p.add_argument("--hbar-c", dest="hbar_c", type=float, default=None,
-                   help=f"hbar c in MeV fm (default {DEFAULT_HBAR_C})")
-    p.add_argument("--branch", choices=("plus", "minus"), default=None,
-                   help="sign branch of eta (default plus)")
-    p.add_argument("--config", default=None,
-                   help="key = value file supplying defaults for any option")
+@dataclasses.dataclass(frozen=True)
+class _Option:
+    """A flag that a --config file may set too.  Its config key is the long
+    name, lower-cased, with '_' for '-'; kind parses both the flag and the
+    file's text."""
+
+    flag: str
+    dest: str
+    kind: type
+    default: object
+    help: str
+    choices: tuple = None
+
+    @property
+    def key(self) -> str:
+        return self.flag[2:].lower().replace("-", "_")
 
 
-_SOLVER_OPTIONS = (
-    ("grid_points", int, "scan grid size"),
-    ("tol_energy", float, "energy tolerance in MeV"),
-    ("tol_residual", float, "residual tolerance in MeV"),
-    ("max_iter", int, "refinement iteration cap"),
-    ("window_margin", float, "margin kept from the window edges in MeV"),
+_PHYSICS_OPTIONS = (
+    _Option("--mode", "mode", str, None, "coupling mode: emes, emos, pv, or ps"),
+    _Option("--m0c2", "m0c2", float, NEUTRAL_PION_M0C2,
+            f"rest energy in MeV (default {NEUTRAL_PION_M0C2})"),
+    _Option("--lambda", "lam", float, None,
+            "length scale lambda in fm (default hbar_c / m0c2)"),
+    _Option("--A", "A", float, DEFAULT_A,
+            f"potential strength in MeV fm (default {DEFAULT_A})"),
+    _Option("--delta", "delta", float, 0.0,
+            "energy-dependence tuning in 1/MeV (default 0)"),
+    _Option("--lambda-b", "lambda_b", float, 0.0,
+            "mass coupling product lambda*b in 1/MeV (default 0)"),
+    _Option("--hbar-c", "hbar_c", float, DEFAULT_HBAR_C,
+            f"hbar c in MeV fm (default {DEFAULT_HBAR_C})"),
+    _Option("--branch", "branch", str, "plus",
+            "sign branch of eta (default plus)", ("plus", "minus")),
 )
 
+# Unset solver options are left to SolverConfig's own defaults.
+_SOLVER_OPTIONS = tuple(
+    _Option("--" + name.replace("_", "-"), name, kind, None,
+            f"{text} (default {getattr(SolverConfig(), name)})")
+    for name, kind, text in (
+        ("grid_points", int, "scan grid size"),
+        ("tol_energy", float, "energy tolerance in MeV"),
+        ("tol_residual", float, "residual tolerance in MeV"),
+        ("max_iter", int, "refinement iteration cap"),
+        ("window_margin", float, "margin kept from the window edges in MeV"),
+    ))
 
-def _add_solver_options(p: argparse.ArgumentParser):
-    defaults = SolverConfig()
-    for name, kind, text in _SOLVER_OPTIONS:
-        p.add_argument("--" + name.replace("_", "-"), dest=name, type=kind,
-                       default=None,
-                       help=f"{text} (default {getattr(defaults, name)})")
+_RANGE_OPTIONS = (
+    _Option("--nmax", "nmax", int, 3, "largest radial quantum number (default 3)"),
+    _Option("--lmax", "lmax", int, None,
+            "cap on l inside the triangular layout (default: l <= n)"),
+)
+
+_CONFIG_OPTIONS = {option.key: option for option in
+                   _PHYSICS_OPTIONS + _SOLVER_OPTIONS + _RANGE_OPTIONS}
+
+
+def _add_options(p: argparse.ArgumentParser, options):
+    for option in options:
+        p.add_argument(option.flag, dest=option.dest, type=option.kind,
+                       choices=option.choices, default=None, help=option.help)
+
+
+def _add_model_options(p: argparse.ArgumentParser):
+    _add_options(p, _PHYSICS_OPTIONS)
+    p.add_argument("--config", default=None,
+                   help="key = value file supplying defaults for any option")
+    _add_options(p, _SOLVER_OPTIONS)
 
 
 def _add_output_options(p: argparse.ArgumentParser):
@@ -123,20 +157,17 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("solve", help="solve the bound-state spectrum")
-    _add_physics_options(p)
-    _add_solver_options(p)
+    _add_model_options(p)
     _add_output_options(p)
-    p.add_argument("--nmax", type=int, default=None,
-                   help="largest radial quantum number (default 3)")
-    p.add_argument("--lmax", type=int, default=None,
-                   help="cap on l inside the triangular layout (default: l <= n)")
+    _add_options(p, _RANGE_OPTIONS)
     p.add_argument("--paper-grid", dest="paper_grid", action="store_true",
                    help="solve the reference 3 x 3 (delta, lambda_b) grid "
                         "and emit the wide table layout")
     p.add_argument("--check", default=None, metavar="FIXTURE",
                    help="compare the reference grid against a fixture CSV "
                         "(implies --paper-grid)")
-    p.add_argument("--check-tol", dest="check_tol", type=float, default=None,
+    p.add_argument("--check-tol", dest="check_tol", type=float,
+                   default=DEFAULT_CHECK_TOL,
                    help=f"per-cell tolerance in MeV for --check "
                         f"(default {DEFAULT_CHECK_TOL})")
     p.add_argument("--allow-extra-roots", dest="allow_extra", action="store_true",
@@ -145,8 +176,7 @@ def build_parser() -> _Parser:
     p.set_defaults(handler=_cmd_solve)
 
     p = sub.add_parser("wavefunction", help="radial wave function of one cell")
-    _add_physics_options(p)
-    _add_solver_options(p)
+    _add_model_options(p)
     _add_output_options(p)
     p.add_argument("--n", type=int, required=True, help="radial quantum number")
     p.add_argument("--l", type=int, required=True, help="orbital quantum number")
@@ -162,18 +192,14 @@ def build_parser() -> _Parser:
     p.set_defaults(handler=_cmd_wavefunction)
 
     p = sub.add_parser("sweep", help="spectrum along a parameter axis")
-    _add_physics_options(p)
-    _add_solver_options(p)
+    _add_model_options(p)
     _add_output_options(p)
     p.add_argument("--axis", choices=("delta", "lambda_b"), required=True,
                    help="parameter to sweep")
     p.add_argument("--start", type=float, required=True)
     p.add_argument("--stop", type=float, required=True)
     p.add_argument("--step", type=float, required=True)
-    p.add_argument("--nmax", type=int, default=None,
-                   help="largest radial quantum number (default 3)")
-    p.add_argument("--lmax", type=int, default=None,
-                   help="cap on l inside the triangular layout (default: l <= n)")
+    _add_options(p, _RANGE_OPTIONS)
     p.set_defaults(handler=_cmd_sweep)
 
     p = sub.add_parser("aim-verify",
@@ -209,133 +235,112 @@ def load_config(path: str) -> dict:
             raise _UsageError(f"{path}:{lineno}: expected 'key = value'")
         key, value = line.split("=", 1)
         key = key.strip().lower().replace("-", "_")
-        if key not in _CONFIG_KEYS:
+        if key not in _CONFIG_OPTIONS:
             raise _UsageError(f"{path}:{lineno}: unknown key {key!r}")
         table[key] = value.strip()
     return table
 
 
-_CONFIG_KEYS = {
-    "mode", "branch", "m0c2", "lambda", "a", "delta", "lambda_b", "hbar_c",
-    "grid_points", "tol_energy", "tol_residual", "max_iter", "window_margin",
-    "nmax", "lmax",
-}
-_CONFIG_ALIAS = {"lam": "lambda", "A": "a"}
-_INT_KEYS = {"grid_points", "max_iter", "nmax", "lmax"}
-
-
-def _pick(args, cfg: dict, name: str, default):
-    value = getattr(args, name, None)
-    if value is not None:
-        return value
-    key = _CONFIG_ALIAS.get(name, name)
-    if key in cfg:
-        raw = cfg[key]
-        if name in ("mode", "branch"):
-            return raw
-        caster = int if key in _INT_KEYS else float
-        try:
-            return caster(raw)
-        except ValueError:
-            raise _UsageError(f"config key {key!r}: cannot parse {raw!r}")
-    return default
-
-
-def _resolve_inputs(args, need_mode: bool = True):
-    """Merge CLI flags, config file, and defaults into model objects."""
+def _resolve_inputs(args):
+    """Fill each config-file option the command has, flag over file over
+    default, then attach the model objects: args.constants, args.particle
+    and args.solver (a SolverConfig); args.mode becomes a CouplingMode."""
     cfg = load_config(args.config) if args.config else {}
-    hbar_c = _pick(args, cfg, "hbar_c", DEFAULT_HBAR_C)
-    m0c2 = _pick(args, cfg, "m0c2", NEUTRAL_PION_M0C2)
-    constants = PhysicalConstants(hbar_c=hbar_c)
-    lam = _pick(args, cfg, "lam", None)
-    if lam is None:
-        particle = ParticleSpec.with_compton_lambda(m0c2, constants)
+    for key, option in _CONFIG_OPTIONS.items():
+        if getattr(args, option.dest, False) is not None:
+            continue  # given as a flag, or not an option of this command
+        value = option.default
+        if key in cfg:
+            try:
+                value = option.kind(cfg[key])
+            except ValueError:
+                raise _UsageError(f"config key {key!r}: cannot parse "
+                                  f"{cfg[key]!r}")
+        setattr(args, option.dest, value)
+    args.constants = PhysicalConstants(hbar_c=args.hbar_c)
+    if args.lam is None:
+        args.particle = ParticleSpec.with_compton_lambda(args.m0c2,
+                                                         args.constants)
     else:
-        particle = ParticleSpec(m0c2=m0c2, lam=lam)
-    A = _pick(args, cfg, "A", DEFAULT_A)
-    delta = _pick(args, cfg, "delta", 0.0)
-    lambda_b = _pick(args, cfg, "lambda_b", 0.0)
-    mode_name = _pick(args, cfg, "mode", None)
-    if need_mode and mode_name is None:
+        args.particle = ParticleSpec(m0c2=args.m0c2, lam=args.lam)
+    if args.mode is None:
         raise _UsageError("--mode is required (emes, emos, pv, or ps)")
-    mode = CouplingMode.parse(mode_name) if mode_name is not None else None
-    branch = _pick(args, cfg, "branch", "plus")
-    supplied = {name: _pick(args, cfg, name, None)
-                for name, _, _ in _SOLVER_OPTIONS}
-    config = SolverConfig(**{name: value for name, value in supplied.items()
-                             if value is not None})
-    return constants, particle, A, delta, lambda_b, mode, branch, config, cfg
+    args.mode = CouplingMode.parse(args.mode)
+    args.solver = SolverConfig(**{option.dest: getattr(args, option.dest)
+                                  for option in _SOLVER_OPTIONS
+                                  if getattr(args, option.dest) is not None})
 
 
-def _base_manifest(command: str, constants, particle, A, mode, branch,
-                   config, stamped: bool) -> dict:
+def _potential(args, delta: float, lambda_b: float) -> PotentialSpec:
+    return PotentialSpec.from_lambda_b(A=args.A, delta=delta,
+                                       lambda_b=lambda_b,
+                                       particle=args.particle, mode=args.mode)
+
+
+def _spectrum(args, delta: float, lambda_b: float, n_max: int, l_max=None):
+    return solve_spectrum(args.constants, args.particle,
+                          _potential(args, delta, lambda_b), n_max=n_max,
+                          l_max=l_max, branch=args.branch, config=args.solver)
+
+
+def _manifest(command: str, args, stamped: bool = True, **fields) -> dict:
     manifest = {
         "command": command,
         "version": __version__,
-        "hbar_c": constants.hbar_c,
-        "m0c2": particle.m0c2,
-        "lambda": particle.lam,
-        "A": A,
-        "mode": mode.value if mode is not None else None,
-        "branch": branch,
-        "grid_points": config.grid_points,
-        "tol_energy": config.tol_energy,
-        "tol_residual": config.tol_residual,
-        "max_iter": config.max_iter,
-        "window_margin": config.window_margin,
+        "hbar_c": args.constants.hbar_c,
+        "m0c2": args.particle.m0c2,
+        "lambda": args.particle.lam,
+        "A": args.A,
+        "mode": args.mode.value,
+        "branch": args.branch,
+        **dataclasses.asdict(args.solver),
     }
     if stamped:
         manifest["timestamp"] = datetime.now(timezone.utc).isoformat(
             timespec="seconds")
+    manifest.update(fields)
     return manifest
-
-
-def _manifest_comments(manifest: dict) -> list:
-    return [f"# {key}: {value}" for key, value in manifest.items()]
 
 
 def _emit(text: str, output):
     if output is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(output, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
+    except OSError as err:
+        raise _UsageError(f"cannot write {output}: {err}")
+
+
+def _write_table(args, manifest: dict, body, header, rows, notes=()):
+    """Emit a command's result: as JSON, the manifest followed by the items
+    of body(); as CSV, the manifest and the notes as '#' lines, then the
+    header and the rows (floats by repr, None as an empty field)."""
+    if args.format == "json":
+        text = json.dumps({"manifest": manifest, **body()}, indent=2) + "\n"
+    else:
+        buf = io.StringIO()
+        buf.writelines(f"# {key}: {value}\n" for key, value in manifest.items())
+        buf.writelines(f"# {note}\n" for note in notes)
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+        text = buf.getvalue()
+    _emit(text, args.output)
 
 
 def _fmt_cell(value) -> str:
     return "None" if value is None else f"{value:.5f}"
 
 
-def _csv_buffer():
-    buf = io.StringIO()
-    return buf, csv.writer(buf, lineterminator="\n")
-
-
 # ---------------------------------------------------------------- solve
 
-def _solve_grid(constants, particle, A, mode, branch, config):
-    """The 3 x 3 reference grid of spectrum tables, delta outer."""
-    tables = []
-    for delta in GRID_VALUES:
-        for lambda_b in GRID_VALUES:
-            pot = PotentialSpec.from_lambda_b(A=A, delta=delta,
-                                              lambda_b=lambda_b,
-                                              particle=particle, mode=mode)
-            tables.append(solve_spectrum(constants, particle, pot,
-                                         n_max=GRID_NMAX, branch=branch,
-                                         config=config))
-    return tables
-
-
 def _wide_rows(tables):
-    rows = []
     for t in tables:
         for line in ("lower", "upper"):
-            row = [f"{t.delta:.5f}", f"{t.lambda_b:.5f}", line]
-            for n, l in GRID_CELLS:
-                row.append(_fmt_cell(t.energy(n, l, line)))
-            rows.append(row)
-    return rows
+            yield ([f"{t.delta:.5f}", f"{t.lambda_b:.5f}", line]
+                   + [_fmt_cell(t.energy(n, l, line)) for n, l in GRID_CELLS])
 
 
 def _check_fixture(tables, fixture_path: str, tol: float, allow_extra: bool):
@@ -399,88 +404,66 @@ def _check_fixture(tables, fixture_path: str, tol: float, allow_extra: bool):
 
 
 def _cmd_solve(args) -> int:
-    (constants, particle, A, delta, lambda_b, mode, branch,
-     config, cfg) = _resolve_inputs(args)
-    paper_grid = args.paper_grid or args.check is not None
-    if paper_grid and (args.delta is not None or args.lambda_b is not None):
+    flagged = args.delta is not None or args.lambda_b is not None
+    _resolve_inputs(args)
+    if args.check is None and not args.paper_grid:
+        table = _spectrum(args, args.delta, args.lambda_b, args.nmax,
+                          args.lmax)
+        manifest = _manifest("solve", args, delta=args.delta,
+                             lambda_b=args.lambda_b, nmax=args.nmax,
+                             lmax=args.lmax)
+        _write_table(args, manifest, lambda: {"table": table.to_payload()},
+                     ["n", "l", "line", "energy", "residual_at_root",
+                      "iterations", "status", "detail"],
+                     ([e.n, e.l, e.line, e.energy, e.residual_at_root,
+                       e.iterations, e.status, e.detail]
+                      for e in table.entries))
+        return 0
+
+    if flagged:
         raise _UsageError("--paper-grid scans delta and lambda_b itself; "
                           "drop the explicit --delta/--lambda-b")
-    nmax = _pick(args, cfg, "nmax", 3)
-    lmax = _pick(args, cfg, "lmax", None)
-
-    if paper_grid:
-        tables = _solve_grid(constants, particle, A, mode, branch, config)
-        manifest = _base_manifest("solve --paper-grid", constants, particle,
-                                  A, mode, branch, config, stamped=False)
-        manifest["nmax"] = GRID_NMAX
-        manifest["grid_values"] = ",".join(f"{v:.5f}" for v in GRID_VALUES)
-        if args.check is not None:
-            tol = args.check_tol if args.check_tol is not None else DEFAULT_CHECK_TOL
-            report, mismatches, worst = _check_fixture(
-                tables, args.check, tol, args.allow_extra)
-            lines = list(report)
-            lines.append(f"check: {'FAIL' if mismatches else 'PASS'} "
-                         f"({mismatches} mismatches, worst deviation "
-                         f"{worst:.5f} MeV, tolerance {tol} MeV)")
-            _emit("\n".join(lines) + "\n", args.output)
-            return 3 if mismatches else 0
-        if args.format == "json":
-            payload = {"manifest": manifest,
-                       "tables": [t.to_payload() for t in tables]}
-            _emit(json.dumps(payload, indent=2) + "\n", args.output)
-            return 0
-        buf, writer = _csv_buffer()
-        for comment in _manifest_comments(manifest):
-            buf.write(comment + "\n")
-        writer.writerow(["delta", "lambda_b", "line"]
-                        + [f"E{n}{l}" for n, l in GRID_CELLS])
-        writer.writerows(_wide_rows(tables))
-        _emit(buf.getvalue(), args.output)
-        return 0
-
-    pot = PotentialSpec.from_lambda_b(A=A, delta=delta, lambda_b=lambda_b,
-                                      particle=particle, mode=mode)
-    table = solve_spectrum(constants, particle, pot, n_max=nmax, l_max=lmax,
-                           branch=branch, config=config)
-    manifest = _base_manifest("solve", constants, particle, A, mode, branch,
-                              config, stamped=True)
-    manifest.update({"delta": delta, "lambda_b": lambda_b,
-                     "nmax": nmax, "lmax": lmax})
-    if args.format == "json":
-        payload = {"manifest": manifest, "table": table.to_payload()}
-        _emit(json.dumps(payload, indent=2) + "\n", args.output)
-        return 0
-    buf, writer = _csv_buffer()
-    for comment in _manifest_comments(manifest):
-        buf.write(comment + "\n")
-    writer.writerow(["n", "l", "line", "energy", "residual_at_root",
-                     "iterations", "status", "detail"])
-    for entry in table.entries:
-        writer.writerow([entry.n, entry.l, entry.line,
-                         "" if entry.energy is None else repr(entry.energy),
-                         "" if entry.residual_at_root is None
-                         else repr(entry.residual_at_root),
-                         entry.iterations, entry.status, entry.detail])
-    _emit(buf.getvalue(), args.output)
+    tol = args.check_tol
+    if args.check is not None and not (math.isfinite(tol) and tol >= 0.0):
+        raise _UsageError(f"--check-tol must be finite and non-negative, "
+                          f"got {tol}")
+    # delta outer, lambda_b inner
+    tables = [_spectrum(args, delta, lambda_b, GRID_NMAX)
+              for delta in GRID_VALUES for lambda_b in GRID_VALUES]
+    if args.check is not None:
+        report, mismatches, worst = _check_fixture(tables, args.check, tol,
+                                                   args.allow_extra)
+        report.append(f"check: {'FAIL' if mismatches else 'PASS'} "
+                      f"({mismatches} mismatches, worst deviation "
+                      f"{worst:.5f} MeV, tolerance {tol} MeV)")
+        _emit("\n".join(report) + "\n", args.output)
+        return 3 if mismatches else 0
+    manifest = _manifest("solve --paper-grid", args, stamped=False,
+                         nmax=GRID_NMAX,
+                         grid_values=",".join(f"{v:.5f}" for v in GRID_VALUES))
+    _write_table(args, manifest,
+                 lambda: {"tables": [t.to_payload() for t in tables]},
+                 ["delta", "lambda_b", "line"]
+                 + [f"E{n}{l}" for n, l in GRID_CELLS],
+                 _wide_rows(tables))
     return 0
 
 
 # -------------------------------------------------------- wavefunction
 
 def _cmd_wavefunction(args) -> int:
-    (constants, particle, A, delta, lambda_b, mode, branch,
-     config, cfg) = _resolve_inputs(args)
+    _resolve_inputs(args)
     if args.n < 0 or args.l < 0:
         raise _UsageError("--n and --l must be non-negative")
     if not 16 <= args.points <= MAX_RADIAL_POINTS:
         raise _UsageError(f"--points must be in [16, {MAX_RADIAL_POINTS}], "
                           f"got {args.points}")
-    pot = PotentialSpec.from_lambda_b(A=A, delta=delta, lambda_b=lambda_b,
-                                      particle=particle, mode=mode)
+    pot = _potential(args, args.delta, args.lambda_b)
     qn = QuantumNumbers(n=args.n, l=args.l)
-    spec = build_residual_spec(constants, particle, pot, qn, branch=branch,
-                               window_margin=config.window_margin)
-    cell = solve_cell(spec, config)
+    spec = build_residual_spec(args.constants, args.particle, pot, qn,
+                               branch=args.branch,
+                               window_margin=args.solver.window_margin)
+    cell = solve_cell(spec, args.solver)
     wanted = ("lower", "upper") if args.line == "both" else (args.line,)
     picked = []
     for name in wanted:
@@ -492,34 +475,31 @@ def _cmd_wavefunction(args) -> int:
                               f"l={args.l}): {entry.detail or entry.status}")
     if not picked:
         raise AbsentError(f"no spectral line found for (n={args.n}, "
-                          f"l={args.l}) in mode {mode.value}")
+                          f"l={args.l}) in mode {args.mode.value}")
 
-    solutions = [(name, entry,
-                  build_wave_solution(constants, particle, pot, qn,
-                                      entry.energy, branch=branch))
+    solutions = [(name, build_wave_solution(args.constants, args.particle,
+                                            pot, qn, entry.energy,
+                                            branch=args.branch))
                  for name, entry in picked]
     r_max = args.r_max
     if r_max is None:
-        r_max = max(default_r_max(sol) for _, _, sol in solutions)
+        r_max = max(default_r_max(sol) for _, sol in solutions)
     if not (r_max > 0.0 and math.isfinite(r_max)):
         raise _UsageError(f"--r-max must be positive and finite, got {r_max}")
     radii = np.linspace(0.0, r_max, args.points)
+    # The radii ascend from 0; V and mc2 are left blank where r = 0.
+    inside = radii[radii > 0.0]
+    blank = [None] * (len(radii) - len(inside))
 
-    manifest = _base_manifest("wavefunction", constants, particle, A, mode,
-                              branch, config, stamped=True)
-    manifest.update({"delta": delta, "lambda_b": lambda_b, "n": args.n,
-                     "l": args.l, "r_max": r_max, "points": args.points})
+    manifest = _manifest("wavefunction", args, delta=args.delta,
+                         lambda_b=args.lambda_b, n=args.n, l=args.l,
+                         r_max=r_max, points=args.points)
     line_blocks = []
-    for name, entry, sol in solutions:
+    for name, sol in solutions:
         samples = wavefunction_grid(sol, radii)
         rep = grid_report(samples, radii)
         if args.normalize:
             samples = normalize_on_grid(samples, radii)
-        u = [float(v) for v in samples]
-        V = [None if r == 0.0 else vector_potential(pot, float(r), sol.energy)
-             for r in radii]
-        mc2 = [None if r == 0.0 else mass_at(particle, pot, float(r), sol.energy)
-               for r in radii]
         line_blocks.append({
             "line": name,
             "energy": sol.energy,
@@ -530,36 +510,24 @@ def _cmd_wavefunction(args) -> int:
             "u_origin": rep.u_origin,
             "tail_ratio": rep.tail_ratio,
             "node_count": rep.node_count,
-            "u": u, "V": V, "mc2": mc2,
+            "u": samples.tolist(),
+            "V": blank + vector_potential(pot, inside, sol.energy).tolist(),
+            "mc2": blank + mass_at(args.particle, pot, inside,
+                                   sol.energy).tolist(),
         })
 
-    if args.format == "json":
-        payload = {"manifest": manifest, "r": [float(r) for r in radii],
-                   "lines": line_blocks}
-        _emit(json.dumps(payload, indent=2) + "\n", args.output)
-        return 0
-    buf, writer = _csv_buffer()
-    for comment in _manifest_comments(manifest):
-        buf.write(comment + "\n")
-    for blk in line_blocks:
-        buf.write(f"# line {blk['line']}: energy={blk['energy']!r} "
-                  f"eta={blk['eta']!r} tau={blk['tau']!r} "
-                  f"a={blk['kummer_a']!r} c={blk['kummer_c']!r} "
-                  f"u0={blk['u_origin']!r} nodes={blk['node_count']} "
-                  f"tail_ratio={blk['tail_ratio']:.3e}\n")
-    header = ["r"]
-    for blk in line_blocks:
-        suffix = blk["line"]
-        header += [f"u_{suffix}", f"V_{suffix}", f"mc2_{suffix}"]
-    writer.writerow(header)
-    for i, r in enumerate(radii):
-        row = [repr(float(r))]
-        for blk in line_blocks:
-            row.append(repr(blk["u"][i]))
-            row.append("" if blk["V"][i] is None else repr(blk["V"][i]))
-            row.append("" if blk["mc2"][i] is None else repr(blk["mc2"][i]))
-        writer.writerow(row)
-    _emit(buf.getvalue(), args.output)
+    r = radii.tolist()
+    columns = ("u", "V", "mc2")
+    _write_table(
+        args, manifest, lambda: {"r": r, "lines": line_blocks},
+        ["r"] + [f"{col}_{blk['line']}" for blk in line_blocks
+                 for col in columns],
+        zip(r, *(blk[col] for blk in line_blocks for col in columns)),
+        notes=[f"line {blk['line']}: energy={blk['energy']!r} "
+               f"eta={blk['eta']!r} tau={blk['tau']!r} "
+               f"a={blk['kummer_a']!r} c={blk['kummer_c']!r} "
+               f"u0={blk['u_origin']!r} nodes={blk['node_count']} "
+               f"tail_ratio={blk['tail_ratio']:.3e}" for blk in line_blocks])
     return 0
 
 
@@ -588,42 +556,24 @@ def _axis_values(start: float, stop: float, step: float):
 
 
 def _cmd_sweep(args) -> int:
-    (constants, particle, A, delta, lambda_b, mode, branch,
-     config, cfg) = _resolve_inputs(args)
-    nmax = _pick(args, cfg, "nmax", 3)
-    lmax = _pick(args, cfg, "lmax", None)
-    values = _axis_values(args.start, args.stop, args.step)
-    points = []
-    for v in values:
-        d = v if args.axis == "delta" else delta
-        lb = v if args.axis == "lambda_b" else lambda_b
-        pot = PotentialSpec.from_lambda_b(A=A, delta=d, lambda_b=lb,
-                                          particle=particle, mode=mode)
-        points.append((v, solve_spectrum(constants, particle, pot, n_max=nmax,
-                                         l_max=lmax, branch=branch,
-                                         config=config)))
-    manifest = _base_manifest("sweep", constants, particle, A, mode, branch,
-                              config, stamped=True)
-    manifest.update({"axis": args.axis, "start": args.start,
-                     "stop": args.stop, "step": args.step,
-                     "fixed_delta": delta, "fixed_lambda_b": lambda_b,
-                     "nmax": nmax, "lmax": lmax})
-    if args.format == "json":
-        payload = {"manifest": manifest, "axis": args.axis,
-                   "points": [{"value": v, "table": t.to_payload()}
-                              for v, t in points]}
-        _emit(json.dumps(payload, indent=2) + "\n", args.output)
-        return 0
-    buf, writer = _csv_buffer()
-    for comment in _manifest_comments(manifest):
-        buf.write(comment + "\n")
-    writer.writerow([args.axis, "n", "l", "line", "energy", "status"])
-    for v, t in points:
-        for entry in t.entries:
-            writer.writerow([repr(v), entry.n, entry.l, entry.line,
-                             "" if entry.energy is None else repr(entry.energy),
-                             entry.status])
-    _emit(buf.getvalue(), args.output)
+    _resolve_inputs(args)
+    on_delta = args.axis == "delta"
+    points = [(v, _spectrum(args, v if on_delta else args.delta,
+                            args.lambda_b if on_delta else v,
+                            args.nmax, args.lmax))
+              for v in _axis_values(args.start, args.stop, args.step)]
+    manifest = _manifest("sweep", args, axis=args.axis, start=args.start,
+                         stop=args.stop, step=args.step,
+                         fixed_delta=args.delta,
+                         fixed_lambda_b=args.lambda_b, nmax=args.nmax,
+                         lmax=args.lmax)
+    _write_table(args, manifest,
+                 lambda: {"axis": args.axis,
+                          "points": [{"value": v, "table": t.to_payload()}
+                                     for v, t in points]},
+                 [args.axis, "n", "l", "line", "energy", "status"],
+                 ([v, e.n, e.l, e.line, e.energy, e.status]
+                  for v, t in points for e in t.entries))
     return 0
 
 

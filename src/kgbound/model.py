@@ -25,6 +25,8 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
+import numpy as np
+
 from . import _kernels
 from .errors import DomainError
 
@@ -182,17 +184,21 @@ def energy_factor(pot: PotentialSpec, E: float) -> float:
     return 1.0 + pot.delta * E
 
 
-def vector_potential(pot: PotentialSpec, r: float, E: float) -> float:
-    """V(r, E) = -A (1 + delta E) / r in MeV."""
-    if r <= 0.0:
-        raise DomainError(f"r must be positive, got {r}")
+def _require_positive_radius(r) -> None:
+    if not np.all(np.greater(r, 0.0)):  # NaN fails too
+        raise DomainError(f"r must be positive, got {np.min(r)}")
+
+
+def vector_potential(pot: PotentialSpec, r, E: float):
+    """V(r, E) = -A (1 + delta E) / r in MeV; r is a radius or an array."""
+    _require_positive_radius(r)
     return -pot.A * energy_factor(pot, E) / r
 
 
-def mass_at(particle: ParticleSpec, pot: PotentialSpec, r: float, E: float) -> float:
-    """m(r, E) c^2 = m0c2 (1 - lambda_b A (1 + delta E) / r) in MeV."""
-    if r <= 0.0:
-        raise DomainError(f"r must be positive, got {r}")
+def mass_at(particle: ParticleSpec, pot: PotentialSpec, r, E: float):
+    """m(r, E) c^2 = m0c2 (1 - lambda_b A (1 + delta E) / r) in MeV; r is a
+    radius or an array."""
+    _require_positive_radius(r)
     lam_b = pot.lambda_b(particle)
     return particle.m0c2 * (1.0 - lam_b * pot.A * energy_factor(pot, E) / r)
 

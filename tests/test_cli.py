@@ -377,3 +377,117 @@ def test_missing_config_is_usage_error(tmp_path, capsys):
     assert main(["solve", "--mode", "ps",
                  "--config", str(tmp_path / "nope.cfg")]) == 1
     assert "cannot read config" in capsys.readouterr().err
+
+
+# The 15 keys a --config file may set, each the long name of a flag; keys
+# are case-insensitive and '-' and '_' are interchangeable.
+CONFIG_VALUES = {
+    "mode": ("ps", "emes"), "branch": ("plus", "minus"),
+    "m0c2": ("130.0", "135.0"), "lambda": ("1.5", "1.25"),
+    "a": ("180.0", "190.0"), "delta": ("0.001", "-0.001"),
+    "lambda_b": ("0.002", "-0.002"), "hbar_c": ("197.0", "198.0"),
+    "grid_points": ("800", "900"), "tol_energy": ("1e-10", "2e-10"),
+    "tol_residual": ("1e-8", "2e-8"), "max_iter": ("60", "70"),
+    "window_margin": ("1e-6", "2e-6"), "nmax": ("1", "2"), "lmax": ("0", "1"),
+}
+FLAG_NAMES = {"lambda": "--lambda", "a": "--A", "lambda_b": "--lambda-b"}
+
+
+def _config_text(which, spell=lambda key: key):
+    return "".join(f"{spell(key)} = {values[which]}\n"
+                   for key, values in CONFIG_VALUES.items())
+
+
+def _flags(which):
+    return [f"{FLAG_NAMES.get(key, '--' + key.replace('_', '-'))}="
+            f"{values[which]}" for key, values in CONFIG_VALUES.items()]
+
+
+def _solve_json(argv, capsys):
+    assert main(["solve", "--format", "json"] + argv) == 0
+    payload = json.loads(capsys.readouterr().out)
+    del payload["manifest"]["timestamp"]
+    return payload
+
+
+def test_config_accepts_every_key_as_its_flag(tmp_path, capsys):
+    cfg = tmp_path / "all.cfg"
+    # mixed case and '-' for '_' must not matter
+    cfg.write_text(_config_text(0, lambda k: k.upper().replace("_", "-")),
+                   encoding="utf-8")
+    from_file = _solve_json(["--config", str(cfg)], capsys)
+    assert from_file == _solve_json(_flags(0), capsys)
+    manifest = from_file["manifest"]
+    assert (manifest["lambda"], manifest["A"]) == (1.5, 180.0)
+    assert (manifest["delta"], manifest["lambda_b"]) == (0.001, 0.002)
+    assert (manifest["nmax"], manifest["lmax"]) == (1, 0)
+    assert manifest["branch"] == "plus" and manifest["grid_points"] == 800
+
+
+def test_config_flags_outrank_the_file(tmp_path, capsys):
+    cfg = tmp_path / "all.cfg"
+    cfg.write_text(_config_text(0), encoding="utf-8")
+    assert (_solve_json(["--config", str(cfg)] + _flags(1), capsys)
+            == _solve_json(_flags(1), capsys))
+
+
+@pytest.mark.parametrize("key", ["grid_points", "max_iter", "nmax", "lmax"])
+def test_config_int_key_rejects_fraction(key, tmp_path, capsys):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(f"mode = ps\n{key} = 3.5\n", encoding="utf-8")
+    assert main(["solve", "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert f"config key {key!r}: cannot parse '3.5'" in err
+    assert "Traceback" not in err
+
+
+def test_config_delta_is_allowed_with_paper_grid(tmp_path, capsys):
+    cfg = tmp_path / "grid.cfg"
+    cfg.write_text("mode = ps\ndelta = 0.003\nlambda-b = 0.003\n",
+                   encoding="utf-8")
+    assert main(["solve", "--config", str(cfg), "--paper-grid"]) == 0
+    assert "# command: solve --paper-grid" in capsys.readouterr().out
+    assert main(["solve", "--config", str(cfg), "--paper-grid",
+                 "--delta=0.003"]) == 1
+    assert "drop the explicit" in capsys.readouterr().err
+
+
+def test_config_is_read_by_wavefunction_and_sweep(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    # wavefunction has no --nmax; the key is accepted and has no effect
+    cfg.write_text("mode = ps\ndelta = 0.002\nlambda_b = 0.001\nnmax = 1\n",
+                   encoding="utf-8")
+    assert main(["wavefunction", "--config", str(cfg), "--n=0", "--l=0",
+                 "--points=32", "--format", "json"]) == 0
+    manifest = json.loads(capsys.readouterr().out)["manifest"]
+    assert (manifest["mode"], manifest["delta"]) == ("ps", 0.002)
+    assert manifest["lambda_b"] == 0.001
+    assert main(["sweep", "--config", str(cfg), "--axis", "delta",
+                 "--start=0.0", "--stop=0.0", "--step=0.001",
+                 "--format", "json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["manifest"]["mode"] == "ps"
+    assert payload["manifest"]["nmax"] == 1
+    assert payload["manifest"]["fixed_lambda_b"] == 0.001
+    assert len(payload["points"][0]["table"]["cells"]) == 3
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "--mode", "ps", "--nmax=0"],
+    ["solve", "--mode", "pv", "--check", fixture_path("pv")],
+])
+def test_unwritable_output_is_usage_error(argv, tmp_path, capsys):
+    target = tmp_path / "missing" / "out.csv"
+    assert main(argv + ["--output", str(target)]) == 1
+    err = capsys.readouterr().err
+    assert f"kgbound: error: cannot write {target}" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "-1", "-1e-300"])
+def test_check_tol_must_be_finite_and_non_negative(tol, capsys):
+    assert main(["solve", "--mode", "pv", "--check", fixture_path("pv"),
+                 f"--check-tol={tol}"]) == 1
+    captured = capsys.readouterr()
+    assert "--check-tol must be finite and non-negative" in captured.err
+    assert "check:" not in captured.out

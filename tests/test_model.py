@@ -1,6 +1,9 @@
 import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kgbound import (BranchError, CouplingMode, DomainError, ParticleSpec,
                      PhysicalConstants, PotentialSpec, QuantumNumbers,
@@ -124,6 +127,37 @@ def test_mass_at_zero_crossing(pion):
     assert mass_at(pion, pot, 1.2, 50.0) == pytest.approx(pion.m0c2 / 2, rel=1e-12)
     with pytest.raises(DomainError):
         mass_at(pion, pot, -0.5, 0.0)
+
+
+_radii = st.lists(st.floats(1e-6, 1e4), min_size=1, max_size=16)
+
+
+@settings(deadline=None)
+@given(A=st.floats(20.0, 400.0), delta=st.floats(-0.006, 0.006),
+       lambda_b=st.floats(-0.006, 0.006), E=st.floats(-134.0, 134.0),
+       radii=_radii)
+def test_potential_and_mass_on_arrays_match_scalars(A, delta, lambda_b, E,
+                                                    radii, pion):
+    pot = make_pot(CouplingMode.PURE_SCALAR, delta=delta, lambda_b=lambda_b,
+                   A=A, particle=pion)
+    V = vector_potential(pot, np.array(radii), E)
+    mc2 = mass_at(pion, pot, np.array(radii), E)
+    assert V.tolist() == [vector_potential(pot, r, E) for r in radii]
+    assert mc2.tolist() == [mass_at(pion, pot, r, E) for r in radii]
+
+
+@settings(deadline=None)
+@given(bad=st.floats(max_value=0.0) | st.just(math.nan), radii=_radii,
+       at=st.integers(0, 16))
+def test_radius_not_above_zero_is_domain_error(bad, radii, at, pion):
+    pot = make_pot(CouplingMode.EMES, delta=0.003, lambda_b=0.003,
+                   particle=pion)
+    radii.insert(at, bad)
+    for r in (bad, np.array(radii)):
+        with pytest.raises(DomainError):
+            vector_potential(pot, r, 50.0)
+        with pytest.raises(DomainError):
+            mass_at(pion, pot, r, 50.0)
 
 
 def test_case_parameters_rejects_energy_outside_window(constants, pion):
