@@ -498,6 +498,11 @@ def _cmd_wavefunction(args) -> int:
     for name, sol in solutions:
         samples = wavefunction_grid(sol, radii)
         rep = grid_report(samples, radii)
+        if sol.params.c > 0.0 and rep.node_count != args.n:
+            # For c > 0 all n roots of the Laguerre polynomial are positive.
+            sys.stderr.write(f"kgbound: warning: {name} line has "
+                             f"{rep.node_count} sign changes on the grid, "
+                             f"but n={args.n}\n")
         if args.normalize:
             samples = normalize_on_grid(samples, radii)
         line_blocks.append({

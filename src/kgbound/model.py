@@ -61,6 +61,11 @@ class PhysicalConstants:
             raise DomainError(f"hbar_c must be positive and finite, got {self.hbar_c}")
 
 
+def _require_rest_energy(m0c2: float) -> None:
+    if not (m0c2 > 0.0 and math.isfinite(m0c2)):
+        raise DomainError(f"m0c2 must be positive and finite, got {m0c2}")
+
+
 @dataclass(frozen=True)
 class ParticleSpec:
     """Rest energy and the length scale lambda that converts the bare mass
@@ -70,8 +75,7 @@ class ParticleSpec:
     lam: float   # fm
 
     def __post_init__(self):
-        if not (self.m0c2 > 0.0 and math.isfinite(self.m0c2)):
-            raise DomainError(f"m0c2 must be positive and finite, got {self.m0c2}")
+        _require_rest_energy(self.m0c2)
         if not (self.lam > 0.0 and math.isfinite(self.lam)):
             raise DomainError(f"lambda must be positive and finite, got {self.lam}")
 
@@ -81,6 +85,7 @@ class ParticleSpec:
         """Particle whose length scale is the reduced Compton wavelength
         hbar*c / m0c2.  With this choice lambda * m0c2 / (hbar*c) == 1
         exactly in floating point, which the constant-mass limit relies on."""
+        _require_rest_energy(m0c2)  # before dividing by it
         return cls(m0c2=m0c2, lam=constants.hbar_c / m0c2)
 
     @classmethod

@@ -10,6 +10,10 @@ the quantization condition a is a non-positive integer -n, the series
 truncates to a polynomial, and u has exactly n radial nodes.  The second
 independent solution is discarded (N2 = 0): it behaves as (g r)^(-eta)
 near the origin and is not regular there.
+
+kummer_1f1 and wavefunction_u evaluate one point and are the reference.
+kummer_1f1_grid and wavefunction_grid run the same arithmetic over a whole
+array; every sample is bit-identical to the scalar call.
 """
 
 from __future__ import annotations
@@ -64,7 +68,7 @@ def kummer_1f1(params: KummerParams, x: float) -> float:
     exceeding TERM_CAP raises EvaluationError.
     """
     if not (x >= 0.0 and math.isfinite(x)):
-        raise DomainError(f"x must be finite and non-negative, got {x}")
+        raise _x_domain_error(x)
     degree = params.polynomial_degree
     a, c = params.a, params.c
     term = 1.0
@@ -84,8 +88,16 @@ def kummer_1f1(params: KummerParams, x: float) -> float:
                 return total
         else:
             small_streak = 0
-    raise EvaluationError(f"1F1({a}; {c}; {x}) did not converge "
-                          f"within {TERM_CAP} terms")
+    raise _term_cap_error(params, x)
+
+
+def _x_domain_error(x: float) -> DomainError:
+    return DomainError(f"x must be finite and non-negative, got {x}")
+
+
+def _term_cap_error(params: KummerParams, x: float) -> EvaluationError:
+    return EvaluationError(f"1F1({params.a}; {params.c}; {x}) did not "
+                           f"converge within {TERM_CAP} terms")
 
 
 @dataclass(frozen=True)
@@ -140,11 +152,106 @@ def wavefunction_u(sol: WaveSolution, r: float) -> float:
     return math.copysign(sol.N1 * math.exp(log_mag), F)
 
 
+def kummer_1f1_grid(params: KummerParams, x):
+    """kummer_1f1 at every element of x, as (values, converged).
+
+    The same term recurrence runs on the whole array: k < n steps when a
+    snaps to -n, otherwise each sample stops at the term where its scalar
+    sum stops, so every value is bit-identical to kummer_1f1's.  Where the
+    sum would exceed TERM_CAP, converged is False and the value is NaN.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    i = _first(~((x >= 0.0) & np.isfinite(x)))
+    if i < x.size:
+        raise _x_domain_error(float(x[i]))
+    degree = params.polynomial_degree
+    a, c = params.a, params.c
+    term = np.ones_like(x)
+    total = np.ones_like(x)
+    # Python floats overflow to inf and inf - inf is NaN without a
+    # warning; the array arithmetic must do the same.
+    with np.errstate(over="ignore", invalid="ignore"):
+        if degree is not None:
+            for k in range(degree):
+                term *= (a + k) / (c + k) * x / (k + 1.0)
+                total += term
+            return total, np.ones(x.shape, dtype=bool)
+        values = np.full_like(x, math.nan)
+        live = np.arange(x.size)
+        small_streak = np.zeros(x.size, dtype=np.int64)
+        for k in range(TERM_CAP):
+            if live.size == 0:
+                break
+            term *= (a + k) / (c + k) * x / (k + 1.0)
+            total += term
+            small = np.abs(term) <= RATIO_TOL * np.abs(total)
+            small_streak = np.where(small, small_streak + 1, 0)
+            done = small_streak >= 2
+            if done.any():
+                values[live[done]] = total[done]
+                going = ~done
+                live, x, term, total, small_streak = (
+                    live[going], x[going], term[going], total[going],
+                    small_streak[going])
+    converged = np.ones(values.shape, dtype=bool)
+    converged[live] = False
+    return values, converged
+
+
 def wavefunction_grid(sol: WaveSolution, radii) -> np.ndarray:
-    out = np.empty(len(radii), dtype=np.float64)
-    for i, r in enumerate(radii):
-        out[i] = wavefunction_u(sol, float(r))
+    """u at every radius: wavefunction_u's arithmetic on the whole array.
+
+    Each sample is bit-identical to the scalar call, and bad input raises
+    what a loop of wavefunction_u calls would raise first.  The logarithms
+    and exponentials map math.log and math.exp, because NumPy's vectorised
+    versions may differ from libm in the last bit.
+    """
+    r = np.asarray(radii, dtype=np.float64)
+    with np.errstate(over="ignore"):  # inf, as in Python; bad catches it
+        z = sol.growth * r
+        x = 2.0 * sol.tau * z
+    # Each stage looks only at the samples before the first failure found
+    # so far, because the scalar loop would have stopped there.
+    bad = (r < 0.0) | ((r != 0.0) & ~((x >= 0.0) & np.isfinite(x)))
+    stop = _first(bad)
+    live = np.flatnonzero(r[:stop] != 0.0)
+    F, converged = kummer_1f1_grid(sol.params, x[live])
+    cut = _first(~converged)
+    if cut < live.size:
+        stop = live[cut]
+        live, F = live[:cut], F[:cut]
+    nonzero = F != 0.0
+    live, F = live[nonzero], F[nonzero]
+    z = z[live]
+    cut = _first(z == 0.0)  # math.log raises there
+    log_mag = (-sol.tau * z[:cut] + (sol.eta + 1.0) * _map(math.log, z[:cut])
+               + _map(math.log, np.abs(F[:cut])))
+    i = _first(log_mag > _LOG_HUGE)
+    if i < cut:
+        raise EvaluationError(f"u({float(r[live[i]])}) overflows "
+                              f"(log magnitude {float(log_mag[i]):.1f})")
+    if cut < live.size:
+        math.log(float(z[cut]))
+    if stop < r.size:
+        if r[stop] < 0.0:
+            raise DomainError(f"r must be non-negative, got {float(r[stop])}")
+        if bad[stop]:
+            raise _x_domain_error(float(x[stop]))
+        raise _term_cap_error(sol.params, float(x[stop]))
+    out = np.zeros(r.shape)
+    out[live] = np.copysign(sol.N1 * _map(math.exp, log_mag), F)
     return out
+
+
+def _first(mask: np.ndarray) -> int:
+    """Index of the first True in mask, or its length if there is none."""
+    hits = np.flatnonzero(mask)
+    return int(hits[0]) if hits.size else mask.size
+
+
+def _map(fn, values: np.ndarray) -> np.ndarray:
+    return np.fromiter(map(fn, values.tolist()), dtype=np.float64,
+                       count=values.size)
 
 
 def normalize_on_grid(u: np.ndarray, radii: np.ndarray) -> np.ndarray:
@@ -198,14 +305,15 @@ def boundary_report(sol: WaveSolution, r_max: Optional[float] = None,
 def grid_report(u: np.ndarray, radii: np.ndarray) -> BoundaryReport:
     """Diagnostics of unnormalized samples u on radii running from 0 to
     r_max."""
+    u = np.asarray(u, dtype=np.float64)
     max_abs = float(np.max(np.abs(u)))
     if max_abs == 0.0:
         raise EvaluationError("wave function vanished on the whole grid")
     tail_ratio = abs(float(u[-1])) / max_abs
     # Count sign changes between consecutive nonzero samples; exact zeros
     # (the origin, underflowed tail points) separate no nodes themselves.
-    signs = [1.0 if v > 0.0 else -1.0 for v in u if v != 0.0]
-    nodes = sum(1 for s0, s1 in zip(signs, signs[1:]) if s0 != s1)
+    positive = u[u != 0.0] > 0.0
+    nodes = int(np.count_nonzero(positive[1:] != positive[:-1]))
     return BoundaryReport(r_max=float(radii[-1]), grid_points=len(radii),
                           u_origin=float(u[0]), max_abs=max_abs,
                           tail_ratio=tail_ratio, node_count=nodes)

@@ -491,3 +491,33 @@ def test_check_tol_must_be_finite_and_non_negative(tol, capsys):
     captured = capsys.readouterr()
     assert "--check-tol must be finite and non-negative" in captured.err
     assert "check:" not in captured.out
+
+
+@pytest.mark.parametrize("m0c2", ["0", "-0.0", "-1"])
+def test_non_positive_m0c2_is_usage_error(m0c2, capsys):
+    # checked before hbar_c / m0c2 sets the default lambda
+    assert main(["solve", "--mode", "ps", f"--m0c2={m0c2}"]) == 1
+    err = capsys.readouterr().err
+    assert "kgbound: error: m0c2 must be positive" in err
+    assert "Traceback" not in err
+
+
+def test_wavefunction_warns_when_node_count_is_not_n(capsys):
+    # c > 0 puts all n roots of the polynomial on r > 0; the grid sign
+    # changes of a degree-60 line fall short of them
+    argv = ["wavefunction", "--mode", "ps", "--n=60", "--l=0", "--points=100"]
+    assert main(argv) == 0
+    out, err = capsys.readouterr()
+    nodes = {line.split("nodes=")[1].split()[0]
+             for line in out.splitlines() if line.startswith("# line ")}
+    assert len(nodes) == 1 and nodes != {"60"}
+    count = nodes.pop()
+    assert err == "".join(f"kgbound: warning: {name} line has {count} "
+                          f"sign changes on the grid, but n=60\n"
+                          for name in ("lower", "upper"))
+    # a line whose count is n, and a minus-branch line with c < 0
+    for argv in (["wavefunction", "--mode", "ps", "--n=3", "--l=1"],
+                 ["wavefunction", "--mode", "ps", "--A=60", "--n=1",
+                  "--l=0", "--branch", "minus"]):
+        assert main(argv) == 0
+        assert capsys.readouterr().err == ""

@@ -1,17 +1,22 @@
 import math
 import random
+from unittest import mock
 
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import example, given, reject, settings
+from hypothesis import strategies as st
 
-from kgbound import (CouplingMode, DomainError, EvaluationError,
-                     PotentialSpec, QuantumNumbers)
+from kgbound import (BranchError, CouplingMode, DomainError, EvaluationError,
+                     PotentialSpec, QuantumNumbers, special)
+from kgbound.quantization import build_residual_spec
+from kgbound.rootfind import solve_cell
 from kgbound.special import (MAX_RADIAL_POINTS, SNAP_TOL, BoundaryReport,
                              KummerParams, boundary_report,
                              build_wave_solution, default_r_max, grid_report,
-                             kummer_1f1, normalize_on_grid, wavefunction_grid,
-                             wavefunction_u)
+                             kummer_1f1, kummer_1f1_grid, normalize_on_grid,
+                             wavefunction_grid, wavefunction_u)
 
 mpmath.mp.dps = 40
 
@@ -218,15 +223,159 @@ def test_wavefunction_without_energy_dependence_matches_plain_path(
         assert wavefunction_u(sol, r) == plain_u(r)
 
 
-def test_wavefunction_grid_matches_pointwise(constants, pion, solve_block):
-    entry = converged_entry(solve_block, "ps", 0.0, 0.0, 1, 1, "upper")
-    pot = make_pot(CouplingMode.PURE_SCALAR, pion=pion)
-    sol = build_wave_solution(constants, pion, pot, QuantumNumbers(n=1, l=1),
-                              entry.energy)
-    radii = np.linspace(0.0, 20.0, 64)
-    u = wavefunction_grid(sol, radii)
-    for r, v in zip(radii, u):
-        assert v == wavefunction_u(sol, float(r))
+def outcome(fn, *args):
+    """The bytes of fn's result, or the class and text of what it raised."""
+    try:
+        return np.asarray(fn(*args), dtype=np.float64).tobytes()
+    except (DomainError, EvaluationError, ValueError) as err:
+        return type(err), str(err)
+
+
+def scalar_loop(sol, radii):
+    return [wavefunction_u(sol, float(r)) for r in radii]
+
+
+# random cells in every coupling mode and on both branches; reach is
+# r_max in units of default_r_max, wide enough that tails underflow at an
+# eigenvalue and overflow off it
+wave_cases = st.fixed_dictionaries({
+    "mode": st.sampled_from(list(CouplingMode)),
+    "A": st.floats(20.0, 400.0),
+    "delta": st.floats(-0.005, 0.005),
+    "lambda_b": st.floats(-0.005, 0.005),
+    "n": st.integers(0, 8),
+    "l": st.integers(0, 8),
+    "branch": st.sampled_from(["plus", "minus"]),
+    "shift": st.floats(-3.0, -1e-3) | st.floats(1e-3, 3.0),
+    "reach": st.floats(0.2, 40.0),
+    "negative_at": st.none() | st.integers(0, 199),
+    "term_cap": st.none() | st.integers(1, 60),
+})
+
+
+@example(case={"mode": CouplingMode.PURE_SCALAR, "A": 200.0, "delta": 0.0,
+               "lambda_b": 0.0, "n": 1, "l": 1, "branch": "plus",
+               "shift": 0.5, "reach": 30.0, "negative_at": None,
+               "term_cap": None})  # -0.0 tail, then overflow off the line
+@example(case={"mode": CouplingMode.EMES, "A": 200.0, "delta": -0.003,
+               "lambda_b": 0.003, "n": 3, "l": 0, "branch": "plus",
+               "shift": 1.0, "reach": 1.0, "negative_at": 150,
+               "term_cap": 5})  # negative r, then TERM_CAP before it
+@settings(max_examples=100, deadline=None)
+@given(case=wave_cases)
+def test_wavefunction_grid_matches_pointwise(constants, pion, case):
+    # every sample, r = 0 and underflowed tails included, is the scalar
+    # call's bytes (so -0.0 counts); failing input raises what the scalar
+    # loop raises first
+    try:
+        pot = PotentialSpec.from_lambda_b(
+            A=case["A"], delta=case["delta"], lambda_b=case["lambda_b"],
+            particle=pion, mode=case["mode"])
+        qn = QuantumNumbers(n=case["n"], l=case["l"])
+        cell = solve_cell(build_residual_spec(constants, pion, pot, qn,
+                                              branch=case["branch"]))
+    except (DomainError, BranchError):
+        reject()
+    energies = [entry.energy for entry in (cell.lower, cell.upper)
+                if entry.status == "converged"]
+    if not energies:
+        reject()
+    for energy in (energies[0], energies[0] + case["shift"]):
+        try:
+            sol = build_wave_solution(constants, pion, pot, qn, energy,
+                                      branch=case["branch"])
+        except (DomainError, BranchError):
+            continue
+        radii = np.linspace(0.0, case["reach"] * default_r_max(sol), 200)
+        if case["negative_at"] is not None:
+            radii[case["negative_at"]] = -radii[case["negative_at"]] - 1.0
+        with mock.patch.object(special, "TERM_CAP",
+                               case["term_cap"] or special.TERM_CAP):
+            assert (outcome(wavefunction_grid, sol, radii)
+                    == outcome(scalar_loop, sol, radii))
+
+
+@settings(max_examples=200, deadline=None)
+@given(a=st.floats(-12.0, 12.0), c=st.floats(-6.0, 12.0),
+       degree=st.none() | st.integers(0, 12),
+       nudge=st.floats(-0.5 * SNAP_TOL, 0.5 * SNAP_TOL),
+       x=st.lists(st.floats(0.0, 200.0), min_size=1, max_size=40),
+       term_cap=st.none() | st.integers(1, 60))
+def test_kummer_grid_matches_scalar(a, c, degree, nudge, x, term_cap):
+    # the array series stops each sample where kummer_1f1 stops, snapped
+    # polynomials included, and flags exactly the samples it gives up on
+    if degree is not None:
+        a = -degree + nudge
+    try:
+        params = KummerParams(a=a, c=c)
+    except DomainError:
+        reject()
+    with mock.patch.object(special, "TERM_CAP", term_cap or special.TERM_CAP):
+        values, converged = kummer_1f1_grid(params, x)
+        for xi, value, ok in zip(x, values, converged):
+            want = outcome(kummer_1f1, params, xi)
+            if isinstance(want, tuple):
+                assert want[0] is EvaluationError and not ok
+            else:
+                assert ok and value.tobytes() == want
+
+
+@pytest.mark.parametrize("bad", [-1.0, -1e-300, math.nan, math.inf])
+def test_kummer_grid_rejects_bad_argument(bad):
+    params = KummerParams(a=1.5, c=2.0)
+    with pytest.raises(DomainError) as scalar:
+        kummer_1f1(params, bad)
+    with pytest.raises(DomainError) as grid:
+        kummer_1f1_grid(params, [0.5, bad, -2.0])
+    assert str(grid.value) == str(scalar.value)
+
+
+def series_term_sum(a, c, x):
+    """(1F1, sum of |term_k|, terms above eps of that sum) at 40 digits."""
+    term = mpmath.mpf(1)
+    total = abs_sum = mpmath.mpf(1)
+    terms = []
+    for k in range(5000):
+        term *= (a + k) / (c + k) * x / (k + 1)
+        if term == 0:
+            break
+        total += term
+        abs_sum += abs(term)
+        terms.append(abs(term))
+        if k > abs(a) + x and abs(term) < mpmath.mpf(10) ** -40 * abs_sum:
+            break
+    eps = np.finfo(np.float64).eps
+    kept = 1 + sum(1 for t in terms if t > eps * abs_sum)
+    return total, abs_sum, kept
+
+
+@settings(max_examples=150, deadline=None)
+@given(a=st.floats(-10.0, 10.0), c=st.floats(0.5, 12.0),
+       degree=st.none() | st.integers(0, 12), x=st.floats(0.0, 60.0))
+def test_kummer_matches_mpmath_relative_to_term_sum(a, c, degree, x):
+    # the alternating head of the series cancels, so the error is bounded
+    # against sum |term_k|, not |1F1|: each of the K terms that matter
+    # carries at most 3K roundings, and the sum K more
+    if degree is not None:
+        a = -float(degree)
+    params = KummerParams(a=a, c=c)
+    if params.polynomial_degree is not None and a != round(a):
+        reject()  # cut on purpose inside the snap band; not 1F1(a; c; x)
+    got = kummer_1f1(params, x)
+    want = mpmath.hyp1f1(a, c, x, zeroprec=1000)  # 1F1(-n; c; x) can be 0
+    total, abs_sum, kept = series_term_sum(mpmath.mpf(a), mpmath.mpf(c),
+                                           mpmath.mpf(x))
+    eps = np.finfo(np.float64).eps
+    assert abs(total - want) <= mpmath.mpf(10) ** -30 * abs_sum
+    assert abs(got - want) <= (4 * kept + 4) * eps * abs_sum, (a, c, x)
+    # one term is never enough for the stopping rule, which needs two
+    # small terms in a row; a polynomial ignores the cap
+    with mock.patch.object(special, "TERM_CAP", 1):
+        if params.polynomial_degree is None:
+            with pytest.raises(EvaluationError):
+                kummer_1f1(params, x)
+        else:
+            assert kummer_1f1(params, x) == got
 
 
 def test_normalize_on_grid():
