@@ -1,12 +1,12 @@
 """Root location and refinement for the quantization residual.
 
-The residual is scanned on a uniform energy grid over the physical window;
-sign changes between adjacent valid nodes become brackets, except where the
-quantization denominator changes sign inside the pair (a pole, not a root).
-Brackets are refined with a secant method that falls back to bisection
-whenever the secant step leaves the bracket or stalls.  Converged roots are
-deduplicated and classified into the lower/upper spectral lines of each
-(n, l) cell.
+The residual is evaluated once per cell on a uniform energy grid over the
+physical window; that one scan gives both the brackets and the absence
+diagnosis.  Sign changes between adjacent valid nodes become brackets,
+except where the denominator changes sign inside the pair (a pole, not a
+root).  Brackets are refined by secant steps that fall back to bisection
+when a step leaves the bracket or stalls.  Converged roots are deduplicated
+and classified into the lower/upper spectral lines of each (n, l) cell.
 """
 
 from __future__ import annotations
@@ -56,20 +56,14 @@ class RefineResult:
     iterations: int
 
 
-def energy_grid(spec: ResidualSpec, config: SolverConfig) -> np.ndarray:
-    lo, hi = spec.window
-    return np.linspace(lo, hi, config.grid_points)
-
-
-def bracket_scan(spec: ResidualSpec, config: SolverConfig) -> List[Tuple[float, float]]:
-    """Sign-change brackets of the residual on the scan grid.
+def bracket_scan(E: np.ndarray, res: np.ndarray, den: np.ndarray,
+                 status: np.ndarray) -> List[Tuple[float, float]]:
+    """Sign-change brackets of the residual from its scan arrays over E.
 
     Pairs whose denominator changes sign are discarded: the residual jumps
     through a pole there instead of crossing zero.  A node where the
     residual vanishes exactly yields a degenerate (E, E) bracket.
     """
-    E = energy_grid(spec, config)
-    res, _, den, status = quantization.evaluate_grid(spec, E)
     ok = status == _kernels.STATUS_OK
     pair_ok = ok[:-1] & ok[1:] & (den[:-1] * den[1:] > 0.0)
     crossing = pair_ok & (res[:-1] * res[1:] < 0.0)
@@ -190,10 +184,8 @@ def _failed(spec: ResidualSpec, line: str, err: ConvergenceError) -> SpectrumEnt
                          detail=str(err))
 
 
-def absence_reason(spec: ResidualSpec, config: SolverConfig) -> str:
-    """Short diagnostic for a cell with no root on the scan grid."""
-    E = energy_grid(spec, config)
-    res, rhs, _, status = quantization.evaluate_grid(spec, E)
+def absence_reason(rhs: np.ndarray, status: np.ndarray, brackets: int) -> str:
+    """Short diagnostic for a cell with no accepted root, from its scan."""
     ok = status == _kernels.STATUS_OK
     if not ok.any():
         if (status == _kernels.STATUS_COMPLEX_ETA).all():
@@ -201,6 +193,9 @@ def absence_reason(spec: ResidualSpec, config: SolverConfig) -> str:
         return "no valid evaluation point in the window"
     if (rhs[ok] < 0.0).all():
         return "quantization RHS negative over the window"
+    if brackets:
+        return (f"{brackets} sign change(s) on the scan grid, "
+                "none refined to an accepted root")
     return "no sign change of the residual on the scan grid"
 
 
@@ -214,9 +209,12 @@ def solve_cell(spec: ResidualSpec, config: SolverConfig = SolverConfig()) -> Cel
     def f(E: float) -> float:
         return quantization.residual(spec, E)
 
+    E = np.linspace(*spec.window, config.grid_points)
+    res, rhs, den, status = quantization.evaluate_grid(spec, E)
+    brackets = bracket_scan(E, res, den, status)
     roots: List[RefineResult] = []
     failures: List[ConvergenceError] = []
-    for bracket in bracket_scan(spec, config):
+    for bracket in brackets:
         try:
             r = secant_refine(f, bracket, config)
         except ConvergenceError as err:
@@ -228,7 +226,7 @@ def solve_cell(spec: ResidualSpec, config: SolverConfig = SolverConfig()) -> Cel
 
     extras: List[SpectrumEntry] = []
     if not roots:
-        reason = absence_reason(spec, config)
+        reason = absence_reason(rhs, status, len(brackets))
         lower = _absent(spec, "lower", reason)
         upper = _absent(spec, "upper", reason)
     elif len(roots) == 1:

@@ -1,10 +1,12 @@
 import csv
 import os
 
+import numpy as np
 import pytest
 
 from kgbound import CouplingMode, ParticleSpec, PhysicalConstants, PotentialSpec
-from kgbound.rootfind import SolverConfig, solve_spectrum
+from kgbound.quantization import evaluate_grid
+from kgbound.rootfind import SolverConfig, bracket_scan, solve_spectrum
 
 FIXTURE_DIR = os.path.join(os.path.dirname(__file__), "fixtures")
 GRID_VALUES = (-0.003, 0.0, 0.003)
@@ -24,6 +26,18 @@ def load_reference(mode_name):
                 for n, l in GRID_CELLS
             }
     return table
+
+
+def scan_grid(spec, config):
+    """The energy grid solve_cell scans for one cell."""
+    return np.linspace(*spec.window, config.grid_points)
+
+
+def scan_brackets(spec, config):
+    """The brackets solve_cell refines for one cell."""
+    E = scan_grid(spec, config)
+    res, _, den, status = evaluate_grid(spec, E)
+    return bracket_scan(E, res, den, status)
 
 
 def fixture_path(mode_name):

@@ -8,7 +8,7 @@ import pytest
 
 from kgbound import (CouplingMode, ParticleSpec, PhysicalConstants,
                      PotentialSpec, QuantumNumbers, SolverConfig,
-                     bracket_scan, build_residual_spec, constant_mass_b,
+                     build_residual_spec, constant_mass_b,
                      secant_refine, solve_spectrum)
 from kgbound.aim import exact_tau, terminates_at
 from kgbound.limits import constant_mass_identity_check, default_identity_samples
@@ -16,7 +16,8 @@ from kgbound.quantization import residual
 from kgbound.special import (KummerParams, boundary_report,
                              build_wave_solution, default_r_max, kummer_1f1)
 
-from conftest import A_DEFAULT, GRID_CELLS, GRID_VALUES, load_reference
+from conftest import (A_DEFAULT, GRID_CELLS, GRID_VALUES, load_reference,
+                      scan_brackets)
 
 TABLE_TOL = 0.02
 BEST_HBAR_C_TOL = 0.005
@@ -355,7 +356,7 @@ def test_c09_rootfinder_oracle(constants, pion, solve_block):
                          l=rng.randrange(n + 1),
                          delta=rng.uniform(-0.003, 0.003),
                          lambda_b=rng.uniform(-0.003, 0.003))
-        brackets = bracket_scan(spec, config)
+        brackets = scan_brackets(spec, config)
         if not brackets:
             continue
         instances += 1

@@ -331,6 +331,17 @@ def test_aim_verify_perturbed_tau_fails(capsys):
     assert "0/1 perturbed seeds terminate" in out
 
 
+def test_aim_verify_perturbed_tau_on_a_lower_level_is_no_alarm(capsys):
+    # This draw has eta = 60, where 1.01 tau_40 = tau_39 exactly, so level
+    # 40 terminates at the perturbed tau as exact arithmetic demands.
+    assert main(["aim-verify", "--nmax=40", "--cap=40", "--seeds=1",
+                 "--seed=248", "--perturb"]) == 2
+    out = capsys.readouterr().out
+    assert "level n=40: 1/1 perturbed seeds terminate" in out
+    assert "certificate: FAIL" in out
+    assert "warning" not in out
+
+
 def test_aim_verify_honors_level_cap(capsys):
     assert main(["aim-verify", "--nmax", str(DEFAULT_AIM_CAP + 1)]) == 1
     assert "exceeds the level cap" in capsys.readouterr().err

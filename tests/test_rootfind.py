@@ -3,16 +3,20 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from kgbound import (ConvergenceError, CouplingMode, DomainError,
                      PotentialSpec, QuantumNumbers, SolverConfig,
-                     build_residual_spec, bracket_scan,
-                     secant_refine, solve_cell, solve_spectrum)
+                     build_residual_spec, secant_refine, solve_cell,
+                     solve_spectrum)
+from kgbound import quantization
 from kgbound.quantization import residual
 from kgbound.rootfind import (MAX_GRID_POINTS, RefineResult, _dedup,
-                              energy_grid, spectrum_cells)
+                              spectrum_cells)
 
-from conftest import A_DEFAULT, GRID_VALUES, load_reference
+from conftest import (A_DEFAULT, GRID_VALUES, load_reference, scan_brackets,
+                      scan_grid)
 
 
 def make_spec(constants, pion, mode, n=0, l=0, delta=0.0, lambda_b=0.0,
@@ -97,7 +101,7 @@ def test_secant_reports_best_iterate_on_failure():
 def test_bracket_scan_finds_symmetric_pure_scalar_pair(constants, pion):
     spec = make_spec(constants, pion, CouplingMode.PURE_SCALAR)
     config = SolverConfig()
-    brackets = bracket_scan(spec, config)
+    brackets = scan_brackets(spec, config)
     assert len(brackets) == 2
     lo_pair, hi_pair = brackets
     assert lo_pair[0] < -105.71706 < lo_pair[1]
@@ -106,7 +110,7 @@ def test_bracket_scan_finds_symmetric_pure_scalar_pair(constants, pion):
 
 def test_bracket_scan_empty_when_rhs_negative(constants, pion):
     spec = make_spec(constants, pion, CouplingMode.EMOS)
-    assert bracket_scan(spec, SolverConfig()) == []
+    assert scan_brackets(spec, SolverConfig()) == []
 
 
 def test_bracket_scan_rejects_sign_change_through_pole(constants, pion):
@@ -118,11 +122,11 @@ def test_bracket_scan_rejects_sign_change_through_pole(constants, pion):
                      delta=delta, branch="minus", A=300.0)
     pole = (2.0 * constants.hbar_c / 300.0 - 1.0) / delta
     config = SolverConfig()
-    E = energy_grid(spec, config)
+    E = scan_grid(spec, config)
     i = int(np.searchsorted(E, pole))
     # the residual does flip sign between the grid nodes around the pole
     assert residual(spec, E[i - 1]) * residual(spec, E[i]) < 0.0
-    assert not any(a <= pole <= b for a, b in bracket_scan(spec, config))
+    assert not any(a <= pole <= b for a, b in scan_brackets(spec, config))
 
     cell = solve_cell(spec, config)
     assert cell.lower.status == "converged"
@@ -181,6 +185,38 @@ def test_solve_cell_absence_diagnostics(constants, pion):
     assert cell.lower.detail == "no valid evaluation point in the window"
 
 
+def test_solve_cell_absence_names_brackets_that_failed_to_refine(constants,
+                                                                 pion):
+    spec = make_spec(constants, pion, CouplingMode.PURE_SCALAR)
+    config = SolverConfig(max_iter=8, tol_energy=1e-15, tol_residual=1e-15)
+    cell = solve_cell(spec, config)
+    assert cell.lower.status == cell.upper.status == "absent"
+    assert cell.lower.detail == cell.upper.detail == (
+        "2 sign change(s) on the scan grid, none refined to an accepted root")
+    assert [e.status for e in cell.extras] == ["failed", "failed"]
+
+
+def test_solve_cell_evaluates_the_grid_once(constants, pion, monkeypatch):
+    calls = []
+    original = quantization.evaluate_grid
+
+    def counting(spec, energies):
+        calls.append(len(energies))
+        return original(spec, energies)
+
+    monkeypatch.setattr(quantization, "evaluate_grid", counting)
+    config = SolverConfig()
+    specs = [make_spec(constants, pion, CouplingMode.PURE_SCALAR),
+             make_spec(constants, pion, CouplingMode.EMOS),
+             make_spec(constants, pion, CouplingMode.PURE_VECTOR),
+             make_spec(constants, pion, CouplingMode.EMES, n=1, l=1,
+                       branch="minus")]
+    for spec in specs:
+        calls.clear()
+        solve_cell(spec, config)
+        assert calls == [config.grid_points]
+
+
 def test_secant_agrees_with_bisection_on_random_instances(constants, pion):
     rng = random.Random(97)
     modes = list(CouplingMode)
@@ -196,7 +232,7 @@ def test_secant_agrees_with_bisection_on_random_instances(constants, pion):
                          l=rng.randrange(n + 1),
                          delta=rng.uniform(-0.003, 0.003),
                          lambda_b=rng.uniform(-0.003, 0.003))
-        brackets = bracket_scan(spec, config)
+        brackets = scan_brackets(spec, config)
         if not brackets:
             continue
         instances += 1
@@ -210,6 +246,25 @@ def test_secant_agrees_with_bisection_on_random_instances(constants, pion):
             assert abs(refined.energy - reference) <= config.tol_energy
             compared += 1
     assert compared >= 20
+
+
+@settings(deadline=None)
+@given(A=st.floats(5.0, 150.0), n=st.integers(0, 5), l=st.integers(0, 5))
+def test_pure_vector_at_zero_delta_matches_closed_form(constants, pion, A, n,
+                                                       l):
+    # delta = lambda_b = 0 is the Klein-Gordon Coulomb problem: one bound
+    # state per cell, E = m0c2 / sqrt(1 + alpha^2 / (n + 1/2 + s)^2) with
+    # s = sqrt((l + 1/2)^2 - alpha^2).
+    alpha = A / constants.hbar_c
+    assume((l + 0.5) ** 2 > alpha ** 2)
+    spec = make_spec(constants, pion, CouplingMode.PURE_VECTOR, n=n, l=l, A=A)
+    cell = solve_cell(spec, SolverConfig())
+    shift = n + 0.5 + math.sqrt((l + 0.5) ** 2 - alpha ** 2)
+    exact = pion.m0c2 / math.sqrt(1.0 + (alpha / shift) ** 2)
+    assert cell.upper.status == "converged"
+    assert cell.upper.energy == pytest.approx(exact, abs=1e-8)
+    assert cell.lower.status == "absent"
+    assert cell.extras == ()
 
 
 def test_grid_doubling_keeps_every_root(constants, pion):
