@@ -89,10 +89,10 @@ def residual_grid(E, m0c2, delta, alpha, c0, c1, k2, ll1, branch_sign,
     Returns (res, rhs, den, status) float64/int32 arrays of E's shape.
     """
     E = np.ascontiguousarray(E, dtype=np.float64)
-    g = 1.0 + delta * E
-    gg = g * g
-    quarter = 0.25 + (k2 * gg + ll1)
     with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+        g = 1.0 + delta * E
+        gg = g * g
+        quarter = 0.25 + (k2 * gg + ll1)
         root = np.sqrt(quarter)
         den = n_plus_half + branch_sign * root
         rhs = alpha * (c0 + c1 * E) / den

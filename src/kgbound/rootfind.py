@@ -5,8 +5,10 @@ physical window; that one scan gives both the brackets and the absence
 diagnosis.  Sign changes between adjacent valid nodes become brackets,
 except where the denominator changes sign inside the pair (a pole, not a
 root).  Brackets are refined by secant steps that fall back to bisection
-when a step leaves the bracket or stalls.  Converged roots are deduplicated
-and classified into the lower/upper spectral lines of each (n, l) cell.
+when a step leaves the bracket or stalls.  The brackets are disjoint and
+every secant iterate stays inside its bracket, so converged roots are
+distinct; they are classified into the lower/upper spectral lines of each
+(n, l) cell.
 """
 
 from __future__ import annotations
@@ -23,7 +25,6 @@ from .model import (CouplingMode, ParticleSpec, PhysicalConstants,
                     PotentialSpec, QuantumNumbers, parse_branch)
 from .quantization import ResidualSpec, SpectrumEntry, build_residual_spec
 
-DEDUP_FACTOR = 10.0
 # Each scan array costs 8 bytes per point; this keeps one under 8 MB.
 MAX_GRID_POINTS = 1_000_000
 
@@ -133,20 +134,6 @@ def secant_refine(f: Callable[[float], float], bracket: Tuple[float, float],
         best_energy=best_x, best_residual=best_f, iterations=config.max_iter)
 
 
-def _dedup(roots: List[RefineResult], tol_energy: float) -> List[RefineResult]:
-    if not roots:
-        return []
-    roots = sorted(roots, key=lambda r: r.energy)
-    merged = [roots[0]]
-    for r in roots[1:]:
-        if r.energy - merged[-1].energy <= DEDUP_FACTOR * tol_energy:
-            if abs(r.residual) < abs(merged[-1].residual):
-                merged[-1] = r
-        else:
-            merged.append(r)
-    return merged
-
-
 @dataclass(frozen=True)
 class CellResult:
     """All spectral lines found for one (n, l) cell."""
@@ -200,7 +187,7 @@ def absence_reason(rhs: np.ndarray, status: np.ndarray, brackets: int) -> str:
 
 
 def solve_cell(spec: ResidualSpec, config: SolverConfig = SolverConfig()) -> CellResult:
-    """Scan, refine, deduplicate, and classify the roots of one cell.
+    """Scan, refine, and classify the roots of one cell.
 
     Classification: two or more roots put the smallest on the lower line
     and the largest on the upper line; a single root goes to the lower
@@ -222,7 +209,7 @@ def solve_cell(spec: ResidualSpec, config: SolverConfig = SolverConfig()) -> Cel
             continue
         if quantization.sign_validity(spec, r.energy):
             roots.append(r)
-    roots = _dedup(roots, config.tol_energy)
+    # The brackets ascend and are disjoint, so the roots ascend too.
 
     extras: List[SpectrumEntry] = []
     if not roots:
@@ -316,29 +303,6 @@ class SpectrumTable:
                 for c in self.cells
             ],
         }
-
-    @classmethod
-    def from_payload(cls, payload: dict) -> "SpectrumTable":
-        def entry(d):
-            return SpectrumEntry(n=d["n"], l=d["l"], line=d["line"],
-                                 branch=d["branch"], energy=d["energy"],
-                                 residual_at_root=d["residual_at_root"],
-                                 iterations=d["iterations"], status=d["status"],
-                                 detail=d.get("detail", ""))
-        cells = []
-        for c in payload["cells"]:
-            entries = [entry(d) for d in c["entries"]]
-            lower = next(e for e in entries if e.line == "lower")
-            upper = next(e for e in entries if e.line == "upper")
-            extras = tuple(e for e in entries if e is not lower and e is not upper)
-            cells.append(CellResult(n=c["n"], l=c["l"], lower=lower,
-                                    upper=upper, extras=extras))
-        return cls(mode=CouplingMode.parse(payload["mode"]),
-                   hbar_c=payload["hbar_c"], m0c2=payload["m0c2"],
-                   lam=payload["lambda"], A=payload["A"],
-                   delta=payload["delta"], lambda_b=payload["lambda_b"],
-                   branch=payload["branch"], n_max=payload["n_max"],
-                   l_max=payload["l_max"], cells=tuple(cells))
 
 
 def spectrum_cells(n_max: int, l_max: Optional[int]) -> List[Tuple[int, int]]:

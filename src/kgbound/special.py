@@ -13,13 +13,16 @@ near the origin and is not regular there.
 
 kummer_1f1 and wavefunction_u evaluate one point and are the reference.
 kummer_1f1_grid and wavefunction_grid run the same arithmetic over a whole
-array; every sample is bit-identical to the scalar call.
+array only for the snapped polynomial, where every sample is bit-identical
+to the scalar call; the reference evaluates everything else and raises
+every error.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Optional
 
 import numpy as np
@@ -68,7 +71,7 @@ def kummer_1f1(params: KummerParams, x: float) -> float:
     exceeding TERM_CAP raises EvaluationError.
     """
     if not (x >= 0.0 and math.isfinite(x)):
-        raise _x_domain_error(x)
+        raise DomainError(f"x must be finite and non-negative, got {x}")
     degree = params.polynomial_degree
     a, c = params.a, params.c
     term = 1.0
@@ -88,16 +91,8 @@ def kummer_1f1(params: KummerParams, x: float) -> float:
                 return total
         else:
             small_streak = 0
-    raise _term_cap_error(params, x)
-
-
-def _x_domain_error(x: float) -> DomainError:
-    return DomainError(f"x must be finite and non-negative, got {x}")
-
-
-def _term_cap_error(params: KummerParams, x: float) -> EvaluationError:
-    return EvaluationError(f"1F1({params.a}; {params.c}; {x}) did not "
-                           f"converge within {TERM_CAP} terms")
+    raise EvaluationError(f"1F1({params.a}; {params.c}; {x}) did not "
+                          f"converge within {TERM_CAP} terms")
 
 
 @dataclass(frozen=True)
@@ -152,101 +147,72 @@ def wavefunction_u(sol: WaveSolution, r: float) -> float:
     return math.copysign(sol.N1 * math.exp(log_mag), F)
 
 
-def kummer_1f1_grid(params: KummerParams, x):
-    """kummer_1f1 at every element of x, as (values, converged).
+def kummer_1f1_grid(params: KummerParams, x) -> np.ndarray:
+    """kummer_1f1 at every element of x.
 
-    The same term recurrence runs on the whole array: k < n steps when a
-    snaps to -n, otherwise each sample stops at the term where its scalar
-    sum stops, so every value is bit-identical to kummer_1f1's.  Where the
-    sum would exceed TERM_CAP, converged is False and the value is NaN.
+    A snapped polynomial runs its k < n term steps on the whole array, so
+    every value is bit-identical to kummer_1f1's; any other a maps
+    kummer_1f1 over x.  Bad input raises what that loop raises first.
     """
     x = np.asarray(x, dtype=np.float64)
-    i = _first(~((x >= 0.0) & np.isfinite(x)))
-    if i < x.size:
-        raise _x_domain_error(float(x[i]))
     degree = params.polynomial_degree
+    if degree is None:
+        return _map(partial(kummer_1f1, params), x)
+    bad = ~((x >= 0.0) & np.isfinite(x))
+    if bad.any():
+        _raise_from(kummer_1f1, params, float(x[bad.argmax()]))
     a, c = params.a, params.c
     term = np.ones_like(x)
     total = np.ones_like(x)
     # Python floats overflow to inf and inf - inf is NaN without a
     # warning; the array arithmetic must do the same.
     with np.errstate(over="ignore", invalid="ignore"):
-        if degree is not None:
-            for k in range(degree):
-                term *= (a + k) / (c + k) * x / (k + 1.0)
-                total += term
-            return total, np.ones(x.shape, dtype=bool)
-        values = np.full_like(x, math.nan)
-        live = np.arange(x.size)
-        small_streak = np.zeros(x.size, dtype=np.int64)
-        for k in range(TERM_CAP):
-            if live.size == 0:
-                break
+        for k in range(degree):
             term *= (a + k) / (c + k) * x / (k + 1.0)
             total += term
-            small = np.abs(term) <= RATIO_TOL * np.abs(total)
-            small_streak = np.where(small, small_streak + 1, 0)
-            done = small_streak >= 2
-            if done.any():
-                values[live[done]] = total[done]
-                going = ~done
-                live, x, term, total, small_streak = (
-                    live[going], x[going], term[going], total[going],
-                    small_streak[going])
-    converged = np.ones(values.shape, dtype=bool)
-    converged[live] = False
-    return values, converged
+    return total
 
 
 def wavefunction_grid(sol: WaveSolution, radii) -> np.ndarray:
-    """u at every radius: wavefunction_u's arithmetic on the whole array.
+    """u at every radius, bit-identical to wavefunction_u at each.
 
-    Each sample is bit-identical to the scalar call, and bad input raises
-    what a loop of wavefunction_u calls would raise first.  The logarithms
-    and exponentials map math.log and math.exp, because NumPy's vectorised
-    versions may differ from libm in the last bit.
+    At a solved energy 1F1 is a polynomial and wavefunction_u's arithmetic
+    runs on the whole array; any other energy maps wavefunction_u over the
+    radii.  On the array path every sample the scalar call rejects is
+    marked, and wavefunction_u runs on the first one to raise its error.
+    The logarithms and exponentials map math.log and math.exp, because
+    NumPy's vectorised versions may differ from libm in the last bit.
     """
     r = np.asarray(radii, dtype=np.float64)
-    with np.errstate(over="ignore"):  # inf, as in Python; bad catches it
+    if sol.params.polynomial_degree is None:
+        return _map(partial(wavefunction_u, sol), r)
+    with np.errstate(over="ignore"):  # inf, as in Python; marked below
         z = sol.growth * r
         x = 2.0 * sol.tau * z
-    # Each stage looks only at the samples before the first failure found
-    # so far, because the scalar loop would have stopped there.
     bad = (r < 0.0) | ((r != 0.0) & ~((x >= 0.0) & np.isfinite(x)))
-    stop = _first(bad)
-    live = np.flatnonzero(r[:stop] != 0.0)
-    F, converged = kummer_1f1_grid(sol.params, x[live])
-    cut = _first(~converged)
-    if cut < live.size:
-        stop = live[cut]
-        live, F = live[:cut], F[:cut]
-    nonzero = F != 0.0
-    live, F = live[nonzero], F[nonzero]
-    z = z[live]
-    cut = _first(z == 0.0)  # math.log raises there
-    log_mag = (-sol.tau * z[:cut] + (sol.eta + 1.0) * _map(math.log, z[:cut])
-               + _map(math.log, np.abs(F[:cut])))
-    i = _first(log_mag > _LOG_HUGE)
-    if i < cut:
-        raise EvaluationError(f"u({float(r[live[i]])}) overflows "
-                              f"(log magnitude {float(log_mag[i]):.1f})")
-    if cut < live.size:
-        math.log(float(z[cut]))
-    if stop < r.size:
-        if r[stop] < 0.0:
-            raise DomainError(f"r must be non-negative, got {float(r[stop])}")
-        if bad[stop]:
-            raise _x_domain_error(float(x[stop]))
-        raise _term_cap_error(sol.params, float(x[stop]))
+    live = np.flatnonzero((r != 0.0) & ~bad)
+    F = kummer_1f1_grid(sol.params, x[live])
+    keep = F != 0.0
+    live, F, z = live[keep], F[keep], z[live[keep]]
+    bad[live[z == 0.0]] = True  # math.log raises there
+    keep = z != 0.0
+    live, F, z = live[keep], F[keep], z[keep]
+    log_mag = (-sol.tau * z + (sol.eta + 1.0) * _map(math.log, z)
+               + _map(math.log, np.abs(F)))
+    bad[live[log_mag > _LOG_HUGE]] = True
+    if bad.any():
+        _raise_from(wavefunction_u, sol, float(r[bad.argmax()]))
     out = np.zeros(r.shape)
     out[live] = np.copysign(sol.N1 * _map(math.exp, log_mag), F)
     return out
 
 
-def _first(mask: np.ndarray) -> int:
-    """Index of the first True in mask, or its length if there is none."""
-    hits = np.flatnonzero(mask)
-    return int(hits[0]) if hits.size else mask.size
+def _raise_from(reference, *args):
+    """Call a scalar reference on an argument it rejects, so that its own
+    error propagates; returning there would break the array path."""
+    reference(*args)
+    raise AssertionError(f"{reference.__name__}{args} accepted a sample "
+                         "the array path marked")
 
 
 def _map(fn, values: np.ndarray) -> np.ndarray:

@@ -12,7 +12,6 @@ from kgbound import (NEUTRAL_PION_M0C2, ParticleSpec, PhysicalConstants,
 from kgbound.cli import DEFAULT_AIM_CAP, MAX_AXIS_POINTS, main
 from kgbound.special import MAX_RADIAL_POINTS
 from kgbound.model import CouplingMode
-from kgbound.rootfind import SpectrumTable
 
 from conftest import fixture_path
 
@@ -145,7 +144,6 @@ def test_solve_json_round_trips(tmp_path):
                  "--lambda-b", "0.003", "--format", "json",
                  "--output", str(out)]) == 0
     payload = json.loads(out.read_text(encoding="utf-8"))
-    restored = SpectrumTable.from_payload(payload["table"])
 
     constants = PhysicalConstants()
     particle = ParticleSpec.with_compton_lambda(NEUTRAL_PION_M0C2, constants)
@@ -154,7 +152,13 @@ def test_solve_json_round_trips(tmp_path):
                                       mode=CouplingMode.PURE_SCALAR)
     direct = solve_spectrum(constants, particle, pot, n_max=3,
                             config=SolverConfig())
-    assert restored == direct
+    assert payload["table"] == direct.to_payload()
+
+
+def test_huge_delta_solves_without_warnings(capsys):
+    # g = 1 + delta E overflows to inf; the kernel must flag it, not warn
+    assert main(["solve", "--mode", "emes", "--delta=1e300"]) == 0
+    assert capsys.readouterr().err == ""
 
 
 def test_sweep_single_point_matches_solve(tmp_path):

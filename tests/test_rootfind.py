@@ -12,8 +12,7 @@ from kgbound import (ConvergenceError, CouplingMode, DomainError,
                      solve_spectrum)
 from kgbound import quantization
 from kgbound.quantization import residual
-from kgbound.rootfind import (MAX_GRID_POINTS, RefineResult, _dedup,
-                              spectrum_cells)
+from kgbound.rootfind import MAX_GRID_POINTS, spectrum_cells
 
 from conftest import (A_DEFAULT, GRID_VALUES, load_reference, scan_brackets,
                       scan_grid)
@@ -137,15 +136,16 @@ def test_bracket_scan_rejects_sign_change_through_pole(constants, pion):
                for e in cell.entries)
 
 
-def test_dedup_keeps_smallest_residual():
-    tol = 1e-9
-    roots = [RefineResult(1.0, 5e-9, 3),
-             RefineResult(1.0 + 4e-9, 1e-10, 4),
-             RefineResult(2.0, 2e-9, 5)]
-    merged = _dedup(roots, tol)
-    assert [r.energy for r in merged] == [1.0 + 4e-9, 2.0]
-    assert merged[0].residual == 1e-10
-    assert _dedup([], tol) == []
+def test_coarse_energy_tolerance_keeps_distinct_roots(constants, pion):
+    # ps, lambda_b = 0.003, minus branch: the (3, 1) roots at -/+14.0566 MeV
+    # come from two brackets, so a coarse tolerance must not merge them
+    spec = make_spec(constants, pion, CouplingMode.PURE_SCALAR, n=3, l=1,
+                     lambda_b=0.003, branch="minus")
+    cell = solve_cell(spec, SolverConfig(tol_energy=3.0))
+    assert cell.lower.status == cell.upper.status == "converged"
+    assert cell.lower.energy == pytest.approx(-14.0566, abs=1e-3)
+    assert cell.upper.energy == pytest.approx(14.0566, abs=1e-3)
+    assert cell.extras == ()
 
 
 def test_solve_cell_classifies_single_negative_root_as_lower(constants, pion):

@@ -1,5 +1,6 @@
 import math
 import random
+from dataclasses import replace
 from unittest import mock
 
 import mpmath
@@ -302,8 +303,8 @@ def test_wavefunction_grid_matches_pointwise(constants, pion, case):
        x=st.lists(st.floats(0.0, 200.0), min_size=1, max_size=40),
        term_cap=st.none() | st.integers(1, 60))
 def test_kummer_grid_matches_scalar(a, c, degree, nudge, x, term_cap):
-    # the array series stops each sample where kummer_1f1 stops, snapped
-    # polynomials included, and flags exactly the samples it gives up on
+    # snapped polynomials included, the array is the bytes of a loop of
+    # kummer_1f1 calls, or raises that loop's first error class and text
     if degree is not None:
         a = -degree + nudge
     try:
@@ -311,23 +312,66 @@ def test_kummer_grid_matches_scalar(a, c, degree, nudge, x, term_cap):
     except DomainError:
         reject()
     with mock.patch.object(special, "TERM_CAP", term_cap or special.TERM_CAP):
-        values, converged = kummer_1f1_grid(params, x)
-        for xi, value, ok in zip(x, values, converged):
-            want = outcome(kummer_1f1, params, xi)
-            if isinstance(want, tuple):
-                assert want[0] is EvaluationError and not ok
-            else:
-                assert ok and value.tobytes() == want
+        assert (outcome(kummer_1f1_grid, params, x)
+                == outcome(lambda xs: [kummer_1f1(params, xi) for xi in xs],
+                           x))
 
 
 @pytest.mark.parametrize("bad", [-1.0, -1e-300, math.nan, math.inf])
 def test_kummer_grid_rejects_bad_argument(bad):
-    params = KummerParams(a=1.5, c=2.0)
-    with pytest.raises(DomainError) as scalar:
-        kummer_1f1(params, bad)
-    with pytest.raises(DomainError) as grid:
-        kummer_1f1_grid(params, [0.5, bad, -2.0])
-    assert str(grid.value) == str(scalar.value)
+    for a in (1.5, -2.0):  # the mapped series and the array polynomial
+        params = KummerParams(a=a, c=2.0)
+        with pytest.raises(DomainError) as scalar:
+            kummer_1f1(params, bad)
+        with pytest.raises(DomainError) as grid:
+            kummer_1f1_grid(params, [0.5, bad, -2.0])
+        assert str(grid.value) == str(scalar.value)
+
+
+def test_polynomial_grid_never_calls_the_reference(constants, pion,
+                                                   monkeypatch):
+    # at a solved energy the array arithmetic alone gives the scalar
+    # loop's bytes; a fallback to the per-sample reference would raise
+    pot = make_pot(CouplingMode.PURE_SCALAR, delta=0.003, lambda_b=0.003,
+                   pion=pion)
+    qn = QuantumNumbers(n=3, l=1)
+    cell = solve_cell(build_residual_spec(constants, pion, pot, qn))
+    assert cell.upper.status == "converged"
+    sol = build_wave_solution(constants, pion, pot, qn, cell.upper.energy)
+    assert sol.params.polynomial_degree == 3
+    radii = np.linspace(0.0, default_r_max(sol), 20_000)
+    want = np.asarray(scalar_loop(sol, radii)).tobytes()
+
+    def fallback(*args):
+        raise AssertionError("scalar reference called")
+
+    monkeypatch.setattr(special, "wavefunction_u", fallback)
+    monkeypatch.setattr(special, "kummer_1f1", fallback)
+    assert wavefunction_grid(sol, radii).tobytes() == want
+
+
+@pytest.mark.parametrize("changes,bad_r,error", [
+    ({}, -2.0, DomainError),                   # r < 0
+    ({}, math.nan, DomainError),               # x not finite
+    ({}, math.inf, DomainError),
+    ({"growth": 1e-10}, 1e-320, ValueError),   # g r underflows to 0
+    ({"eta": 1000.0}, 10.0, EvaluationError),  # log magnitude overflows
+])
+def test_polynomial_grid_raises_the_scalar_error(constants, pion, solve_block,
+                                                 changes, bad_r, error):
+    # the array path marks every sample wavefunction_u rejects and raises
+    # the reference's own error at the first one
+    entry = converged_entry(solve_block, "emes", 0.0, 0.0, 2, 0, "upper")
+    pot = make_pot(CouplingMode.EMES, pion=pion)
+    sol = replace(build_wave_solution(constants, pion, pot,
+                                      QuantumNumbers(n=2, l=0), entry.energy),
+                  **changes)
+    assert sol.params.polynomial_degree == 2
+    radii = np.linspace(0.0, 30.0, 50)
+    radii[[20, 35]] = bad_r, -1.0
+    want = outcome(scalar_loop, sol, radii)
+    assert want[0] is error
+    assert outcome(wavefunction_grid, sol, radii) == want
 
 
 def series_term_sum(a, c, x):
