@@ -57,10 +57,12 @@ class _Parser(argparse.ArgumentParser):
 
     argparse's own negative-number pattern has no exponent, so it would read
     "--delta -5e-05" as two options; subparsers inherit the wider pattern.
+    Abbreviations are refused, so that --lambda, which is no flag, is an
+    error rather than a prefix of --lambda-b.
     """
 
     def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
+        super().__init__(*args, allow_abbrev=False, **kwargs)
         self._negative_number_matcher = re.compile(
             r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
 
@@ -92,8 +94,6 @@ _PHYSICS_OPTIONS = (
     _Option("--mode", "mode", str, None, "coupling mode: emes, emos, pv, or ps"),
     _Option("--m0c2", "m0c2", float, NEUTRAL_PION_M0C2,
             f"rest energy in MeV (default {NEUTRAL_PION_M0C2})"),
-    _Option("--lambda", "lam", float, None,
-            "length scale lambda in fm (default hbar_c / m0c2)"),
     _Option("--A", "A", float, DEFAULT_A,
             f"potential strength in MeV fm (default {DEFAULT_A})"),
     _Option("--delta", "delta", float, 0.0,
@@ -244,7 +244,8 @@ def load_config(path: str) -> dict:
 def _resolve_inputs(args):
     """Fill each config-file option the command has, flag over file over
     default, then attach the model objects: args.constants, args.particle
-    and args.solver (a SolverConfig); args.mode becomes a CouplingMode."""
+    (lambda = hbar_c / m0c2) and args.solver (a SolverConfig); args.mode
+    becomes a CouplingMode."""
     cfg = load_config(args.config) if args.config else {}
     for key, option in _CONFIG_OPTIONS.items():
         if getattr(args, option.dest, False) is not None:
@@ -258,11 +259,7 @@ def _resolve_inputs(args):
                                   f"{cfg[key]!r}")
         setattr(args, option.dest, value)
     args.constants = PhysicalConstants(hbar_c=args.hbar_c)
-    if args.lam is None:
-        args.particle = ParticleSpec.with_compton_lambda(args.m0c2,
-                                                         args.constants)
-    else:
-        args.particle = ParticleSpec(m0c2=args.m0c2, lam=args.lam)
+    args.particle = ParticleSpec.with_compton_lambda(args.m0c2, args.constants)
     if args.mode is None:
         raise _UsageError("--mode is required (emes, emos, pv, or ps)")
     args.mode = CouplingMode.parse(args.mode)
@@ -272,9 +269,8 @@ def _resolve_inputs(args):
 
 
 def _potential(args, delta: float, lambda_b: float) -> PotentialSpec:
-    return PotentialSpec.from_lambda_b(A=args.A, delta=delta,
-                                       lambda_b=lambda_b,
-                                       particle=args.particle, mode=args.mode)
+    return PotentialSpec(A=args.A, delta=delta, lambda_b=lambda_b,
+                         mode=args.mode)
 
 
 def _spectrum(args, delta: float, lambda_b: float, n_max: int, l_max=None):

@@ -68,8 +68,8 @@ def _require_rest_energy(m0c2: float) -> None:
 
 @dataclass(frozen=True)
 class ParticleSpec:
-    """Rest energy and the length scale lambda that converts the bare mass
-    coupling b into lambda_b = lambda * b."""
+    """Rest energy and the length scale lambda that converts a bare mass
+    coupling b into the tabulated lambda_b = lambda * b."""
 
     m0c2: float  # MeV
     lam: float   # fm
@@ -96,19 +96,18 @@ class ParticleSpec:
 @dataclass(frozen=True)
 class PotentialSpec:
     """Interaction parameters.  A is the Coulomb-like strength in MeV fm,
-    delta the energy-dependence tuning in 1/MeV, and b the bare mass
-    coupling in 1/(MeV fm).  The tabulated product lambda_b = lambda * b
-    is in 1/MeV."""
+    delta the energy-dependence tuning in 1/MeV, and lambda_b the tabulated
+    mass coupling lambda * b in 1/MeV, kept exactly as given."""
 
     A: float
     delta: float
-    b: float
+    lambda_b: float
     mode: CouplingMode
 
     def __post_init__(self):
         if not (self.A > 0.0 and math.isfinite(self.A)):
             raise DomainError(f"A must be positive and finite, got {self.A}")
-        for name in ("delta", "b"):
+        for name in ("delta", "lambda_b"):
             v = getattr(self, name)
             if not math.isfinite(v):
                 raise DomainError(f"{name} must be finite, got {v}")
@@ -116,11 +115,8 @@ class PotentialSpec:
     @classmethod
     def from_lambda_b(cls, A: float, delta: float, lambda_b: float,
                       particle: ParticleSpec, mode: CouplingMode) -> "PotentialSpec":
-        """Build from the tabulated product lambda_b = lambda * b (1/MeV)."""
-        return cls(A=A, delta=delta, b=lambda_b / particle.lam, mode=mode)
-
-    def lambda_b(self, particle: ParticleSpec) -> float:
-        return particle.lam * self.b
+        """Same as the constructor; particle is accepted and unused."""
+        return cls(A=A, delta=delta, lambda_b=lambda_b, mode=mode)
 
 
 @dataclass(frozen=True)
@@ -194,18 +190,29 @@ def _require_positive_radius(r) -> None:
         raise DomainError(f"r must be positive, got {np.min(r)}")
 
 
+def _require_finite(name: str, value, E: float):
+    if not np.all(np.isfinite(value)):
+        raise DomainError(f"{name} is not finite at E={E}")
+    return value
+
+
 def vector_potential(pot: PotentialSpec, r, E: float):
-    """V(r, E) = -A (1 + delta E) / r in MeV; r is a radius or an array."""
+    """V(r, E) = -A (1 + delta E) / r in MeV; r is a radius or an array.
+    Raises DomainError where V overflows."""
     _require_positive_radius(r)
-    return -pot.A * energy_factor(pot, E) / r
+    with np.errstate(over="ignore"):  # checked below
+        V = -pot.A * energy_factor(pot, E) / r
+    return _require_finite("V", V, E)
 
 
 def mass_at(particle: ParticleSpec, pot: PotentialSpec, r, E: float):
     """m(r, E) c^2 = m0c2 (1 - lambda_b A (1 + delta E) / r) in MeV; r is a
-    radius or an array."""
+    radius or an array.  Raises DomainError where the mass overflows."""
     _require_positive_radius(r)
-    lam_b = pot.lambda_b(particle)
-    return particle.m0c2 * (1.0 - lam_b * pot.A * energy_factor(pot, E) / r)
+    with np.errstate(over="ignore"):  # checked below
+        mc2 = particle.m0c2 * (1.0 - pot.lambda_b * pot.A
+                               * energy_factor(pot, E) / r)
+    return _require_finite("m c^2", mc2, E)
 
 
 def case_parameters(constants: PhysicalConstants, particle: ParticleSpec,
@@ -219,7 +226,7 @@ def case_parameters(constants: PhysicalConstants, particle: ParticleSpec,
     sgn = parse_branch(branch)
     m0c2 = particle.m0c2
     hc = constants.hbar_c
-    w = pot.lambda_b(particle) * m0c2
+    w = pot.lambda_b * m0c2
     alpha = pot.A / hc
     c0, c1, k2 = mode_coefficients(pot.mode, m0c2, w, alpha)
     status, g, K, root = _kernels.energy_terms(E, m0c2, pot.delta, k2,

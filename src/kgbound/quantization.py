@@ -24,7 +24,6 @@ from .model import (CouplingMode, ParticleSpec, PhysicalConstants,
                     PotentialSpec, QuantumNumbers, mode_coefficients,
                     parse_branch)
 
-POLE_EPS = 1e-9
 DEFAULT_WINDOW_MARGIN = 1e-6  # MeV kept clear of the window edges
 _MIN_ENERGY_FACTOR = 1e-12
 
@@ -47,7 +46,6 @@ class ResidualSpec:
     ll1: float
     n_plus_half: float
     window: tuple
-    pole_eps: float = POLE_EPS
 
     def describe_branch(self) -> str:
         return "plus" if self.branch_sign > 0.0 else "minus"
@@ -76,7 +74,7 @@ def build_residual_spec(constants: PhysicalConstants, particle: ParticleSpec,
                         window_margin: float = DEFAULT_WINDOW_MARGIN) -> ResidualSpec:
     sgn = parse_branch(branch)
     m0c2 = particle.m0c2
-    w = pot.lambda_b(particle) * m0c2
+    w = pot.lambda_b * m0c2
     alpha = pot.A / constants.hbar_c
     c0, c1, k2 = mode_coefficients(pot.mode, m0c2, w, alpha)
     return ResidualSpec(
@@ -86,19 +84,14 @@ def build_residual_spec(constants: PhysicalConstants, particle: ParticleSpec,
         window=physical_window(m0c2, pot.delta, window_margin))
 
 
-def _kernel_args(spec: ResidualSpec):
-    return (spec.m0c2, spec.delta, spec.alpha, spec.c0, spec.c1, spec.k2,
-            spec.ll1, spec.branch_sign, spec.n_plus_half, spec.pole_eps)
-
-
 def evaluate(spec: ResidualSpec, E: float):
     """Raw kernel evaluation: (res, rhs, den, status) at one energy."""
-    return _kernels.residual_point(E, *_kernel_args(spec))
+    return _kernels.residual_point(spec, E)
 
 
 def evaluate_grid(spec: ResidualSpec, energies):
     """Raw kernel evaluation over an energy array."""
-    return _kernels.residual_grid(energies, *_kernel_args(spec))
+    return _kernels.residual_grid(spec, energies)
 
 
 def residual(spec: ResidualSpec, E: float) -> float:

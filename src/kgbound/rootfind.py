@@ -2,13 +2,14 @@
 
 The residual is evaluated once per cell on a uniform energy grid over the
 physical window; that one scan gives both the brackets and the absence
-diagnosis.  Sign changes between adjacent valid nodes become brackets,
-except where the denominator changes sign inside the pair (a pole, not a
-root).  Brackets are refined by secant steps that fall back to bisection
-when a step leaves the bracket or stalls.  The brackets are disjoint and
-every secant iterate stays inside its bracket, so converged roots are
-distinct; they are classified into the lower/upper spectral lines of each
-(n, l) cell.
+diagnosis.  Where eta turns complex between two nodes, the last energy
+with real eta takes the place of the complex-eta node.  Sign changes
+between adjacent valid nodes become brackets, except where the denominator
+changes sign inside the pair (a pole, not a root).  Brackets are refined
+by secant steps that fall back to bisection when a step leaves the bracket
+or stalls.  The brackets are disjoint and every secant iterate stays
+inside its bracket, so converged roots are distinct; they are classified
+into the lower/upper spectral lines of each (n, l) cell.
 """
 
 from __future__ import annotations
@@ -186,6 +187,41 @@ def absence_reason(rhs: np.ndarray, status: np.ndarray, brackets: int) -> str:
     return "no sign change of the residual on the scan grid"
 
 
+def _eta_edge_node(spec: ResidualSpec, E: np.ndarray, status: np.ndarray):
+    """The scan node for the energy where eta turns complex.
+
+    With k2 < 0 and delta != 0, 1/4 + K(E) turns negative at the one energy
+    E_b = (sqrt(-(1/4 + l(l+1)) / k2) - 1) / delta, and a root between E_b
+    and the last valid node before it has no bracket on the grid.  When E_b
+    lies between a valid and a complex-eta node, returns the index of the
+    complex-eta node and the (E, res, rhs, den, status) of the valid energy
+    next to E_b; else None.
+    """
+    complex_eta = _kernels.STATUS_COMPLEX_ETA
+    if not (spec.k2 < 0.0 and spec.delta != 0.0):
+        return None
+    edge = (math.sqrt(-(0.25 + spec.ll1) / spec.k2) - 1.0) / spec.delta
+    i = int(np.searchsorted(E, edge))
+    if not (0 < i < len(E) and E[i - 1] < edge < E[i] and
+            {status[i - 1], status[i]} == {_kernels.STATUS_OK, complex_eta}):
+        return None
+    cut, valid = ((i, float(E[i - 1])) if status[i] == complex_eta
+                  else (i - 1, float(E[i])))
+    point = quantization.evaluate(spec, edge)
+    if point[3] == complex_eta:
+        # E_b is off by rounding, by more ulps the smaller delta is.  1/4 + K
+        # is monotone in E, so bisect for the last real-eta energy before it.
+        while (mid := 0.5 * (valid + edge)) not in (valid, edge):
+            if quantization.evaluate(spec, mid)[3] == complex_eta:
+                edge = mid
+            else:
+                valid = mid
+        edge, point = valid, quantization.evaluate(spec, valid)
+    if point[3] != _kernels.STATUS_OK:
+        return None
+    return cut, (edge,) + point
+
+
 def solve_cell(spec: ResidualSpec, config: SolverConfig = SolverConfig()) -> CellResult:
     """Scan, refine, and classify the roots of one cell.
 
@@ -198,6 +234,11 @@ def solve_cell(spec: ResidualSpec, config: SolverConfig = SolverConfig()) -> Cel
 
     E = np.linspace(*spec.window, config.grid_points)
     res, rhs, den, status = quantization.evaluate_grid(spec, E)
+    node = _eta_edge_node(spec, E, status)
+    if node is not None:
+        # A complex-eta node brackets nothing, so the edge node replaces it.
+        j, values = node
+        E[j], res[j], rhs[j], den[j], status[j] = values
     brackets = bracket_scan(E, res, den, status)
     roots: List[RefineResult] = []
     failures: List[ConvergenceError] = []
@@ -333,6 +374,6 @@ def solve_spectrum(constants: PhysicalConstants, particle: ParticleSpec,
         cells.append(solve_cell(spec, config))
     return SpectrumTable(mode=pot.mode, hbar_c=constants.hbar_c,
                          m0c2=particle.m0c2, lam=particle.lam, A=pot.A,
-                         delta=pot.delta, lambda_b=pot.lambda_b(particle),
+                         delta=pot.delta, lambda_b=pot.lambda_b,
                          branch=branch_name, n_max=n_max, l_max=l_max,
                          cells=tuple(cells))

@@ -2,14 +2,14 @@
 
 The unnormalized radial function for a bound state at energy E is
 
-    u(r) = N1 * exp(-tau g r) * (g r)^(eta + 1) * 1F1(a; c; 2 tau g r),
+    u(r) = exp(-tau g r) * (g r)^(eta + 1) * 1F1(a; c; 2 tau g r),
 
 with g = 1 + delta E, tau = sqrt(m0^2 c^4 - E^2) / (hbar c g),
 a = (eta + 1) - beta^2 / (2 tau) and c = 2 (eta + 1).  At a solution of
 the quantization condition a is a non-positive integer -n, the series
 truncates to a polynomial, and u has exactly n radial nodes.  The second
-independent solution is discarded (N2 = 0): it behaves as (g r)^(-eta)
-near the origin and is not regular there.
+independent solution is discarded: it behaves as (g r)^(-eta) near the
+origin and is not regular there.  u is reported unnormalized.
 
 kummer_1f1 and wavefunction_u evaluate one point and are the reference.
 kummer_1f1_grid and wavefunction_grid run the same arithmetic over a whole
@@ -107,8 +107,6 @@ class WaveSolution:
     growth: float     # g = 1 + delta E
     beta_sq: float    # 1/fm
     params: KummerParams
-    N1: float = 1.0
-    N2: float = 0.0
 
 
 def build_wave_solution(constants: PhysicalConstants, particle: ParticleSpec,
@@ -141,10 +139,12 @@ def wavefunction_u(sol: WaveSolution, r: float) -> float:
     F = kummer_1f1(sol.params, 2.0 * sol.tau * z)
     if F == 0.0:
         return 0.0
+    if z == 0.0:
+        raise DomainError(f"g r underflows to 0 at r={r}")
     log_mag = -sol.tau * z + (sol.eta + 1.0) * math.log(z) + math.log(abs(F))
     if log_mag > _LOG_HUGE:
         raise EvaluationError(f"u({r}) overflows (log magnitude {log_mag:.1f})")
-    return math.copysign(sol.N1 * math.exp(log_mag), F)
+    return math.copysign(math.exp(log_mag), F)
 
 
 def kummer_1f1_grid(params: KummerParams, x) -> np.ndarray:
@@ -194,7 +194,7 @@ def wavefunction_grid(sol: WaveSolution, radii) -> np.ndarray:
     F = kummer_1f1_grid(sol.params, x[live])
     keep = F != 0.0
     live, F, z = live[keep], F[keep], z[live[keep]]
-    bad[live[z == 0.0]] = True  # math.log raises there
+    bad[live[z == 0.0]] = True  # g r underflowed; wavefunction_u raises
     keep = z != 0.0
     live, F, z = live[keep], F[keep], z[keep]
     log_mag = (-sol.tau * z + (sol.eta + 1.0) * _map(math.log, z)
@@ -203,7 +203,7 @@ def wavefunction_grid(sol: WaveSolution, radii) -> np.ndarray:
     if bad.any():
         _raise_from(wavefunction_u, sol, float(r[bad.argmax()]))
     out = np.zeros(r.shape)
-    out[live] = np.copysign(sol.N1 * _map(math.exp, log_mag), F)
+    out[live] = np.copysign(_map(math.exp, log_mag), F)
     return out
 
 
@@ -224,7 +224,7 @@ def normalize_on_grid(u: np.ndarray, radii: np.ndarray) -> np.ndarray:
     """Scale samples so the trapezoid integral of u^2 over radii is 1.
 
     A plotting convenience only; eigenfunctions are reported unnormalized
-    (N1 = 1) everywhere else.
+    everywhere else.
     """
     u = np.asarray(u, dtype=np.float64)
     radii = np.asarray(radii, dtype=np.float64)

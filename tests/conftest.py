@@ -34,7 +34,8 @@ def scan_grid(spec, config):
 
 
 def scan_brackets(spec, config):
-    """The brackets solve_cell refines for one cell."""
+    """The brackets of solve_cell's uniform scan for one cell, without the
+    node it adds where eta turns complex."""
     E = scan_grid(spec, config)
     res, _, den, status = evaluate_grid(spec, E)
     return bracket_scan(E, res, den, status)

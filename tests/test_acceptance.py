@@ -407,10 +407,11 @@ def test_c10_constant_mass_limit(constants, pion):
     for B in (200.0, -100.0):
         b = constant_mass_b(A_DEFAULT, B, constants)
         for delta in (0.0, 0.0025):
-            pot = PotentialSpec(A=A_DEFAULT, delta=delta, b=b,
-                                mode=CouplingMode.EMES)
+            pot = PotentialSpec(A=A_DEFAULT, delta=delta,
+                                lambda_b=pion.lam * b, mode=CouplingMode.EMES)
             assert constant_mass_identity_check(pion, pot, B, samples)
-            off = PotentialSpec(A=A_DEFAULT, delta=delta, b=b * 1.01,
+            off = PotentialSpec(A=A_DEFAULT, delta=delta,
+                                lambda_b=pion.lam * b * 1.01,
                                 mode=CouplingMode.EMES)
             assert not constant_mass_identity_check(pion, off, B, samples)
             verified += 1

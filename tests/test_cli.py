@@ -301,6 +301,22 @@ def test_wavefunction_infinite_r_max_is_usage_error(capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv,message", [
+    # g r rounds to 0 at the first radius past the origin
+    (["--mode", "ps", "--n=0", "--l=0", "--r-max=7.4e-323", "--delta=-0.005",
+      "--line", "upper"], "g r underflows to 0"),
+    # V and m c^2 overflow to -inf at subnormal radii
+    (["--mode", "emes", "--n=1", "--l=0", "--r-max=1e-320", "--format",
+      "json"], "V is not finite"),
+])
+def test_wavefunction_at_vanishing_radii_is_domain_error(argv, message,
+                                                         capsys):
+    assert main(["wavefunction", "--points=16"] + argv) == 1
+    out, err = capsys.readouterr()
+    assert f"kgbound: error: {message}" in err
+    assert out == ""
+
+
 def test_wavefunction_requires_present_line(capsys):
     rc = main(["wavefunction", "--mode", "emos", "--n", "0", "--l", "0",
                "--line", "lower"])
@@ -388,24 +404,37 @@ def test_config_rejects_unknown_key(tmp_path, capsys):
     assert "unknown key" in capsys.readouterr().err
 
 
+def test_lambda_is_not_settable(tmp_path, capsys):
+    # lambda is always hbar_c / m0c2; the coupling is set by lambda_b alone,
+    # and --lambda is not taken as an abbreviation of --lambda-b
+    with pytest.raises(SystemExit) as exit_info:
+        main(["solve", "--mode", "ps", "--lambda=1.5"])
+    assert exit_info.value.code == 1
+    assert "unrecognized arguments: --lambda=1.5" in capsys.readouterr().err
+    cfg = tmp_path / "lambda.cfg"
+    cfg.write_text("mode = ps\nlambda = 1.5\n", encoding="utf-8")
+    assert main(["solve", "--config", str(cfg)]) == 1
+    assert "unknown key 'lambda'" in capsys.readouterr().err
+
+
 def test_missing_config_is_usage_error(tmp_path, capsys):
     assert main(["solve", "--mode", "ps",
                  "--config", str(tmp_path / "nope.cfg")]) == 1
     assert "cannot read config" in capsys.readouterr().err
 
 
-# The 15 keys a --config file may set, each the long name of a flag; keys
+# The 14 keys a --config file may set, each the long name of a flag; keys
 # are case-insensitive and '-' and '_' are interchangeable.
 CONFIG_VALUES = {
     "mode": ("ps", "emes"), "branch": ("plus", "minus"),
-    "m0c2": ("130.0", "135.0"), "lambda": ("1.5", "1.25"),
+    "m0c2": ("130.0", "135.0"),
     "a": ("180.0", "190.0"), "delta": ("0.001", "-0.001"),
     "lambda_b": ("0.002", "-0.002"), "hbar_c": ("197.0", "198.0"),
     "grid_points": ("800", "900"), "tol_energy": ("1e-10", "2e-10"),
     "tol_residual": ("1e-8", "2e-8"), "max_iter": ("60", "70"),
     "window_margin": ("1e-6", "2e-6"), "nmax": ("1", "2"), "lmax": ("0", "1"),
 }
-FLAG_NAMES = {"lambda": "--lambda", "a": "--A", "lambda_b": "--lambda-b"}
+FLAG_NAMES = {"a": "--A", "lambda_b": "--lambda-b"}
 
 
 def _config_text(which, spell=lambda key: key):
@@ -433,7 +462,7 @@ def test_config_accepts_every_key_as_its_flag(tmp_path, capsys):
     from_file = _solve_json(["--config", str(cfg)], capsys)
     assert from_file == _solve_json(_flags(0), capsys)
     manifest = from_file["manifest"]
-    assert (manifest["lambda"], manifest["A"]) == (1.5, 180.0)
+    assert (manifest["lambda"], manifest["A"]) == (197.0 / 130.0, 180.0)
     assert (manifest["delta"], manifest["lambda_b"]) == (0.001, 0.002)
     assert (manifest["nmax"], manifest["lmax"]) == (1, 0)
     assert manifest["branch"] == "plus" and manifest["grid_points"] == 800
@@ -510,7 +539,7 @@ def test_check_tol_must_be_finite_and_non_negative(tol, capsys):
 
 @pytest.mark.parametrize("m0c2", ["0", "-0.0", "-1"])
 def test_non_positive_m0c2_is_usage_error(m0c2, capsys):
-    # checked before hbar_c / m0c2 sets the default lambda
+    # checked before lambda = hbar_c / m0c2 divides by it
     assert main(["solve", "--mode", "ps", f"--m0c2={m0c2}"]) == 1
     err = capsys.readouterr().err
     assert "kgbound: error: m0c2 must be positive" in err

@@ -6,22 +6,22 @@ from hypothesis import strategies as st
 from kgbound import (BranchError, CouplingMode, DomainError, PotentialSpec,
                      QuantumNumbers, case_parameters)
 from kgbound import _kernels
-from kgbound.quantization import build_residual_spec
+from kgbound.quantization import ResidualSpec, build_residual_spec
 
 
-def spec_pack(constants, pion, mode, n=0, l=0, delta=0.0, lambda_b=0.0,
+def make_spec(constants, pion, mode, n=0, l=0, delta=0.0, lambda_b=0.0,
               branch="plus", A=200.0):
-    pot = PotentialSpec.from_lambda_b(A=A, delta=delta, lambda_b=lambda_b,
-                                      particle=pion, mode=mode)
-    s = build_residual_spec(constants, pion, pot, QuantumNumbers(n=n, l=l),
-                            branch=branch)
-    return (s.m0c2, s.delta, s.alpha, s.c0, s.c1, s.k2, s.ll1, s.branch_sign,
-            s.n_plus_half, s.pole_eps)
+    pot = PotentialSpec(A=A, delta=delta, lambda_b=lambda_b, mode=mode)
+    return build_residual_spec(constants, pion, pot, QuantumNumbers(n=n, l=l),
+                               branch=branch)
 
 
-# a hand-built pack whose denominator is exactly zero at every energy:
+# a hand-built spec whose denominator is exactly zero at every energy:
 # quarter = 0.25 + 2.0 = 2.25, root = 1.5, den = 1.5 - 1.5
-POLE_PACK = (100.0, 0.0, 1.0, 1.0, 0.0, 2.0, 0.0, -1.0, 1.5, 1e-9)
+POLE_SPEC = ResidualSpec(mode=CouplingMode.EMES, n=1, l=0, branch_sign=-1.0,
+                         m0c2=100.0, delta=0.0, alpha=1.0, c0=1.0, c1=0.0,
+                         k2=2.0, ll1=0.0, n_plus_half=1.5,
+                         window=(-99.0, 99.0))
 
 # random inputs spanning every coupling mode, both branches and all five
 # statuses: A in [20, 400], |delta|, |lambda_b| <= 0.01, n, l <= 6
@@ -45,25 +45,25 @@ def probe_energies(m0c2, delta):
 
 
 def test_fallback_status_codes(constants, pion):
-    pack = spec_pack(constants, pion, CouplingMode.EMES, delta=0.01)
-    assert _kernels.residual_point(0.0, *pack)[3] == _kernels.STATUS_OK
-    assert _kernels.residual_point(200.0, *pack)[3] == _kernels.STATUS_WINDOW
-    assert _kernels.residual_point(-110.0, *pack)[3] == \
+    spec = make_spec(constants, pion, CouplingMode.EMES, delta=0.01)
+    assert _kernels.residual_point(spec, 0.0)[3] == _kernels.STATUS_OK
+    assert _kernels.residual_point(spec, 200.0)[3] == _kernels.STATUS_WINDOW
+    assert _kernels.residual_point(spec, -110.0)[3] == \
         _kernels.STATUS_ENERGY_FACTOR
-    pack = spec_pack(constants, pion, CouplingMode.PURE_VECTOR)
-    assert _kernels.residual_point(0.0, *pack)[3] == \
+    spec = make_spec(constants, pion, CouplingMode.PURE_VECTOR)
+    assert _kernels.residual_point(spec, 0.0)[3] == \
         _kernels.STATUS_COMPLEX_ETA
-    res, rhs, den, status = _kernels.residual_point(0.0, *POLE_PACK)
+    res, rhs, den, status = _kernels.residual_point(POLE_SPEC, 0.0)
     assert status == _kernels.STATUS_POLE
     assert den == 0.0
     assert np.isnan(res) and np.isnan(rhs)
 
 
-def assert_grid_matches_point(E, pack):
-    res, rhs, den, status = _kernels.residual_grid(E, *pack)
+def assert_grid_matches_point(E, spec):
+    res, rhs, den, status = _kernels.residual_grid(spec, E)
     assert status.dtype == np.int32
     for i, e in enumerate(E):
-        p = _kernels.residual_point(float(e), *pack)
+        p = _kernels.residual_point(spec, float(e))
         assert np.float64(p[0]).tobytes() == res[i].tobytes()
         assert np.float64(p[1]).tobytes() == rhs[i].tobytes()
         assert np.float64(p[2]).tobytes() == den[i].tobytes()
@@ -71,14 +71,14 @@ def assert_grid_matches_point(E, pack):
 
 
 def test_fallback_grid_matches_point_at_a_pole():
-    assert_grid_matches_point(np.linspace(-150.0, 150.0, 301), POLE_PACK)
+    assert_grid_matches_point(np.linspace(-150.0, 150.0, 301), POLE_SPEC)
 
 
 @settings(deadline=None)
 @given(case_inputs)
 def test_fallback_grid_matches_point(constants, pion, case):
-    pack = spec_pack(constants, pion, **case)
-    assert_grid_matches_point(probe_energies(pion.m0c2, case["delta"]), pack)
+    spec = make_spec(constants, pion, **case)
+    assert_grid_matches_point(probe_energies(pion.m0c2, case["delta"]), spec)
 
 
 @settings(deadline=None)

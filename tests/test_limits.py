@@ -8,12 +8,13 @@ from kgbound.rootfind import solve_spectrum
 
 
 def test_classify_exact_zero_cases(pion):
-    def pot(delta, b):
-        return PotentialSpec(A=200.0, delta=delta, b=b, mode=CouplingMode.EMES)
+    def pot(delta, lambda_b):
+        return PotentialSpec(A=200.0, delta=delta, lambda_b=lambda_b,
+                             mode=CouplingMode.EMES)
 
     assert classify(pot(0.0, 0.0)) is LimitCase.CONSTANT_MASS
     assert classify(pot(0.003, 0.0)) is LimitCase.ENERGY_DEP_ONLY
-    assert classify(pot(0.0, 0.003 / pion.lam)) is LimitCase.POSITION_DEP_ONLY
+    assert classify(pot(0.0, 0.003)) is LimitCase.POSITION_DEP_ONLY
     assert classify(pot(-0.003, 1e-300)) is LimitCase.GENERAL
 
 
@@ -21,7 +22,7 @@ def test_identity_holds_for_matched_coupling(constants, pion):
     for B in (200.0, -100.0):
         b = constant_mass_b(200.0, B, constants)
         for delta in (0.0, 0.0025):
-            pot = PotentialSpec(A=200.0, delta=delta, b=b,
+            pot = PotentialSpec(A=200.0, delta=delta, lambda_b=pion.lam * b,
                                 mode=CouplingMode.EMES)
             samples = default_identity_samples(pion)
             assert constant_mass_identity_check(pion, pot, B, samples)
@@ -29,33 +30,36 @@ def test_identity_holds_for_matched_coupling(constants, pion):
 
 def test_identity_on_small_sample_matrix(constants, pion):
     b = constant_mass_b(200.0, 200.0, constants)
-    pot = PotentialSpec(A=200.0, delta=0.0, b=b, mode=CouplingMode.EMES)
+    pot = PotentialSpec(A=200.0, delta=0.0, lambda_b=pion.lam * b,
+                        mode=CouplingMode.EMES)
     samples = [(r, E) for r in (0.5, 1.0, 5.0) for E in (-50.0, 0.0, 50.0)]
     assert constant_mass_identity_check(pion, pot, 200.0, samples)
 
 
 def test_identity_fails_under_coupling_perturbation(constants, pion):
     b = constant_mass_b(200.0, 200.0, constants)
-    pot = PotentialSpec(A=200.0, delta=0.0, b=b * 1.01, mode=CouplingMode.EMES)
+    pot = PotentialSpec(A=200.0, delta=0.0, lambda_b=pion.lam * b * 1.01,
+                        mode=CouplingMode.EMES)
     samples = default_identity_samples(pion)
     assert not constant_mass_identity_check(pion, pot, 200.0, samples)
 
 
 def test_identity_needs_the_exact_length_scale(constants):
-    # a particle built with the rounded length scale breaks the 1e-12
+    # lambda_b = lam * b with the rounded length scale breaks the 1e-12
     # cancellation; only lam = hbar_c / m0c2 makes it exact
     rounded = ParticleSpec(m0c2=134.977, lam=1.462)
     exact = ParticleSpec.with_compton_lambda(134.977, constants)
     b = constant_mass_b(200.0, 200.0, constants)
-    pot = PotentialSpec(A=200.0, delta=0.0, b=b, mode=CouplingMode.EMES)
-    assert constant_mass_identity_check(exact, pot, 200.0,
-                                        default_identity_samples(exact))
-    assert not constant_mass_identity_check(rounded, pot, 200.0,
-                                            default_identity_samples(rounded))
+    for particle, holds in ((exact, True), (rounded, False)):
+        pot = PotentialSpec(A=200.0, delta=0.0, lambda_b=particle.lam * b,
+                            mode=CouplingMode.EMES)
+        assert constant_mass_identity_check(
+            particle, pot, 200.0, default_identity_samples(particle)) is holds
 
 
 def test_identity_trivial_when_both_couplings_vanish(pion):
-    pot = PotentialSpec(A=200.0, delta=0.0, b=0.0, mode=CouplingMode.EMES)
+    pot = PotentialSpec(A=200.0, delta=0.0, lambda_b=0.0,
+                        mode=CouplingMode.EMES)
     assert constant_mass_identity_check(pion, pot, 0.0,
                                         default_identity_samples(pion))
 

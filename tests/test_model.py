@@ -14,10 +14,8 @@ from kgbound.model import (DEFAULT_HBAR_C, NEUTRAL_PION_M0C2, energy_factor,
 ALL_MODES = tuple(CouplingMode)
 
 
-def make_pot(mode, delta=0.0, lambda_b=0.0, A=200.0,
-             particle=ParticleSpec.neutral_pion()):
-    return PotentialSpec.from_lambda_b(A=A, delta=delta, lambda_b=lambda_b,
-                                       particle=particle, mode=mode)
+def make_pot(mode, delta=0.0, lambda_b=0.0, A=200.0):
+    return PotentialSpec(A=A, delta=delta, lambda_b=lambda_b, mode=mode)
 
 
 def test_mode_parse_accepts_known_names():
@@ -59,17 +57,21 @@ def test_compton_lambda_product_is_exact(constants, pion):
 
 def test_potential_validation():
     with pytest.raises(DomainError):
-        PotentialSpec(A=0.0, delta=0.0, b=0.0, mode=CouplingMode.EMES)
+        make_pot(CouplingMode.EMES, A=0.0)
     with pytest.raises(DomainError):
-        PotentialSpec(A=200.0, delta=math.nan, b=0.0, mode=CouplingMode.EMES)
+        make_pot(CouplingMode.EMES, delta=math.nan)
     with pytest.raises(DomainError):
-        PotentialSpec(A=200.0, delta=0.0, b=math.inf, mode=CouplingMode.EMES)
+        make_pot(CouplingMode.EMES, lambda_b=math.inf)
 
 
 def test_lambda_b_round_trip(pion):
-    pot = make_pot(CouplingMode.EMES, lambda_b=0.003, particle=pion)
-    assert pot.lambda_b(pion) == pytest.approx(0.003, rel=1e-15)
-    assert make_pot(CouplingMode.EMES, lambda_b=0.0).b == 0.0
+    # 0.000875 does not survive a division by lambda and a multiplication
+    # back, so a potential storing the bare b would solve a neighbour of it
+    assert pion.lam * (0.000875 / pion.lam) != 0.000875
+    assert make_pot(CouplingMode.EMES, lambda_b=0.000875).lambda_b == 0.000875
+    assert PotentialSpec.from_lambda_b(
+        A=200.0, delta=0.0, lambda_b=0.000875, particle=pion,
+        mode=CouplingMode.EMES).lambda_b == 0.000875
 
 
 def test_quantum_numbers_validation():
@@ -114,7 +116,7 @@ def test_vector_potential_rejects_nonpositive_radius():
 
 
 def test_mass_at_is_rest_energy_when_b_zero(pion):
-    pot = make_pot(CouplingMode.EMES, delta=0.003, particle=pion)
+    pot = make_pot(CouplingMode.EMES, delta=0.003)
     for r in (0.1, 1.0, 25.0):
         for E in (-100.0, 0.0, 100.0):
             assert mass_at(pion, pot, r, E) == pion.m0c2
@@ -122,7 +124,7 @@ def test_mass_at_is_rest_energy_when_b_zero(pion):
 
 def test_mass_at_zero_crossing(pion):
     # lambda_b * A = 0.6, so the mass vanishes at r = 0.6 when delta = 0
-    pot = make_pot(CouplingMode.EMES, lambda_b=0.003, particle=pion)
+    pot = make_pot(CouplingMode.EMES, lambda_b=0.003)
     assert mass_at(pion, pot, 0.6, 50.0) == pytest.approx(0.0, abs=1e-12)
     assert mass_at(pion, pot, 1.2, 50.0) == pytest.approx(pion.m0c2 / 2, rel=1e-12)
     with pytest.raises(DomainError):
@@ -139,7 +141,7 @@ _radii = st.lists(st.floats(1e-6, 1e4), min_size=1, max_size=16)
 def test_potential_and_mass_on_arrays_match_scalars(A, delta, lambda_b, E,
                                                     radii, pion):
     pot = make_pot(CouplingMode.PURE_SCALAR, delta=delta, lambda_b=lambda_b,
-                   A=A, particle=pion)
+                   A=A)
     V = vector_potential(pot, np.array(radii), E)
     mc2 = mass_at(pion, pot, np.array(radii), E)
     assert V.tolist() == [vector_potential(pot, r, E) for r in radii]
@@ -150,8 +152,7 @@ def test_potential_and_mass_on_arrays_match_scalars(A, delta, lambda_b, E,
 @given(bad=st.floats(max_value=0.0) | st.just(math.nan), radii=_radii,
        at=st.integers(0, 16))
 def test_radius_not_above_zero_is_domain_error(bad, radii, at, pion):
-    pot = make_pot(CouplingMode.EMES, delta=0.003, lambda_b=0.003,
-                   particle=pion)
+    pot = make_pot(CouplingMode.EMES, delta=0.003, lambda_b=0.003)
     radii.insert(at, bad)
     for r in (bad, np.array(radii)):
         with pytest.raises(DomainError):
@@ -160,8 +161,18 @@ def test_radius_not_above_zero_is_domain_error(bad, radii, at, pion):
             mass_at(pion, pot, r, 50.0)
 
 
+def test_overflowing_potential_and_mass_are_domain_errors(pion):
+    # A / r overflows at subnormal radii; -inf must not reach the output
+    pot = make_pot(CouplingMode.EMES, lambda_b=0.003)
+    for r in (1e-320, np.array([1.0, 1e-320])):
+        with pytest.raises(DomainError, match="V is not finite"):
+            vector_potential(pot, r, 50.0)
+        with pytest.raises(DomainError, match="m c\\^2 is not finite"):
+            mass_at(pion, pot, r, 50.0)
+
+
 def test_case_parameters_rejects_energy_outside_window(constants, pion):
-    pot = make_pot(CouplingMode.EMES, particle=pion)
+    pot = make_pot(CouplingMode.EMES)
     qn = QuantumNumbers(n=0, l=0)
     with pytest.raises(DomainError):
         case_parameters(constants, pion, pot, qn, 134.977)
@@ -170,14 +181,14 @@ def test_case_parameters_rejects_energy_outside_window(constants, pion):
 
 
 def test_case_parameters_rejects_nonpositive_energy_factor(constants, pion):
-    pot = make_pot(CouplingMode.EMES, delta=0.01, particle=pion)
+    pot = make_pot(CouplingMode.EMES, delta=0.01)
     with pytest.raises(DomainError):
         case_parameters(constants, pion, pot, QuantumNumbers(n=0, l=0), -110.0)
 
 
 def test_case_parameters_complex_eta_raises_branch_error(constants, pion):
     # pure vector at l=0 drives 1/4 + K below zero everywhere
-    pot = make_pot(CouplingMode.PURE_VECTOR, particle=pion)
+    pot = make_pot(CouplingMode.PURE_VECTOR)
     with pytest.raises(BranchError):
         case_parameters(constants, pion, pot, QuantumNumbers(n=0, l=0), 0.0)
 
@@ -186,7 +197,7 @@ def test_case_parameters_complex_eta_raises_branch_error(constants, pion):
 @pytest.mark.parametrize("branch", ["plus", "minus"])
 def test_eta_solves_its_quadratic(constants, pion, mode, branch):
     # eta (eta + 1) = K on either sign branch
-    pot = make_pot(mode, delta=0.003, lambda_b=0.003, particle=pion)
+    pot = make_pot(mode, delta=0.003, lambda_b=0.003)
     # l = 0 leaves eta complex for the pure-vector and opposite-sign modes
     l = 1 if mode in (CouplingMode.PURE_VECTOR, CouplingMode.EMOS) else 0
     for E in (-80.0, 10.0, 120.0):
@@ -202,7 +213,7 @@ def test_tau_sq_is_mode_independent(constants, pion):
     for E in (-120.0, 0.0, 95.0):
         values = set()
         for mode in ALL_MODES:
-            pot = make_pot(mode, delta=-0.003, lambda_b=0.003, particle=pion)
+            pot = make_pot(mode, delta=-0.003, lambda_b=0.003)
             values.add(case_parameters(constants, pion, pot, qn, E).tau_sq)
         assert len(values) == 1
 
@@ -210,7 +221,7 @@ def test_tau_sq_is_mode_independent(constants, pion):
 def test_case_parameters_delta_zero_matches_direct_formula(constants, pion):
     # with delta = 0 the energy factor is exactly 1.0 and tau^2 reduces
     # bit for bit to the bare expression
-    pot = make_pot(CouplingMode.PURE_SCALAR, particle=pion)
+    pot = make_pot(CouplingMode.PURE_SCALAR)
     hc = constants.hbar_c
     for E in (-100.0, 0.0, 105.71706):
         case = case_parameters(constants, pion, pot, QuantumNumbers(n=0, l=0), E)
@@ -220,7 +231,7 @@ def test_case_parameters_delta_zero_matches_direct_formula(constants, pion):
 def test_emes_orbital_term_when_b_zero(constants, pion):
     # k2 vanishes at w = 0, leaving K = l (l + 1) exactly for any delta
     for delta in (-0.003, 0.0, 0.003):
-        pot = make_pot(CouplingMode.EMES, delta=delta, particle=pion)
+        pot = make_pot(CouplingMode.EMES, delta=delta)
         for l in range(4):
             case = case_parameters(constants, pion, pot,
                                    QuantumNumbers(n=l, l=l), 10.0)
@@ -229,7 +240,7 @@ def test_emes_orbital_term_when_b_zero(constants, pion):
 
 def test_ps_centrifugal_shift_when_b_zero(constants, pion):
     # pure scalar at w = 0, delta = 0: K = (A / hbar_c)^2 exactly
-    pot = make_pot(CouplingMode.PURE_SCALAR, particle=pion)
+    pot = make_pot(CouplingMode.PURE_SCALAR)
     alpha = pot.A / constants.hbar_c
     case = case_parameters(constants, pion, pot, QuantumNumbers(n=0, l=0), 0.0)
     assert case.K == alpha * alpha
@@ -257,8 +268,8 @@ def test_mode_coefficients_pure_scalar_has_no_energy_term():
 def test_beta_sq_difference_emes_minus_pv(constants, pion):
     # at b = 0 the two conditions differ only by the rest-energy term:
     # beta^2(emes) - beta^2(pv) = 2 A m0c2 / (hbar c)^2
-    emes = make_pot(CouplingMode.EMES, particle=pion)
-    pv = make_pot(CouplingMode.PURE_VECTOR, particle=pion)
+    emes = make_pot(CouplingMode.EMES)
+    pv = make_pot(CouplingMode.PURE_VECTOR)
     hc = constants.hbar_c
     expected = 2.0 * emes.A * pion.m0c2 / (hc * hc)
     qn = QuantumNumbers(n=0, l=1)

@@ -284,6 +284,30 @@ def test_grid_doubling_keeps_every_root(constants, pion):
             assert min(abs(entry.energy - F) for F in fine_roots) <= 1e-6
 
 
+# Cells whose root lies between the last scan node with real eta and the
+# energy where eta turns complex: the default scan finds no bracket there,
+# a 1 000 000-point scan does.
+@pytest.mark.parametrize("mode,branch,A,delta,lambda_b,n,l,root", [
+    (CouplingMode.PURE_VECTOR, "minus", 327.74, -0.00585, 0.00542, 1, 0,
+     95.46724),
+    (CouplingMode.EMES, "plus", 174.23, -0.00539, -0.00575, 0, 0, 77.73140),
+    (CouplingMode.EMOS, "minus", 376.15, 0.00418, 0.00381, 2, 2, 119.69961),
+])
+def test_root_next_to_the_complex_eta_edge_is_found(constants, pion, mode,
+                                                    branch, A, delta, lambda_b,
+                                                    n, l, root):
+    spec = make_spec(constants, pion, mode, n=n, l=l, delta=delta,
+                     lambda_b=lambda_b, branch=branch, A=A)
+    cell = solve_cell(spec)
+    fine = solve_cell(spec, SolverConfig(grid_points=1_000_000))
+    assert [e.status for e in cell.entries] == [e.status for e in fine.entries]
+    for entry, reference in zip(cell.entries, fine.entries):
+        if entry.status == "converged":
+            assert entry.energy == pytest.approx(reference.energy, abs=1e-6)
+    assert root in [round(e.energy, 5) for e in cell.entries
+                    if e.status == "converged"]
+
+
 def test_solve_spectrum_is_deterministic(constants, pion):
     pot = PotentialSpec.from_lambda_b(A=A_DEFAULT, delta=-0.003,
                                       lambda_b=0.003, particle=pion,
