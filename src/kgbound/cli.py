@@ -494,8 +494,8 @@ def _cmd_wavefunction(args) -> int:
     for name, sol in solutions:
         samples = wavefunction_grid(sol, radii)
         rep = grid_report(samples, radii)
-        if sol.params.c > 0.0 and rep.node_count != args.n:
-            # For c > 0 all n roots of the Laguerre polynomial are positive.
+        if rep.node_count != args.n:
+            # c = 2 (eta + 1) > 0 puts all n roots of the polynomial at r > 0.
             sys.stderr.write(f"kgbound: warning: {name} line has "
                              f"{rep.node_count} sign changes on the grid, "
                              f"but n={args.n}\n")
@@ -542,18 +542,15 @@ def _axis_values(start: float, stop: float, step: float):
         raise _UsageError("--step must be positive")
     if stop < start:
         raise _UsageError("--stop must not be below --start")
-    too_many = _UsageError(f"the axis has more than {MAX_AXIS_POINTS} points")
-    if (stop - start) / step >= MAX_AXIS_POINTS:
-        raise too_many
-    values = []
-    # Bounded too: a step below the spacing of doubles near start never
-    # moves past stop, whatever the quotient above says.
-    for k in range(MAX_AXIS_POINTS + 1):
-        v = start + k * step
-        if v > stop + 1e-12 * step:
-            return values
-        values.append(v)
-    raise too_many
+    span = (stop - start) / step
+    if span >= MAX_AXIS_POINTS:
+        raise _UsageError(f"the axis has more than {MAX_AXIS_POINTS} points")
+    values = [start + k * step for k in range(math.floor(span + 1e-12) + 1)]
+    for prev, value in zip(values, values[1:]):
+        if value <= prev:
+            raise _UsageError(f"--step={step!r} does not advance the axis "
+                              f"value {prev!r}")
+    return values
 
 
 def _cmd_sweep(args) -> int:

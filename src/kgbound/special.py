@@ -1,28 +1,32 @@
-"""Confluent hypergeometric series and radial wave functions.
+"""Confluent hypergeometric functions and radial wave functions.
 
 The unnormalized radial function for a bound state at energy E is
 
-    u(r) = exp(-tau g r) * (g r)^(eta + 1) * 1F1(a; c; 2 tau g r),
+    u(r) = exp(-tau g r) * (g r)^(eta + 1) * 1F1(-n; c; 2 tau g r),
 
 with g = 1 + delta E, tau = sqrt(m0^2 c^4 - E^2) / (hbar c g),
-a = (eta + 1) - beta^2 / (2 tau) and c = 2 (eta + 1).  At a solution of
-the quantization condition a is a non-positive integer -n, the series
-truncates to a polynomial, and u has exactly n radial nodes.  The second
-independent solution is discarded: it behaves as (g r)^(-eta) near the
-origin and is not regular there.  u is reported unnormalized.
+c = 2 (eta + 1) and n the radial quantum number of the solved cell.  At a
+solution of the quantization condition a = (eta + 1) - beta^2 / (2 tau)
+equals -n, so 1F1(a; c; x) is the degree-n polynomial and u has exactly n
+radial nodes.  The degree is taken from the cell, never from the computed
+a, which is kept only as a diagnostic of how close the energy came.  The
+second independent solution is discarded: it behaves as (g r)^(-eta) near
+the origin and is not regular there, and a line with eta + 1 <= 0 is
+refused for the same reason.  u is reported unnormalized.
 
-kummer_1f1 and wavefunction_u evaluate one point and are the reference.
-kummer_1f1_grid and wavefunction_grid run the same arithmetic over a whole
-array only for the snapped polynomial, where every sample is bit-identical
-to the scalar call; the reference evaluates everything else and raises
-every error.
+kummer_polynomial evaluates 1F1(-n; c; x) by the three-term recurrence in
+the degree (DLMF 13.3.1), which keeps its accuracy where the power series
+cancels.  It takes a float or an array and uses only +, -, * and /, so
+wavefunction_u (one radius, the reference that raises every error) and
+wavefunction_grid (the whole array) agree bit for bit.  kummer_1f1 sums
+the power series of 1F1(a; c; x) for any a: it is the mpmath-tested
+reference and the way to evaluate a function off an eigenvalue.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
 from typing import Optional
 
 import numpy as np
@@ -31,7 +35,7 @@ from .errors import DomainError, EvaluationError
 from .model import (ParticleSpec, PhysicalConstants, PotentialSpec,
                     QuantumNumbers, case_parameters, energy_factor)
 
-SNAP_TOL = 1e-8          # distance to a non-positive integer that truncates
+POLE_TOL = 1e-8          # distance of c to a non-positive integer: singular
 TERM_CAP = 10_000        # series terms before giving up
 RATIO_TOL = 1e-16        # relative tail size that ends the summation
 _LOG_HUGE = 700.0        # ln of roughly the largest finite double
@@ -48,39 +52,24 @@ class KummerParams:
     def __post_init__(self):
         if not (math.isfinite(self.a) and math.isfinite(self.c)):
             raise DomainError(f"a and c must be finite, got a={self.a}, c={self.c}")
-        if self.c <= 0.0 and abs(self.c - round(self.c)) <= SNAP_TOL:
+        if self.c <= 0.0 and abs(self.c - round(self.c)) <= POLE_TOL:
             raise DomainError(f"c={self.c} is a non-positive integer; "
                               "1F1 is singular there")
-
-    @property
-    def polynomial_degree(self) -> Optional[int]:
-        """Degree when a snaps to a non-positive integer, else None."""
-        m = round(self.a)
-        if m <= 0 and abs(self.a - m) <= SNAP_TOL:
-            return -m
-        return None
 
 
 def kummer_1f1(params: KummerParams, x: float) -> float:
     """1F1(a; c; x) for x >= 0 by direct term recurrence.
 
-    When a lies within SNAP_TOL of a non-positive integer -n the sum is
-    cut after the degree-n term, which is the exact polynomial value up to
-    the tiny off-integer part of a.  Otherwise terms are added until the
-    running term is below RATIO_TOL of the partial sum twice in a row;
-    exceeding TERM_CAP raises EvaluationError.
+    Terms are added until the running term is below RATIO_TOL of the
+    partial sum twice in a row, so at an exact a = -n the sum ends by
+    itself after the degree-n term; exceeding TERM_CAP raises
+    EvaluationError.
     """
     if not (x >= 0.0 and math.isfinite(x)):
         raise DomainError(f"x must be finite and non-negative, got {x}")
-    degree = params.polynomial_degree
     a, c = params.a, params.c
     term = 1.0
     total = 1.0
-    if degree is not None:
-        for k in range(degree):
-            term *= (a + k) / (c + k) * x / (k + 1.0)
-            total += term
-        return total
     small_streak = 0
     for k in range(TERM_CAP):
         term *= (a + k) / (c + k) * x / (k + 1.0)
@@ -93,6 +82,20 @@ def kummer_1f1(params: KummerParams, x: float) -> float:
             small_streak = 0
     raise EvaluationError(f"1F1({params.a}; {params.c}; {x}) did not "
                           f"converge within {TERM_CAP} terms")
+
+
+def kummer_polynomial(n: int, c: float, x):
+    """1F1(-n; c; x) at a float or at every element of an array x.
+
+    M_{k+1} = ((2k + c - x) M_k - k M_{k-1}) / (c + k), from M_0 = 1.
+    Overflow gives inf and inf - inf gives NaN, silently, for floats and
+    arrays alike.
+    """
+    prev, cur = 0.0, 1.0 + 0.0 * x
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(n):
+            prev, cur = cur, ((2.0 * k + c - x) * cur - k * prev) / (c + k)
+    return cur
 
 
 @dataclass(frozen=True)
@@ -116,6 +119,8 @@ def build_wave_solution(constants: PhysicalConstants, particle: ParticleSpec,
     tau = math.sqrt(case.tau_sq)
     if not (tau > 0.0):
         raise DomainError(f"tau must be positive, got {tau} at E={energy}")
+    if not case.eta + 1.0 > 0.0:
+        raise DomainError(f"u is not regular at the origin (eta = {case.eta!r})")
     g = energy_factor(pot, energy)
     a = (case.eta + 1.0) - case.beta_sq / (2.0 * tau)
     c = 2.0 * (case.eta + 1.0)
@@ -136,7 +141,10 @@ def wavefunction_u(sol: WaveSolution, r: float) -> float:
     if r == 0.0:
         return 0.0
     z = sol.growth * r
-    F = kummer_1f1(sol.params, 2.0 * sol.tau * z)
+    x = 2.0 * sol.tau * z
+    if not (x >= 0.0 and math.isfinite(x)):
+        raise DomainError(f"x must be finite and non-negative, got {x}")
+    F = kummer_polynomial(sol.n, sol.params.c, x)
     if F == 0.0:
         return 0.0
     if z == 0.0:
@@ -147,51 +155,22 @@ def wavefunction_u(sol: WaveSolution, r: float) -> float:
     return math.copysign(math.exp(log_mag), F)
 
 
-def kummer_1f1_grid(params: KummerParams, x) -> np.ndarray:
-    """kummer_1f1 at every element of x.
-
-    A snapped polynomial runs its k < n term steps on the whole array, so
-    every value is bit-identical to kummer_1f1's; any other a maps
-    kummer_1f1 over x.  Bad input raises what that loop raises first.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    degree = params.polynomial_degree
-    if degree is None:
-        return _map(partial(kummer_1f1, params), x)
-    bad = ~((x >= 0.0) & np.isfinite(x))
-    if bad.any():
-        _raise_from(kummer_1f1, params, float(x[bad.argmax()]))
-    a, c = params.a, params.c
-    term = np.ones_like(x)
-    total = np.ones_like(x)
-    # Python floats overflow to inf and inf - inf is NaN without a
-    # warning; the array arithmetic must do the same.
-    with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(degree):
-            term *= (a + k) / (c + k) * x / (k + 1.0)
-            total += term
-    return total
-
-
 def wavefunction_grid(sol: WaveSolution, radii) -> np.ndarray:
     """u at every radius, bit-identical to wavefunction_u at each.
 
-    At a solved energy 1F1 is a polynomial and wavefunction_u's arithmetic
-    runs on the whole array; any other energy maps wavefunction_u over the
-    radii.  On the array path every sample the scalar call rejects is
-    marked, and wavefunction_u runs on the first one to raise its error.
-    The logarithms and exponentials map math.log and math.exp, because
-    NumPy's vectorised versions may differ from libm in the last bit.
+    wavefunction_u's arithmetic runs on the whole array.  Every sample the
+    scalar call rejects is marked, and wavefunction_u runs on the first one
+    to raise its error.  The logarithms and exponentials map math.log and
+    math.exp, because NumPy's vectorised versions may differ from libm in
+    the last bit.
     """
     r = np.asarray(radii, dtype=np.float64)
-    if sol.params.polynomial_degree is None:
-        return _map(partial(wavefunction_u, sol), r)
     with np.errstate(over="ignore"):  # inf, as in Python; marked below
         z = sol.growth * r
         x = 2.0 * sol.tau * z
     bad = (r < 0.0) | ((r != 0.0) & ~((x >= 0.0) & np.isfinite(x)))
     live = np.flatnonzero((r != 0.0) & ~bad)
-    F = kummer_1f1_grid(sol.params, x[live])
+    F = kummer_polynomial(sol.n, sol.params.c, x[live])
     keep = F != 0.0
     live, F, z = live[keep], F[keep], z[live[keep]]
     bad[live[z == 0.0]] = True  # g r underflowed; wavefunction_u raises

@@ -1,4 +1,5 @@
 import csv
+import math
 import os
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 from kgbound import CouplingMode, ParticleSpec, PhysicalConstants, PotentialSpec
 from kgbound.quantization import evaluate_grid
 from kgbound.rootfind import SolverConfig, bracket_scan, solve_spectrum
+from kgbound.special import grid_report, kummer_1f1
 
 FIXTURE_DIR = os.path.join(os.path.dirname(__file__), "fixtures")
 GRID_VALUES = (-0.003, 0.0, 0.003)
@@ -39,6 +41,19 @@ def scan_brackets(spec, config):
     E = scan_grid(spec, config)
     res, _, den, status = evaluate_grid(spec, E)
     return bracket_scan(E, res, den, status)
+
+
+def series_report(sol, r_max, points=2000):
+    """grid_report of u built on the power series 1F1(a; c; x) at the
+    solution's computed a, which off an eigenvalue is no polynomial."""
+    radii = np.linspace(0.0, r_max, points)
+    u = np.zeros(points)
+    for i, z in enumerate((sol.growth * radii[1:]).tolist(), start=1):
+        F = kummer_1f1(sol.params, 2.0 * sol.tau * z)
+        if F != 0.0:
+            u[i] = math.copysign(math.exp(-sol.tau * z + (sol.eta + 1.0)
+                                          * math.log(z) + math.log(abs(F))), F)
+    return grid_report(u, radii)
 
 
 def fixture_path(mode_name):

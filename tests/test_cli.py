@@ -208,10 +208,24 @@ def test_sweep_rejects_axis_above_point_bound(capsys):
     assert main(SWEEP_PS + ["--start=-0.001", "--stop=0.001",
                             "--step=1e-300"]) == 1
     assert f"more than {MAX_AXIS_POINTS} points" in capsys.readouterr().err
-    # a step below the spacing of doubles near start never passes stop
-    assert main(SWEEP_PS + ["--start=1.0", "--stop=1.0",
-                            "--step=1e-300"]) == 1
-    assert f"more than {MAX_AXIS_POINTS} points" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("start,step", [(1e300, 1.0), (1.0, 1e-300)])
+def test_sweep_axis_of_one_point_needs_no_step(start, step, capsys):
+    # start == stop is one point however little the step would advance it
+    assert main(SWEEP_PS + [f"--start={start!r}", f"--stop={start!r}",
+                            f"--step={step!r}", "--format", "json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert [p["value"] for p in payload["points"]] == [start]
+
+
+def test_sweep_step_below_spacing_of_doubles_is_usage_error(capsys):
+    # 45 points by the quotient, but 1 + k * 1e-17 rounds back to 1.0
+    assert main(SWEEP_PS + ["--start=1.0", "--stop=1.0000000000000004",
+                            "--step=1e-17"]) == 1
+    out, err = capsys.readouterr()
+    assert "--step=1e-17 does not advance the axis value 1.0" in err
+    assert out == ""
 
 
 def test_solver_defaults_come_from_solver_config(capsys):
@@ -546,22 +560,58 @@ def test_non_positive_m0c2_is_usage_error(m0c2, capsys):
     assert "Traceback" not in err
 
 
+def line_nodes(out):
+    return [line.split("nodes=")[1].split()[0]
+            for line in out.splitlines() if line.startswith("# line ")]
+
+
 def test_wavefunction_warns_when_node_count_is_not_n(capsys):
     # c > 0 puts all n roots of the polynomial on r > 0; the grid sign
     # changes of a degree-60 line fall short of them
     argv = ["wavefunction", "--mode", "ps", "--n=60", "--l=0", "--points=100"]
     assert main(argv) == 0
     out, err = capsys.readouterr()
-    nodes = {line.split("nodes=")[1].split()[0]
-             for line in out.splitlines() if line.startswith("# line ")}
+    nodes = set(line_nodes(out))
     assert len(nodes) == 1 and nodes != {"60"}
     count = nodes.pop()
     assert err == "".join(f"kgbound: warning: {name} line has {count} "
                           f"sign changes on the grid, but n=60\n"
                           for name in ("lower", "upper"))
-    # a line whose count is n, and a minus-branch line with c < 0
-    for argv in (["wavefunction", "--mode", "ps", "--n=3", "--l=1"],
-                 ["wavefunction", "--mode", "ps", "--A=60", "--n=1",
-                  "--l=0", "--branch", "minus"]):
-        assert main(argv) == 0
-        assert capsys.readouterr().err == ""
+    # a line whose count is n
+    assert main(["wavefunction", "--mode", "ps", "--n=3", "--l=1"]) == 0
+    assert capsys.readouterr().err == ""
+    # a minus-branch line with c < 0 is refused, not counted
+    assert main(["wavefunction", "--mode", "ps", "--A=60", "--n=1", "--l=0",
+                 "--branch", "minus"]) == 1
+    assert "not regular at the origin" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    # the upper line's a is -5.0000000104, off an integer by 1e-8; the
+    # degree comes from the cell, so no e^x tail adds a sixth node
+    ["--n=5", "--l=5", "--delta=0.000601", "--lambda-b=-0.001438"],
+    # the power series loses every digit at n = 60; the recurrence does not
+    ["--n=60", "--l=0"],
+], ids=["a-off-integer", "n60"])
+def test_wavefunction_has_n_nodes_on_a_fine_grid(argv, capsys):
+    assert main(["wavefunction", "--mode", "ps", "--points=20000"] + argv) == 0
+    out, err = capsys.readouterr()
+    n = argv[0].split("=")[1]
+    assert line_nodes(out) == [n, n]
+    assert err == ""
+
+
+@pytest.mark.parametrize("mode,argv", [
+    ("ps", ["--n=1", "--l=0"]),      # eta = -1.085, c < 0
+    ("emes", ["--n=1", "--l=0"]),    # eta = -1, c = 0
+    ("emos", ["--n=0", "--l=1"]),    # eta = -2
+    ("pv", ["--n=0", "--l=1"]),      # eta = -1.969
+], ids=["ps", "emes", "emos", "pv"])
+def test_wavefunction_refuses_a_line_singular_at_the_origin(mode, argv,
+                                                            capsys):
+    # with eta + 1 <= 0, (g r)^(eta + 1) does not vanish at r = 0
+    assert main(["wavefunction", "--mode", mode, "--A=60", "--branch",
+                 "minus"] + argv) == 1
+    out, err = capsys.readouterr()
+    assert "kgbound: error: u is not regular at the origin (eta = -" in err
+    assert out == ""

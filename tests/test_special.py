@@ -13,11 +13,13 @@ from kgbound import (BranchError, CouplingMode, DomainError, EvaluationError,
                      PotentialSpec, QuantumNumbers, special)
 from kgbound.quantization import build_residual_spec
 from kgbound.rootfind import solve_cell
-from kgbound.special import (MAX_RADIAL_POINTS, SNAP_TOL, BoundaryReport,
-                             KummerParams, boundary_report,
-                             build_wave_solution, default_r_max, grid_report,
-                             kummer_1f1, kummer_1f1_grid, normalize_on_grid,
+from kgbound.special import (MAX_RADIAL_POINTS, BoundaryReport, KummerParams,
+                             boundary_report, build_wave_solution,
+                             default_r_max, grid_report, kummer_1f1,
+                             kummer_polynomial, normalize_on_grid,
                              wavefunction_grid, wavefunction_u)
+
+from conftest import series_report
 
 mpmath.mp.dps = 40
 
@@ -48,14 +50,6 @@ def test_kummer_params_reject_singular_c():
         KummerParams(a=math.nan, c=1.0)
 
 
-def test_polynomial_degree_snapping():
-    assert KummerParams(a=-2.0, c=1.0).polynomial_degree == 2
-    assert KummerParams(a=-2.0 + 0.5 * SNAP_TOL, c=1.0).polynomial_degree == 2
-    assert KummerParams(a=-2.0 + 1e-7, c=1.0).polynomial_degree is None
-    assert KummerParams(a=0.0, c=1.0).polynomial_degree == 0
-    assert KummerParams(a=3.0, c=1.0).polynomial_degree is None
-
-
 def test_kummer_at_origin_is_one():
     assert kummer_1f1(KummerParams(a=2.7, c=1.3), 0.0) == 1.0
     assert kummer_1f1(KummerParams(a=-4.0, c=2.0), 0.0) == 1.0
@@ -73,6 +67,10 @@ def test_kummer_linear_truncation_by_hand():
     # a = -1 cuts the series to 1 - x/c
     assert kummer_1f1(KummerParams(a=-1.0, c=2.0), 3.0) == -0.5
     assert kummer_1f1(KummerParams(a=0.0, c=2.0), 17.0) == 1.0
+    assert kummer_polynomial(1, 2.0, 3.0) == -0.5
+    assert kummer_polynomial(0, 2.0, 17.0) == 1.0
+    # 1F1(-2; c; x) = 1 - 2x/c + x^2/(c (c + 1))
+    assert kummer_polynomial(2, 2.0, 3.0) == 1.0 - 3.0 + 1.5
 
 
 def test_kummer_rejects_bad_argument():
@@ -130,7 +128,6 @@ def test_build_wave_solution_snaps_kummer_a(constants, pion, solve_block):
     sol = build_wave_solution(constants, pion, pot, QuantumNumbers(n=1, l=0),
                               entry.energy)
     assert abs(sol.params.a + 1.0) < 1e-6
-    assert sol.params.polynomial_degree == 1
     assert sol.params.c == pytest.approx(2.0 * (sol.eta + 1.0), rel=1e-15)
 
 
@@ -166,10 +163,12 @@ def test_off_eigenvalue_tail_blows_up(constants, pion, solve_block):
     sol = build_wave_solution(constants, pion, pot, qn, entry.energy)
     r_max = default_r_max(sol)
     assert boundary_report(sol, r_max=r_max).tail_ratio < 1e-4
+    # off an eigenvalue a is no integer; the power series at that a grows
+    # like e^x, where the cell's polynomial would not
     for shift in (1.0, -1.0):
         off = build_wave_solution(constants, pion, pot, qn,
                                   entry.energy + shift)
-        assert boundary_report(off, r_max=r_max).tail_ratio >= 1e-2
+        assert series_report(off, r_max).tail_ratio >= 1e-2
 
 
 def test_bound_state_decays_within_forty_fm(constants, pion, solve_block):
@@ -212,7 +211,7 @@ def test_wavefunction_without_energy_dependence_matches_plain_path(
     assert sol.growth == 1.0
 
     def plain_u(r):
-        F = kummer_1f1(sol.params, 2.0 * sol.tau * r)
+        F = kummer_polynomial(sol.n, sol.params.c, 2.0 * sol.tau * r)
         if F == 0.0:
             return 0.0
         log_mag = (-sol.tau * r + (sol.eta + 1.0) * math.log(r)
@@ -235,9 +234,9 @@ def scalar_loop(sol, radii):
     return [wavefunction_u(sol, float(r)) for r in radii]
 
 
-# random cells in every coupling mode and on both branches; reach is
-# r_max in units of default_r_max, wide enough that tails underflow at an
-# eigenvalue and overflow off it
+# random cells in every coupling mode and on both branches, evaluated at
+# the solved energy and off it; reach is r_max in units of default_r_max,
+# wide enough that tails underflow
 wave_cases = st.fixed_dictionaries({
     "mode": st.sampled_from(list(CouplingMode)),
     "A": st.floats(20.0, 400.0),
@@ -249,18 +248,17 @@ wave_cases = st.fixed_dictionaries({
     "shift": st.floats(-3.0, -1e-3) | st.floats(1e-3, 3.0),
     "reach": st.floats(0.2, 40.0),
     "negative_at": st.none() | st.integers(0, 199),
-    "term_cap": st.none() | st.integers(1, 60),
 })
 
 
 @example(case={"mode": CouplingMode.PURE_SCALAR, "A": 200.0, "delta": 0.0,
                "lambda_b": 0.0, "n": 1, "l": 1, "branch": "plus",
-               "shift": 0.5, "reach": 30.0, "negative_at": None,
-               "term_cap": None})  # -0.0 tail, then overflow off the line
+               "shift": 0.5, "reach": 30.0,
+               "negative_at": None})  # -0.0 tail
 @example(case={"mode": CouplingMode.EMES, "A": 200.0, "delta": -0.003,
                "lambda_b": 0.003, "n": 3, "l": 0, "branch": "plus",
-               "shift": 1.0, "reach": 1.0, "negative_at": 150,
-               "term_cap": 5})  # negative r, then TERM_CAP before it
+               "shift": 1.0, "reach": 1.0,
+               "negative_at": 150})  # negative r
 @settings(max_examples=100, deadline=None)
 @given(case=wave_cases)
 def test_wavefunction_grid_matches_pointwise(constants, pion, case):
@@ -289,42 +287,46 @@ def test_wavefunction_grid_matches_pointwise(constants, pion, case):
         radii = np.linspace(0.0, case["reach"] * default_r_max(sol), 200)
         if case["negative_at"] is not None:
             radii[case["negative_at"]] = -radii[case["negative_at"]] - 1.0
-        with mock.patch.object(special, "TERM_CAP",
-                               case["term_cap"] or special.TERM_CAP):
-            assert (outcome(wavefunction_grid, sol, radii)
-                    == outcome(scalar_loop, sol, radii))
+        assert (outcome(wavefunction_grid, sol, radii)
+                == outcome(scalar_loop, sol, radii))
+
+
+def largest_term(n, c, x):
+    """max over k <= n of |M_k|, by the recurrence at 40 digits."""
+    prev, cur = mpmath.mpf(0), mpmath.mpf(1)
+    biggest = cur
+    for k in range(n):
+        prev, cur = cur, ((2 * k + c - x) * cur - k * prev) / (c + k)
+        biggest = max(biggest, abs(cur))
+    return biggest
+
+
+kummer_polynomial_cases = dict(
+    n=st.integers(0, 60), c=st.floats(0.01, 100.0),
+    x=st.lists(st.floats(0.0, 600.0), min_size=1, max_size=20))
 
 
 @settings(max_examples=200, deadline=None)
-@given(a=st.floats(-12.0, 12.0), c=st.floats(-6.0, 12.0),
-       degree=st.none() | st.integers(0, 12),
-       nudge=st.floats(-0.5 * SNAP_TOL, 0.5 * SNAP_TOL),
-       x=st.lists(st.floats(0.0, 200.0), min_size=1, max_size=40),
-       term_cap=st.none() | st.integers(1, 60))
-def test_kummer_grid_matches_scalar(a, c, degree, nudge, x, term_cap):
-    # snapped polynomials included, the array is the bytes of a loop of
-    # kummer_1f1 calls, or raises that loop's first error class and text
-    if degree is not None:
-        a = -degree + nudge
-    try:
-        params = KummerParams(a=a, c=c)
-    except DomainError:
-        reject()
-    with mock.patch.object(special, "TERM_CAP", term_cap or special.TERM_CAP):
-        assert (outcome(kummer_1f1_grid, params, x)
-                == outcome(lambda xs: [kummer_1f1(params, xi) for xi in xs],
-                           x))
+@given(**kummer_polynomial_cases)
+def test_kummer_polynomial_array_matches_floats(n, c, x):
+    # only +, -, * and / touch x, so each element is the float call's bytes
+    want = np.array([kummer_polynomial(n, c, xi) for xi in x])
+    assert kummer_polynomial(n, c, np.array(x)).tobytes() == want.tobytes()
 
 
-@pytest.mark.parametrize("bad", [-1.0, -1e-300, math.nan, math.inf])
-def test_kummer_grid_rejects_bad_argument(bad):
-    for a in (1.5, -2.0):  # the mapped series and the array polynomial
-        params = KummerParams(a=a, c=2.0)
-        with pytest.raises(DomainError) as scalar:
-            kummer_1f1(params, bad)
-        with pytest.raises(DomainError) as grid:
-            kummer_1f1_grid(params, [0.5, bad, -2.0])
-        assert str(grid.value) == str(scalar.value)
+@settings(max_examples=200, deadline=None)
+@given(**kummer_polynomial_cases)
+def test_kummer_polynomial_matches_mpmath(n, c, x):
+    # each of the n steps rounds with relative error about 3 eps of the
+    # values it combines, and near x = 0 an error made at step k persists
+    # unchanged through the remaining n - k steps, so the errors add up to
+    # at most about (n + 1)^2 / 2 of eps times the largest |M_k|
+    eps = np.finfo(np.float64).eps
+    for xi in x:
+        got = kummer_polynomial(n, c, xi)
+        biggest = largest_term(n, mpmath.mpf(c), mpmath.mpf(xi))
+        want = mpmath.hyp1f1(-n, c, xi, zeroprec=1000)  # can be 0
+        assert abs(got - want) <= (n + 1) ** 2 * eps * biggest, (n, c, xi)
 
 
 def test_polynomial_grid_never_calls_the_reference(constants, pion,
@@ -337,7 +339,6 @@ def test_polynomial_grid_never_calls_the_reference(constants, pion,
     cell = solve_cell(build_residual_spec(constants, pion, pot, qn))
     assert cell.upper.status == "converged"
     sol = build_wave_solution(constants, pion, pot, qn, cell.upper.energy)
-    assert sol.params.polynomial_degree == 3
     radii = np.linspace(0.0, default_r_max(sol), 20_000)
     want = np.asarray(scalar_loop(sol, radii)).tobytes()
 
@@ -365,7 +366,6 @@ def test_polynomial_grid_raises_the_scalar_error(constants, pion, solve_block,
     sol = replace(build_wave_solution(constants, pion, pot,
                                       QuantumNumbers(n=2, l=0), entry.energy),
                   **changes)
-    assert sol.params.polynomial_degree == 2
     radii = np.linspace(0.0, 30.0, 50)
     radii[[20, 35]] = bad_r, -1.0
     want = outcome(scalar_loop, sol, radii)
@@ -402,8 +402,6 @@ def test_kummer_matches_mpmath_relative_to_term_sum(a, c, degree, x):
     if degree is not None:
         a = -float(degree)
     params = KummerParams(a=a, c=c)
-    if params.polynomial_degree is not None and a != round(a):
-        reject()  # cut on purpose inside the snap band; not 1F1(a; c; x)
     got = kummer_1f1(params, x)
     want = mpmath.hyp1f1(a, c, x, zeroprec=1000)  # 1F1(-n; c; x) can be 0
     total, abs_sum, kept = series_term_sum(mpmath.mpf(a), mpmath.mpf(c),
@@ -412,13 +410,10 @@ def test_kummer_matches_mpmath_relative_to_term_sum(a, c, degree, x):
     assert abs(total - want) <= mpmath.mpf(10) ** -30 * abs_sum
     assert abs(got - want) <= (4 * kept + 4) * eps * abs_sum, (a, c, x)
     # one term is never enough for the stopping rule, which needs two
-    # small terms in a row; a polynomial ignores the cap
+    # small terms in a row, not even at a = -n
     with mock.patch.object(special, "TERM_CAP", 1):
-        if params.polynomial_degree is None:
-            with pytest.raises(EvaluationError):
-                kummer_1f1(params, x)
-        else:
-            assert kummer_1f1(params, x) == got
+        with pytest.raises(EvaluationError):
+            kummer_1f1(params, x)
 
 
 def test_normalize_on_grid():
