@@ -61,13 +61,17 @@ def kummer_1f1(params: KummerParams, x: float) -> float:
     """1F1(a; c; x) for x >= 0 by direct term recurrence.
 
     Terms are added until the running term is below RATIO_TOL of the
-    partial sum twice in a row, so at an exact a = -n the sum ends by
-    itself after the degree-n term; exceeding TERM_CAP raises
-    EvaluationError.
+    partial sum twice in a row, and either is zero or k > |a| + |c| + x.
+    From there on every term ratio (a + k) x / ((c + k) (k + 1)) is below
+    1 in size, so the terms can no longer grow: a tiny a or a tiny a + n
+    makes the early terms small, but the later ones grow back like e^x.
+    At an exact a = -n the terms are zero after the degree-n one and the
+    sum ends there.  Exceeding TERM_CAP raises EvaluationError.
     """
     if not (x >= 0.0 and math.isfinite(x)):
         raise DomainError(f"x must be finite and non-negative, got {x}")
     a, c = params.a, params.c
+    past_growth = abs(a) + abs(c) + x
     term = 1.0
     total = 1.0
     small_streak = 0
@@ -76,7 +80,7 @@ def kummer_1f1(params: KummerParams, x: float) -> float:
         total += term
         if abs(term) <= RATIO_TOL * abs(total):
             small_streak += 1
-            if small_streak >= 2:
+            if small_streak >= 2 and (term == 0.0 or k > past_growth):
                 return total
         else:
             small_streak = 0

@@ -392,6 +392,9 @@ def series_term_sum(a, c, x):
     return total, abs_sum, kept
 
 
+@example(a=6.752161044656324e-25, c=1.0, degree=None,
+         x=28.0)  # early terms tiny, later ones grow back to 4e-14
+@example(a=-3.0 + 1e-12, c=2.5, degree=None, x=40.0)  # so near a = -n
 @settings(max_examples=150, deadline=None)
 @given(a=st.floats(-10.0, 10.0), c=st.floats(0.5, 12.0),
        degree=st.none() | st.integers(0, 12), x=st.floats(0.0, 60.0))
