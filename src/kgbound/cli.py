@@ -35,13 +35,14 @@ from .model import (DEFAULT_HBAR_C, NEUTRAL_PION_M0C2, CouplingMode,
                     ParticleSpec, PhysicalConstants, PotentialSpec,
                     QuantumNumbers, mass_at, vector_potential)
 from .quantization import build_residual_spec
-from .rootfind import SolverConfig, solve_cell, solve_spectrum
+from .rootfind import (SolverConfig, solve_cell, solve_spectrum,
+                       spectrum_cells)
 from .special import (MAX_RADIAL_POINTS, build_wave_solution, default_r_max,
                       grid_report, normalize_on_grid, wavefunction_grid)
 
 GRID_VALUES = (-0.003, 0.0, 0.003)
 GRID_NMAX = 3
-GRID_CELLS = tuple((n, l) for n in range(GRID_NMAX + 1) for l in range(n + 1))
+GRID_CELLS = tuple(spectrum_cells(GRID_NMAX, None))
 DEFAULT_A = 200.0
 DEFAULT_CHECK_TOL = 0.02
 DEFAULT_AIM_CAP = 32
@@ -314,7 +315,7 @@ def _write_table(args, manifest: dict, body, header, rows, notes=()):
     of body(); as CSV, the manifest and the notes as '#' lines, then the
     header and the rows (floats by repr, None as an empty field)."""
     if args.format == "json":
-        text = json.dumps({"manifest": manifest, **body()}, indent=2) + "\n"
+        text = json.dumps({"manifest": manifest, **body()}) + "\n"
     else:
         buf = io.StringIO()
         buf.writelines(f"# {key}: {value}\n" for key, value in manifest.items())

@@ -7,9 +7,9 @@ A bound state at quantum numbers (n, l) satisfies
 
 with eta = -1/2 + s sqrt(1/4 + K(E)) and the mode-dependent coefficients
 from model.mode_coefficients.  residual(E) is LHS - RHS; its roots inside
-the window (-m0c2, m0c2) are the candidate energies.  Roots where the RHS
-is negative violate the sign convention of the condition and are rejected
-(sign_validity).
+the window (-m0c2, m0c2), cut where eta turns complex, are the candidate
+energies.  Roots where the RHS is negative violate the sign convention of
+the condition and are rejected (sign_validity).
 """
 
 from __future__ import annotations
@@ -68,20 +68,47 @@ def physical_window(m0c2: float, delta: float,
     return (lo, hi)
 
 
+def _real_eta_window(window: tuple, m0c2: float, delta: float, k2: float,
+                     ll1: float) -> tuple:
+    """window cut at the last double with real eta, found by bisection.
+    1/4 + K(E) is monotone in E, so eta is complex on at most one end; a
+    window with real eta at both ends, or complex eta at both, stays whole."""
+    def complex_eta(E: float) -> bool:
+        return (_kernels.energy_terms(E, m0c2, delta, k2, ll1)[0]
+                == _kernels.STATUS_COMPLEX_ETA)
+
+    lo, hi = window
+    cut_lo = complex_eta(lo)
+    if cut_lo == complex_eta(hi):
+        return window
+    real, edge = (hi, lo) if cut_lo else (lo, hi)
+    while (mid := 0.5 * (real + edge)) not in (real, edge):
+        if complex_eta(mid):
+            edge = mid
+        else:
+            real = mid
+    return (real, hi) if cut_lo else (lo, real)
+
+
 def build_residual_spec(constants: PhysicalConstants, particle: ParticleSpec,
                         pot: PotentialSpec, qn: QuantumNumbers,
                         branch="plus",
                         window_margin: float = DEFAULT_WINDOW_MARGIN) -> ResidualSpec:
+    """Coefficients of one (n, l) cell on one branch.  The window is
+    physical_window ending at the last energy with real eta, or all of
+    physical_window where eta is complex at both of its ends."""
     sgn = parse_branch(branch)
     m0c2 = particle.m0c2
     w = pot.lambda_b * m0c2
     alpha = pot.A / constants.hbar_c
     c0, c1, k2 = mode_coefficients(pot.mode, m0c2, w, alpha)
+    ll1 = float(qn.l * (qn.l + 1))
+    window = physical_window(m0c2, pot.delta, window_margin)
     return ResidualSpec(
         mode=pot.mode, n=qn.n, l=qn.l, branch_sign=sgn, m0c2=m0c2,
-        delta=pot.delta, alpha=alpha, c0=c0, c1=c1, k2=k2,
-        ll1=float(qn.l * (qn.l + 1)), n_plus_half=qn.n + 0.5,
-        window=physical_window(m0c2, pot.delta, window_margin))
+        delta=pot.delta, alpha=alpha, c0=c0, c1=c1, k2=k2, ll1=ll1,
+        n_plus_half=qn.n + 0.5,
+        window=_real_eta_window(window, m0c2, pot.delta, k2, ll1))
 
 
 def evaluate(spec: ResidualSpec, E: float):

@@ -220,10 +220,17 @@ def normalize_on_grid(u: np.ndarray, radii: np.ndarray) -> np.ndarray:
 
 
 def default_r_max(sol: WaveSolution) -> float:
-    """Radius where the dominant factor exp(-tau g r) has decayed by
-    e^-25 past the polynomial turning region."""
-    scale = 25.0 + 2.0 * (sol.eta + sol.n + 1.0)
-    return scale / (sol.tau * sol.growth)
+    """Radius past which u has decayed, in x = 2 tau g r.
+
+    u solves Whittaker's equation in x, whose outer turning point is
+    x_out = 2(n + eta + 1) + 2 sqrt(n^2 + (eta + 1)(2n + 1)).  Past it,
+    e^(-x/2) falls by e^-25 over 50 and the degree-n polynomial's growth
+    is covered by 2 sqrt(n x_out) more.
+    """
+    n, e1 = sol.n, sol.eta + 1.0
+    x_out = 2.0 * (n + e1 + math.sqrt(n * n + e1 * (2 * n + 1)))
+    x_max = x_out + 50.0 + 2.0 * math.sqrt(n * x_out)
+    return x_max / (2.0 * sol.tau * sol.growth)
 
 
 @dataclass(frozen=True)

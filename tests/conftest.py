@@ -36,8 +36,7 @@ def scan_grid(spec, config):
 
 
 def scan_brackets(spec, config):
-    """The brackets of solve_cell's uniform scan for one cell, without the
-    node it adds where eta turns complex."""
+    """The brackets of solve_cell's uniform scan for one cell."""
     E = scan_grid(spec, config)
     res, _, den, status = evaluate_grid(spec, E)
     return bracket_scan(E, res, den, status)

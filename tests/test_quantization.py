@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from kgbound import (BranchError, CouplingMode, DomainError, ParticleSpec,
                      PotentialSpec, QuantumNumbers, SpectrumEntry,
@@ -54,6 +56,37 @@ def test_residual_spec_fields(constants, pion):
     assert spec.describe_branch() == "plus"
     assert make_spec(constants, pion, CouplingMode.EMES,
                      branch="minus").describe_branch() == "minus"
+
+
+def eta_status(spec, E):
+    return _kernels.energy_terms(E, spec.m0c2, spec.delta, spec.k2, spec.ll1)[0]
+
+
+@example(mode=CouplingMode.EMES, A=174.23, delta=-0.00539, lambda_b=-0.00575,
+         l=0)  # cut at the low end
+@example(mode=CouplingMode.EMOS, A=376.15, delta=0.00418, lambda_b=0.00381,
+         l=2)  # cut at the high end
+@settings(max_examples=300, deadline=None)
+@given(mode=st.sampled_from(list(CouplingMode)), A=st.floats(20.0, 400.0),
+       delta=st.floats(-0.008, 0.008), lambda_b=st.floats(-0.006, 0.006),
+       l=st.integers(0, 5))
+def test_window_ends_at_the_last_real_eta_energy(constants, pion, mode, A,
+                                                 delta, lambda_b, l):
+    spec = make_spec(constants, pion, mode, l=l, delta=delta,
+                     lambda_b=lambda_b, A=A)
+    lo, hi = physical_window(pion.m0c2, delta)
+    if spec.window == (lo, hi):
+        return
+    if spec.window[1] == hi:
+        end, outward = spec.window[0], -math.inf
+        assert lo < end
+    else:
+        assert spec.window[0] == lo
+        end, outward = spec.window[1], math.inf
+        assert end < hi
+    assert eta_status(spec, end) == _kernels.STATUS_OK
+    assert (eta_status(spec, float(np.nextafter(end, outward)))
+            == _kernels.STATUS_COMPLEX_ETA)
 
 
 def test_residual_matches_case_parameters(constants, pion):

@@ -284,15 +284,19 @@ def test_grid_doubling_keeps_every_root(constants, pion):
             assert min(abs(entry.energy - F) for F in fine_roots) <= 1e-6
 
 
-# Cells whose root lies between the last scan node with real eta and the
-# energy where eta turns complex: the default scan finds no bracket there,
-# a 1 000 000-point scan does.
-@pytest.mark.parametrize("mode,branch,A,delta,lambda_b,n,l,root", [
+# Cells whose root lies between the energy where eta turns complex and the
+# last real-eta node of a uniform scan over the uncut window (-m0c2, m0c2):
+# that scan finds no bracket there, a 1 000 000-point scan does.
+EDGE_ROOT_CELLS = [
     (CouplingMode.PURE_VECTOR, "minus", 327.74, -0.00585, 0.00542, 1, 0,
      95.46724),
     (CouplingMode.EMES, "plus", 174.23, -0.00539, -0.00575, 0, 0, 77.73140),
     (CouplingMode.EMOS, "minus", 376.15, 0.00418, 0.00381, 2, 2, 119.69961),
-])
+]
+
+
+@pytest.mark.parametrize("mode,branch,A,delta,lambda_b,n,l,root",
+                         EDGE_ROOT_CELLS)
 def test_root_next_to_the_complex_eta_edge_is_found(constants, pion, mode,
                                                     branch, A, delta, lambda_b,
                                                     n, l, root):
@@ -306,6 +310,18 @@ def test_root_next_to_the_complex_eta_edge_is_found(constants, pion, mode,
             assert entry.energy == pytest.approx(reference.energy, abs=1e-6)
     assert root in [round(e.energy, 5) for e in cell.entries
                     if e.status == "converged"]
+
+
+@pytest.mark.parametrize("mode,branch,A,delta,lambda_b,n,l,root",
+                         EDGE_ROOT_CELLS)
+def test_plain_scan_of_the_cell_window_brackets_the_edge_root(
+        constants, pion, mode, branch, A, delta, lambda_b, n, l, root):
+    # the window ends at the last real-eta energy, so the uniform scan of
+    # it alone brackets the root; root is rounded to 5 decimals
+    spec = make_spec(constants, pion, mode, n=n, l=l, delta=delta,
+                     lambda_b=lambda_b, branch=branch, A=A)
+    assert any(a - 5e-6 <= root <= b + 5e-6
+               for a, b in scan_brackets(spec, SolverConfig()))
 
 
 def test_solve_spectrum_is_deterministic(constants, pion):

@@ -200,6 +200,22 @@ def test_every_block_state_decays_at_its_own_radius(constants, pion,
     assert checked >= 15
 
 
+@pytest.mark.parametrize("l", [0, 3])
+@pytest.mark.parametrize("n", [0, 5, 10, 20, 40, 60])
+def test_default_r_max_lets_high_n_lines_decay(constants, pion, n, l):
+    # the default box must outlast the x^n growth of the polynomial, which
+    # dominates e^(-x/2) far past the outermost node at high n
+    pot = make_pot(CouplingMode.PURE_SCALAR, pion=pion)
+    qn = QuantumNumbers(n=n, l=l)
+    cell = solve_cell(build_residual_spec(constants, pion, pot, qn))
+    assert cell.lower.status == cell.upper.status == "converged"
+    for entry in (cell.lower, cell.upper):
+        sol = build_wave_solution(constants, pion, pot, qn, entry.energy)
+        report = boundary_report(sol, grid_points=20_000)
+        assert report.tail_ratio <= 1e-7
+        assert report.node_count == n
+
+
 def test_wavefunction_without_energy_dependence_matches_plain_path(
         constants, pion, solve_block):
     # delta = 0 turns the growth factor into exactly 1.0; the evaluation
