@@ -23,7 +23,6 @@ import math
 import random
 import re
 import sys
-from datetime import datetime, timezone
 from fractions import Fraction
 
 import numpy as np
@@ -280,8 +279,8 @@ def _spectrum(args, delta: float, lambda_b: float, n_max: int, l_max=None):
                           l_max=l_max, branch=args.branch, config=args.solver)
 
 
-def _manifest(command: str, args, stamped: bool = True, **fields) -> dict:
-    manifest = {
+def _manifest(command: str, args, **fields) -> dict:
+    return {
         "command": command,
         "version": __version__,
         "hbar_c": args.constants.hbar_c,
@@ -291,12 +290,8 @@ def _manifest(command: str, args, stamped: bool = True, **fields) -> dict:
         "mode": args.mode.value,
         "branch": args.branch,
         **dataclasses.asdict(args.solver),
+        **fields,
     }
-    if stamped:
-        manifest["timestamp"] = datetime.now(timezone.utc).isoformat(
-            timespec="seconds")
-    manifest.update(fields)
-    return manifest
 
 
 def _emit(text: str, output):
@@ -334,25 +329,26 @@ def _fmt_cell(value) -> str:
 # ---------------------------------------------------------------- solve
 
 def _wide_rows(tables):
-    for t in tables:
+    for (delta, lambda_b), t in tables:
         for line in ("lower", "upper"):
-            yield ([f"{t.delta:.5f}", f"{t.lambda_b:.5f}", line]
+            yield ([f"{delta:.5f}", f"{lambda_b:.5f}", line]
                    + [_fmt_cell(t.energy(n, l, line)) for n, l in GRID_CELLS])
 
 
 def _check_fixture(tables, fixture_path: str, tol: float, allow_extra: bool):
     """Per-cell comparison of the solved grid against a fixture CSV.
 
-    Returns (report_lines, mismatch_count, worst_dev)."""
+    tables pairs each solved table with its (delta, lambda_b).  Returns
+    (report_lines, mismatch_count, worst_dev)."""
     try:
         with open(fixture_path, encoding="utf-8", newline="") as fh:
             fixture = list(csv.DictReader(fh))
     except OSError as err:
         raise _UsageError(f"cannot read fixture {fixture_path}: {err}")
     by_key = {}
-    for t in tables:
+    for (delta, lambda_b), t in tables:
         for line in ("lower", "upper"):
-            by_key[(round(t.delta, 9), round(t.lambda_b, 9), line)] = t
+            by_key[(round(delta, 9), round(lambda_b, 9), line)] = t
     report = []
     mismatches = 0
     worst = 0.0
@@ -425,7 +421,7 @@ def _cmd_solve(args) -> int:
         raise _UsageError(f"--check-tol must be finite and non-negative, "
                           f"got {tol}")
     # delta outer, lambda_b inner
-    tables = [_spectrum(args, delta, lambda_b, GRID_NMAX)
+    tables = [((delta, lambda_b), _spectrum(args, delta, lambda_b, GRID_NMAX))
               for delta in GRID_VALUES for lambda_b in GRID_VALUES]
     if args.check is not None:
         report, mismatches, worst = _check_fixture(tables, args.check, tol,
@@ -435,11 +431,12 @@ def _cmd_solve(args) -> int:
                       f"{worst:.5f} MeV, tolerance {tol} MeV)")
         _emit("\n".join(report) + "\n", args.output)
         return 3 if mismatches else 0
-    manifest = _manifest("solve --paper-grid", args, stamped=False,
-                         nmax=GRID_NMAX,
+    manifest = _manifest("solve --paper-grid", args, nmax=GRID_NMAX,
                          grid_values=",".join(f"{v:.5f}" for v in GRID_VALUES))
     _write_table(args, manifest,
-                 lambda: {"tables": [t.to_payload() for t in tables]},
+                 lambda: {"tables": [{"delta": delta, "lambda_b": lambda_b,
+                                      **t.to_payload()}
+                                     for (delta, lambda_b), t in tables]},
                  ["delta", "lambda_b", "line"]
                  + [f"E{n}{l}" for n, l in GRID_CELLS],
                  _wide_rows(tables))

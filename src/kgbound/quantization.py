@@ -47,9 +47,6 @@ class ResidualSpec:
     n_plus_half: float
     window: tuple
 
-    def describe_branch(self) -> str:
-        return "plus" if self.branch_sign > 0.0 else "minus"
-
 
 def physical_window(m0c2: float, delta: float,
                     margin: float = DEFAULT_WINDOW_MARGIN) -> tuple:
@@ -152,7 +149,6 @@ class SpectrumEntry:
     n: int
     l: int
     line: str                       # "lower" | "upper"
-    branch: str                     # "plus" | "minus"
     energy: Optional[float]         # MeV; None when the line is absent
     residual_at_root: Optional[float]
     iterations: int

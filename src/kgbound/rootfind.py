@@ -14,15 +14,15 @@ into the lower/upper spectral lines of each (n, l) cell.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
 from . import _kernels, quantization
 from .errors import ConvergenceError, DomainError
-from .model import (CouplingMode, ParticleSpec, PhysicalConstants,
-                    PotentialSpec, QuantumNumbers, parse_branch)
+from .model import (ParticleSpec, PhysicalConstants, PotentialSpec,
+                    QuantumNumbers)
 from .quantization import ResidualSpec, SpectrumEntry, build_residual_spec
 
 # Each scan array costs 8 bytes per point; this keeps one under 8 MB.
@@ -65,9 +65,11 @@ def bracket_scan(E: np.ndarray, res: np.ndarray, den: np.ndarray,
     through a pole there instead of crossing zero.  A node where the
     residual vanishes exactly yields a degenerate (E, E) bracket.
     """
-    ok = status == _kernels.STATUS_OK
-    pair_ok = ok[:-1] & ok[1:] & (den[:-1] * den[1:] > 0.0)
-    crossing = pair_ok & (res[:-1] * res[1:] < 0.0)
+    # Signs are compared, not multiplied: a product can overflow or underflow.
+    ok, up = status == _kernels.STATUS_OK, den > 0.0
+    pair_ok = ok[:-1] & ok[1:] & (up[:-1] == up[1:])
+    neg, pos = res < 0.0, res > 0.0
+    crossing = pair_ok & ((neg[:-1] & pos[1:]) | (pos[:-1] & neg[1:]))
     brackets = [(float(E[i]), float(E[i + 1])) for i in np.nonzero(crossing)[0]]
     for i in np.nonzero(ok & (res == 0.0))[0]:
         brackets.append((float(E[i]), float(E[i])))
@@ -150,22 +152,19 @@ class CellResult:
 
 
 def _absent(spec: ResidualSpec, line: str, detail: str) -> SpectrumEntry:
-    return SpectrumEntry(n=spec.n, l=spec.l, line=line,
-                         branch=spec.describe_branch(), energy=None,
+    return SpectrumEntry(n=spec.n, l=spec.l, line=line, energy=None,
                          residual_at_root=None, iterations=0,
                          status="absent", detail=detail)
 
 
 def _converged(spec: ResidualSpec, line: str, r: RefineResult) -> SpectrumEntry:
-    return SpectrumEntry(n=spec.n, l=spec.l, line=line,
-                         branch=spec.describe_branch(), energy=r.energy,
+    return SpectrumEntry(n=spec.n, l=spec.l, line=line, energy=r.energy,
                          residual_at_root=r.residual, iterations=r.iterations,
                          status="converged")
 
 
 def _failed(spec: ResidualSpec, line: str, err: ConvergenceError) -> SpectrumEntry:
-    return SpectrumEntry(n=spec.n, l=spec.l, line=line,
-                         branch=spec.describe_branch(), energy=None,
+    return SpectrumEntry(n=spec.n, l=spec.l, line=line, energy=None,
                          residual_at_root=err.best_residual,
                          iterations=err.iterations, status="failed",
                          detail=str(err))
@@ -198,6 +197,12 @@ def solve_cell(spec: ResidualSpec, config: SolverConfig = SolverConfig()) -> Cel
 
     E = np.linspace(*spec.window, config.grid_points)
     res, rhs, den, status = quantization.evaluate_grid(spec, E)
+    # res is NaN off the OK nodes; an OK node without a finite res overflowed.
+    ok, finite = status == _kernels.STATUS_OK, np.isfinite(res)
+    if np.count_nonzero(finite) != np.count_nonzero(ok):
+        i = np.flatnonzero(ok & ~finite)[0]
+        raise DomainError(f"residual {res[i]} at E={E[i]} in cell (n={spec.n},"
+                          f" l={spec.l}): an input overflows double precision")
     brackets = bracket_scan(E, res, den, status)
     roots: List[RefineResult] = []
     failures: List[ConvergenceError] = []
@@ -241,19 +246,10 @@ def solve_cell(spec: ResidualSpec, config: SolverConfig = SolverConfig()) -> Cel
 
 @dataclass(frozen=True)
 class SpectrumTable:
-    """Solved spectrum over a set of (n, l) cells, with input echo."""
+    """Solved (n, l) cells of one spectrum.  The inputs that produced it
+    are stated once, in the caller's output manifest."""
 
-    mode: CouplingMode
-    hbar_c: float
-    m0c2: float
-    lam: float
-    A: float
-    delta: float
-    lambda_b: float
-    branch: str
-    n_max: int
-    l_max: Optional[int]
-    cells: tuple = field(default_factory=tuple)
+    cells: tuple
 
     def cell(self, n: int, l: int) -> CellResult:
         for c in self.cells:
@@ -263,46 +259,16 @@ class SpectrumTable:
 
     def energy(self, n: int, l: int, line: str) -> Optional[float]:
         c = self.cell(n, l)
-        entry = c.lower if line == "lower" else c.upper
-        return entry.energy
+        return (c.lower if line == "lower" else c.upper).energy
 
     @property
     def entries(self) -> tuple:
-        out = []
-        for c in self.cells:
-            out.extend(c.entries)
-        return tuple(out)
+        return tuple(e for c in self.cells for e in c.entries)
 
     def to_payload(self) -> dict:
-        return {
-            "mode": self.mode.value,
-            "hbar_c": self.hbar_c,
-            "m0c2": self.m0c2,
-            "lambda": self.lam,
-            "A": self.A,
-            "delta": self.delta,
-            "lambda_b": self.lambda_b,
-            "branch": self.branch,
-            "n_max": self.n_max,
-            "l_max": self.l_max,
-            "cells": [
-                {
-                    "n": c.n,
-                    "l": c.l,
-                    "entries": [
-                        {
-                            "n": e.n, "l": e.l, "line": e.line,
-                            "branch": e.branch, "energy": e.energy,
-                            "residual_at_root": e.residual_at_root,
-                            "iterations": e.iterations, "status": e.status,
-                            "detail": e.detail,
-                        }
-                        for e in c.entries
-                    ],
-                }
-                for c in self.cells
-            ],
-        }
+        return {"cells": [{"n": c.n, "l": c.l,
+                           "entries": [dict(vars(e)) for e in c.entries]}
+                          for c in self.cells]}
 
 
 def spectrum_cells(n_max: int, l_max: Optional[int]) -> List[Tuple[int, int]]:
@@ -324,15 +290,10 @@ def solve_spectrum(constants: PhysicalConstants, particle: ParticleSpec,
                    branch: str = "plus",
                    config: SolverConfig = SolverConfig()) -> SpectrumTable:
     """Solve every (n, l) cell and collect the classified lines."""
-    branch_name = "plus" if parse_branch(branch) > 0.0 else "minus"
     cells = []
     for n, l in spectrum_cells(n_max, l_max):
         spec = build_residual_spec(constants, particle, pot,
                                    QuantumNumbers(n=n, l=l), branch=branch,
                                    window_margin=config.window_margin)
         cells.append(solve_cell(spec, config))
-    return SpectrumTable(mode=pot.mode, hbar_c=constants.hbar_c,
-                         m0c2=particle.m0c2, lam=particle.lam, A=pot.A,
-                         delta=pot.delta, lambda_b=pot.lambda_b,
-                         branch=branch_name, n_max=n_max, l_max=l_max,
-                         cells=tuple(cells))
+    return SpectrumTable(cells=tuple(cells))

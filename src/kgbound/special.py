@@ -16,7 +16,8 @@ refused for the same reason.  u is reported unnormalized.
 
 kummer_polynomial evaluates 1F1(-n; c; x) by the three-term recurrence in
 the degree (DLMF 13.3.1), which keeps its accuracy where the power series
-cancels.  It takes a float or an array and uses only +, -, * and /, so
+cancels, scaled by powers of two so that it passes the largest double where
+u underflows.  It takes a float or an array and uses only +, -, * and /, so
 wavefunction_u (one radius, the reference that raises every error) and
 wavefunction_grid (the whole array) agree bit for bit.  kummer_1f1 sums
 the power series of 1F1(a; c; x) for any a: it is the mpmath-tested
@@ -39,6 +40,9 @@ POLE_TOL = 1e-8          # distance of c to a non-positive integer: singular
 TERM_CAP = 10_000        # series terms before giving up
 RATIO_TOL = 1e-16        # relative tail size that ends the summation
 _LOG_HUGE = 700.0        # ln of roughly the largest finite double
+_SCALE_BITS = 600        # M_k past 2**600 is scaled down by 2**-600
+_SCALE = 2.0 ** _SCALE_BITS
+_LOG_SCALE = math.log(_SCALE)
 MAX_RADIAL_POINTS = 100_000  # radii per evaluated line; bounds memory
 
 
@@ -88,18 +92,30 @@ def kummer_1f1(params: KummerParams, x: float) -> float:
                           f"converge within {TERM_CAP} terms")
 
 
-def kummer_polynomial(n: int, c: float, x):
-    """1F1(-n; c; x) at a float or at every element of an array x.
+def _kummer_scaled(n: int, c: float, x):
+    """(M, s) with 1F1(-n; c; x) = M * 2**(600 s), at a float or an array.
 
-    M_{k+1} = ((2k + c - x) M_k - k M_{k-1}) / (c + k), from M_0 = 1.
-    Overflow gives inf and inf - inf gives NaN, silently, for floats and
-    arrays alike.
+    M_{k+1} = ((2k + c - x) M_k - k M_{k-1}) / (c + k), from M_0 = 1; once
+    |M_k| passes 2**600, both are scaled by the exact 2**-600, so a value
+    that never passes keeps its bytes.  A single step can still overflow.
     """
     prev, cur = 0.0, 1.0 + 0.0 * x
+    s = np.zeros(np.shape(x), dtype=np.int64)
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(n):
             prev, cur = cur, ((2.0 * k + c - x) * cur - k * prev) / (c + k)
-    return cur
+            big = abs(cur) > _SCALE
+            if np.any(big):
+                scale = np.where(big, 1.0 / _SCALE, 1.0)
+                prev, cur, s = prev * scale, cur * scale, s + big
+    return cur, s
+
+
+def kummer_polynomial(n: int, c: float, x):
+    """1F1(-n; c; x) at a float or an array x; inf past the largest double."""
+    M, s = _kummer_scaled(n, c, x)
+    with np.errstate(over="ignore"):
+        return np.ldexp(M, _SCALE_BITS * s)
 
 
 @dataclass(frozen=True)
@@ -148,13 +164,14 @@ def wavefunction_u(sol: WaveSolution, r: float) -> float:
     x = 2.0 * sol.tau * z
     if not (x >= 0.0 and math.isfinite(x)):
         raise DomainError(f"x must be finite and non-negative, got {x}")
-    F = kummer_polynomial(sol.n, sol.params.c, x)
+    F, s = _kummer_scaled(sol.n, sol.params.c, x)
     if F == 0.0:
         return 0.0
     if z == 0.0:
         raise DomainError(f"g r underflows to 0 at r={r}")
-    log_mag = -sol.tau * z + (sol.eta + 1.0) * math.log(z) + math.log(abs(F))
-    if log_mag > _LOG_HUGE:
+    log_mag = (-sol.tau * z + (sol.eta + 1.0) * math.log(z)
+               + (math.log(abs(F)) + _LOG_SCALE * s))
+    if not log_mag <= _LOG_HUGE:
         raise EvaluationError(f"u({r}) overflows (log magnitude {log_mag:.1f})")
     return math.copysign(math.exp(log_mag), F)
 
@@ -174,15 +191,15 @@ def wavefunction_grid(sol: WaveSolution, radii) -> np.ndarray:
         x = 2.0 * sol.tau * z
     bad = (r < 0.0) | ((r != 0.0) & ~((x >= 0.0) & np.isfinite(x)))
     live = np.flatnonzero((r != 0.0) & ~bad)
-    F = kummer_polynomial(sol.n, sol.params.c, x[live])
+    F, s = _kummer_scaled(sol.n, sol.params.c, x[live])
     keep = F != 0.0
-    live, F, z = live[keep], F[keep], z[live[keep]]
+    live, F, s, z = live[keep], F[keep], s[keep], z[live[keep]]
     bad[live[z == 0.0]] = True  # g r underflowed; wavefunction_u raises
     keep = z != 0.0
-    live, F, z = live[keep], F[keep], z[keep]
+    live, F, s, z = live[keep], F[keep], s[keep], z[keep]
     log_mag = (-sol.tau * z + (sol.eta + 1.0) * _map(math.log, z)
-               + _map(math.log, np.abs(F)))
-    bad[live[log_mag > _LOG_HUGE]] = True
+               + (_map(math.log, np.abs(F)) + _LOG_SCALE * s))
+    bad[live[~(log_mag <= _LOG_HUGE)]] = True
     if bad.any():
         _raise_from(wavefunction_u, sol, float(r[bad.argmax()]))
     out = np.zeros(r.shape)

@@ -3,15 +3,17 @@ import dataclasses
 import json
 import shutil
 import warnings
+from datetime import datetime, timezone
 
 import numpy as np
 import pytest
 
 from kgbound import (NEUTRAL_PION_M0C2, ParticleSpec, PhysicalConstants,
                      PotentialSpec, SolverConfig, solve_spectrum)
-from kgbound.cli import DEFAULT_AIM_CAP, MAX_AXIS_POINTS, main
+from kgbound.cli import DEFAULT_AIM_CAP, GRID_VALUES, MAX_AXIS_POINTS, main
 from kgbound.special import MAX_RADIAL_POINTS
 from kgbound.model import CouplingMode
+from kgbound.quantization import SpectrumEntry
 
 from conftest import fixture_path
 
@@ -63,6 +65,52 @@ def test_paper_grid_csv_is_byte_stable(tmp_path):
     assert len(data) == 18
     assert all(len(r) == 13 for r in data)
     assert [r[2] for r in data] == ["lower", "upper"] * 9
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "--mode", "ps", "--nmax=2"],
+    ["solve", "--mode", "emos", "--delta=0.003", "--nmax=1",
+     "--format", "json"],
+    ["sweep", "--mode", "pv", "--axis", "lambda_b", "--start=0.0",
+     "--stop=0.002", "--step=0.001", "--nmax=1"],
+    ["wavefunction", "--mode", "ps", "--n=1", "--l=0", "--points=64"],
+])
+def test_output_is_byte_stable(argv, tmp_path):
+    # an output depends only on its argv: no clock, no run-to-run state.
+    # Two runs within one second would share a clock's reading, so the
+    # date itself must not appear either.
+    a = tmp_path / "a.out"
+    b = tmp_path / "b.out"
+    today = datetime.now(timezone.utc).date().isoformat()
+    assert main(argv + ["--output", str(a)]) == 0
+    assert main(argv + ["--output", str(b)]) == 0
+    assert a.read_bytes() == b.read_bytes()
+    for day in {today, datetime.now(timezone.utc).date().isoformat()}:
+        assert day.encode() not in a.read_bytes()
+
+
+def test_json_states_each_input_once(capsys):
+    # the manifest echoes the inputs; tables hold only their cells
+    entry_keys = {f.name for f in dataclasses.fields(SpectrumEntry)}
+    assert "branch" not in entry_keys
+    assert main(["solve", "--mode", "ps", "--nmax=1", "--branch", "minus",
+                 "--format", "json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["manifest"]["branch"] == "minus"
+    assert set(payload["table"]) == {"cells"}
+    for cell in payload["table"]["cells"]:
+        assert set(cell) == {"n", "l", "entries"}
+        for entry in cell["entries"]:
+            assert set(entry) == entry_keys
+
+    assert main(["solve", "--mode", "ps", "--paper-grid",
+                 "--format", "json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["manifest"]["branch"] == "plus"
+    assert ([(t["delta"], t["lambda_b"]) for t in payload["tables"]]
+            == [(d, b) for d in GRID_VALUES for b in GRID_VALUES])
+    for table in payload["tables"]:
+        assert set(table) == {"delta", "lambda_b", "cells"}
 
 
 def test_paper_grid_reports_absent_cells(tmp_path):
@@ -155,9 +203,29 @@ def test_solve_json_round_trips(tmp_path):
     assert payload["table"] == direct.to_payload()
 
 
-def test_huge_delta_solves_without_warnings(capsys):
-    # g = 1 + delta E overflows to inf; the kernel must flag it, not warn
-    assert main(["solve", "--mode", "emes", "--delta=1e300"]) == 0
+def test_huge_delta_is_a_domain_error_without_warnings(capsys):
+    # delta E overflows and K = 0 * inf is NaN at every valid scan node: a
+    # residual that is not a number is refused, not read as "no root"
+    assert main(["solve", "--mode", "emes", "--delta=1e300"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("kgbound: error: residual") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    # residuals near 1e200: their products in the scan overflow
+    ["--mode", "emos", "--A=2.4241658830338614e+287",
+     "--hbar-c=2.255277768092945e+170", "--m0c2=1.6272639648371856e+143",
+     "--delta=-2.2215949413666025e-234",
+     "--lambda-b=-4.1486868896324757e-187"],
+    # den = 0 at a pole node next to den = -inf
+    ["--mode", "emos", "--A=4.0306430240365194e-115",
+     "--hbar-c=5.352007356757907e-152", "--m0c2=1.173689402962899e+39",
+     "--delta=-1.5942460270078323e+255",
+     "--lambda-b=-1.8041930359473994e-291", "--branch", "minus"],
+])
+def test_extreme_finite_residuals_scan_without_warnings(argv, capsys):
+    assert main(["solve", "--nmax=0"] + argv) == 0
     assert capsys.readouterr().err == ""
 
 
@@ -331,6 +399,31 @@ def test_wavefunction_at_vanishing_radii_is_domain_error(argv, message,
     assert out == ""
 
 
+WAVE_N60 = ["wavefunction", "--mode", "ps", "--n=60", "--l=0",
+            "--line", "upper"]
+
+
+def test_wavefunction_reads_zero_where_u_underflows(capsys):
+    # 1F1(-60; c; x) passes the largest double near x = 1e6 while u itself
+    # has long underflowed; the polynomial is carried in scaled form
+    assert main(WAVE_N60 + ["--r-max=2e8", "--points=100000",
+                            "--format", "json"]) == 0
+    out, err = capsys.readouterr()
+    assert "overflows" not in err
+    u = json.loads(out)["lines"][0]["u"]
+    nonzero = np.flatnonzero(u)
+    assert nonzero.size > 0 and np.isfinite(u).all()
+    assert not any(u[nonzero[-1] + 1:])
+    assert len(u) - nonzero[-1] > 90_000
+
+
+def test_wavefunction_underflowing_on_every_sample_is_an_error(capsys):
+    assert main(WAVE_N60 + ["--r-max=1e9", "--points=100"]) == 2
+    out, err = capsys.readouterr()
+    assert err == "kgbound: wave function vanished on the whole grid\n"
+    assert out == ""
+
+
 def test_wavefunction_requires_present_line(capsys):
     rc = main(["wavefunction", "--mode", "emos", "--n", "0", "--l", "0",
                "--line", "lower"])
@@ -463,9 +556,7 @@ def _flags(which):
 
 def _solve_json(argv, capsys):
     assert main(["solve", "--format", "json"] + argv) == 0
-    payload = json.loads(capsys.readouterr().out)
-    del payload["manifest"]["timestamp"]
-    return payload
+    return json.loads(capsys.readouterr().out)
 
 
 def test_config_accepts_every_key_as_its_flag(tmp_path, capsys):

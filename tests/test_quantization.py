@@ -53,9 +53,9 @@ def test_residual_spec_fields(constants, pion):
     assert spec.ll1 == 2.0
     assert spec.alpha == 200.0 / constants.hbar_c
     assert spec.window == physical_window(pion.m0c2, 0.003)
-    assert spec.describe_branch() == "plus"
+    assert spec.branch_sign == 1.0
     assert make_spec(constants, pion, CouplingMode.EMES,
-                     branch="minus").describe_branch() == "minus"
+                     branch="minus").branch_sign == -1.0
 
 
 def eta_status(spec, E):
@@ -175,7 +175,7 @@ def test_constant_mass_b():
 
 
 def test_spectrum_entry_validation():
-    good = dict(n=0, l=0, line="lower", branch="plus", energy=-1.0,
+    good = dict(n=0, l=0, line="lower", energy=-1.0,
                 residual_at_root=0.0, iterations=3, status="converged")
     SpectrumEntry(**good)
     with pytest.raises(DomainError):
@@ -186,7 +186,7 @@ def test_spectrum_entry_validation():
         SpectrumEntry(**{**good, "energy": None})
     with pytest.raises(DomainError):
         SpectrumEntry(**{**good, "energy": math.inf})
-    absent = SpectrumEntry(n=0, l=0, line="upper", branch="plus", energy=None,
+    absent = SpectrumEntry(n=0, l=0, line="upper", energy=None,
                            residual_at_root=None, iterations=0, status="absent",
                            detail="why")
     assert absent.energy is None

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 
@@ -7,12 +8,12 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from kgbound import (ConvergenceError, CouplingMode, DomainError,
-                     PotentialSpec, QuantumNumbers, SolverConfig,
-                     build_residual_spec, secant_refine, solve_cell,
-                     solve_spectrum)
-from kgbound import quantization
+                     ParticleSpec, PhysicalConstants, PotentialSpec,
+                     QuantumNumbers, SolverConfig, build_residual_spec,
+                     secant_refine, solve_cell, solve_spectrum)
+from kgbound import _kernels, quantization
 from kgbound.quantization import residual
-from kgbound.rootfind import MAX_GRID_POINTS, spectrum_cells
+from kgbound.rootfind import MAX_GRID_POINTS, bracket_scan, spectrum_cells
 
 from conftest import (A_DEFAULT, GRID_VALUES, load_reference, scan_brackets,
                       scan_grid)
@@ -134,6 +135,21 @@ def test_bracket_scan_rejects_sign_change_through_pole(constants, pion):
     assert cell.extras == ()
     assert all(e.energy is None or abs(e.energy - pole) > 1e-3
                for e in cell.entries)
+
+
+OK, POLE = _kernels.STATUS_OK, _kernels.STATUS_POLE
+
+
+@pytest.mark.parametrize("res,den,status,want", [
+    # residual products that underflow to -0.0 and overflow to -inf
+    ([1e-200, -1e-200], [1.0, 1.0], [OK, OK], [(0.0, 1.0)]),
+    ([1e200, -1e200], [-1e200, -1e200], [OK, OK], [(0.0, 1.0)]),
+    # den overflowed to -inf next to a pole node that keeps den = 0
+    ([1.0, math.nan], [-math.inf, 0.0], [OK, POLE], []),
+])
+def test_bracket_scan_reads_signs_of_extreme_values(res, den, status, want):
+    assert bracket_scan(np.array([0.0, 1.0]), np.array(res), np.array(den),
+                        np.array(status, dtype=np.int32)) == want
 
 
 def test_coarse_energy_tolerance_keeps_distinct_roots(constants, pion):
@@ -267,6 +283,38 @@ def test_pure_vector_at_zero_delta_matches_closed_form(constants, pion, A, n,
     assert cell.extras == ()
 
 
+MAGNITUDE = st.floats(-300.0, 300.0).map(lambda e: 10.0 ** e)
+
+
+@settings(max_examples=300, deadline=None)
+@given(mode=st.sampled_from(list(CouplingMode)), A=MAGNITUDE,
+       hbar_c=MAGNITUDE, m0c2=MAGNITUDE,
+       delta=st.tuples(st.sampled_from([-1.0, 1.0]), MAGNITUDE),
+       lambda_b=st.tuples(st.sampled_from([-1.0, 1.0]), MAGNITUDE),
+       n=st.integers(0, 5), l=st.integers(0, 5),
+       branch=st.sampled_from(["plus", "minus"]))
+def test_scan_nodes_with_status_ok_hold_numbers(mode, A, hbar_c, m0c2, delta,
+                                                lambda_b, n, l, branch):
+    # an input that overflows must be refused, never scanned as "no root"
+    try:
+        constants = PhysicalConstants(hbar_c=hbar_c)
+        particle = ParticleSpec.with_compton_lambda(m0c2, constants)
+        pot = PotentialSpec(A=A, delta=delta[0] * delta[1],
+                            lambda_b=lambda_b[0] * lambda_b[1], mode=mode)
+        spec = build_residual_spec(constants, particle, pot,
+                                   QuantumNumbers(n=n, l=l), branch=branch)
+        solve_cell(spec)
+    except DomainError:
+        return
+    res, rhs, den, status = quantization.evaluate_grid(
+        spec, scan_grid(spec, SolverConfig()))
+    ok = status == _kernels.STATUS_OK
+    assert np.isfinite(res[ok]).all() and np.isfinite(rhs[ok]).all()
+    # den overflows to +-inf where K does (ps at delta = 1e300), and rhs is
+    # then 0; the scan reads only its sign, which must exist
+    assert not np.isnan(den[ok]).any()
+
+
 def test_grid_doubling_keeps_every_root(constants, pion):
     pot = PotentialSpec.from_lambda_b(A=A_DEFAULT, delta=0.003, lambda_b=0.003,
                                       particle=pion, mode=CouplingMode.EMES)
@@ -353,9 +401,8 @@ def test_solve_spectrum_table_shape_and_lookup(constants, pion):
                                       particle=pion, mode=CouplingMode.PURE_SCALAR)
     table = solve_spectrum(constants, pion, pot, n_max=2)
     assert len(table.cells) == 6
-    assert table.mode is CouplingMode.PURE_SCALAR
-    assert table.branch == "plus"
-    assert table.lambda_b == 0.0
+    assert [(c.n, c.l) for c in table.cells] == spectrum_cells(2, None)
+    assert [f.name for f in dataclasses.fields(table)] == ["cells"]
     assert table.energy(0, 0, "upper") == pytest.approx(105.71706, abs=0.02)
     with pytest.raises(KeyError):
         table.cell(5, 0)
