@@ -447,8 +447,6 @@ def _cmd_solve(args) -> int:
 
 def _cmd_wavefunction(args) -> int:
     _resolve_inputs(args)
-    if args.n < 0 or args.l < 0:
-        raise _UsageError("--n and --l must be non-negative")
     if not 16 <= args.points <= MAX_RADIAL_POINTS:
         raise _UsageError(f"--points must be in [16, {MAX_RADIAL_POINTS}], "
                           f"got {args.points}")
@@ -491,7 +489,7 @@ def _cmd_wavefunction(args) -> int:
     line_blocks = []
     for name, sol in solutions:
         samples = wavefunction_grid(sol, radii)
-        rep = grid_report(samples, radii)
+        rep = grid_report(samples)
         if rep.node_count != args.n:
             # c = 2 (eta + 1) > 0 puts all n roots of the polynomial at r > 0.
             sys.stderr.write(f"kgbound: warning: {name} line has "
@@ -637,10 +635,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except _UsageError as err:
-        sys.stderr.write(f"kgbound: error: {err}\n")
-        return 1
-    except (DomainError, BranchError) as err:
+    except (_UsageError, DomainError, BranchError) as err:
         sys.stderr.write(f"kgbound: error: {err}\n")
         return 1
     except (ConvergenceError, EvaluationError, AbsentError) as err:

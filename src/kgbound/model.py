@@ -42,12 +42,11 @@ class CouplingMode(Enum):
 
     @classmethod
     def parse(cls, text: str) -> "CouplingMode":
-        key = str(text).strip().lower()
-        for mode in cls:
-            if mode.value == key:
-                return mode
-        raise DomainError(f"unknown coupling mode {text!r}; expected one of "
-                          + ", ".join(m.value for m in cls))
+        try:
+            return cls(str(text).strip().lower())
+        except ValueError:
+            raise DomainError(f"unknown coupling mode {text!r}; expected one "
+                              "of " + ", ".join(m.value for m in cls)) from None
 
 
 @dataclass(frozen=True)

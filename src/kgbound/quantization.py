@@ -20,9 +20,8 @@ from typing import Optional
 
 from . import _kernels
 from .errors import DomainError
-from .model import (CouplingMode, ParticleSpec, PhysicalConstants,
-                    PotentialSpec, QuantumNumbers, mode_coefficients,
-                    parse_branch)
+from .model import (ParticleSpec, PhysicalConstants, PotentialSpec,
+                    QuantumNumbers, mode_coefficients, parse_branch)
 
 DEFAULT_WINDOW_MARGIN = 1e-6  # MeV kept clear of the window edges
 _MIN_ENERGY_FACTOR = 1e-12
@@ -33,7 +32,6 @@ class ResidualSpec:
     """Frozen coefficient pack for fast residual evaluation at fixed
     (mode, particle, potential, n, l, branch)."""
 
-    mode: CouplingMode
     n: int
     l: int
     branch_sign: float
@@ -51,17 +49,21 @@ class ResidualSpec:
 def physical_window(m0c2: float, delta: float,
                     margin: float = DEFAULT_WINDOW_MARGIN) -> tuple:
     """Open energy interval scanned for roots: (-m0c2, m0c2) shrunk by
-    margin and clipped so the energy factor 1 + delta E stays positive."""
+    margin, or by one ulp where the margin rounds away, and clipped so the
+    energy factor 1 + delta E stays positive."""
     if not (0.0 < margin < m0c2):
         raise DomainError(f"window margin must lie in (0, m0c2), got {margin}")
-    lo = -m0c2 + margin
-    hi = m0c2 - margin
+    lo = max(-m0c2 + margin, math.nextafter(-m0c2, 0.0))
+    hi = min(m0c2 - margin, math.nextafter(m0c2, 0.0))
     if delta > 0.0:
         lo = max(lo, (_MIN_ENERGY_FACTOR - 1.0) / delta)
     elif delta < 0.0:
         hi = min(hi, (_MIN_ENERGY_FACTOR - 1.0) / delta)
     if not (lo < hi):
         raise DomainError(f"empty energy window ({lo}, {hi})")
+    if not math.isfinite(hi - lo):
+        raise DomainError(f"energy window ({lo}, {hi}) is wider than the "
+                          "largest double")
     return (lo, hi)
 
 
@@ -102,9 +104,8 @@ def build_residual_spec(constants: PhysicalConstants, particle: ParticleSpec,
     ll1 = float(qn.l * (qn.l + 1))
     window = physical_window(m0c2, pot.delta, window_margin)
     return ResidualSpec(
-        mode=pot.mode, n=qn.n, l=qn.l, branch_sign=sgn, m0c2=m0c2,
-        delta=pot.delta, alpha=alpha, c0=c0, c1=c1, k2=k2, ll1=ll1,
-        n_plus_half=qn.n + 0.5,
+        n=qn.n, l=qn.l, branch_sign=sgn, m0c2=m0c2, delta=pot.delta,
+        alpha=alpha, c0=c0, c1=c1, k2=k2, ll1=ll1, n_plus_half=qn.n + 0.5,
         window=_real_eta_window(window, m0c2, pot.delta, k2, ll1))
 
 
@@ -113,16 +114,10 @@ def evaluate(spec: ResidualSpec, E: float):
     return _kernels.residual_point(spec, E)
 
 
-def evaluate_grid(spec: ResidualSpec, energies):
-    """Raw kernel evaluation over an energy array."""
-    return _kernels.residual_grid(spec, energies)
-
-
 def residual(spec: ResidualSpec, E: float) -> float:
     """LHS - RHS of the quantization condition, raising on invalid E."""
     res, _, _, status = evaluate(spec, E)
-    if status != _kernels.STATUS_OK:
-        _kernels.raise_for_status(status, E)
+    _kernels.raise_for_status(status, E)
     return res
 
 

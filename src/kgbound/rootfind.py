@@ -196,7 +196,7 @@ def solve_cell(spec: ResidualSpec, config: SolverConfig = SolverConfig()) -> Cel
         return quantization.residual(spec, E)
 
     E = np.linspace(*spec.window, config.grid_points)
-    res, rhs, den, status = quantization.evaluate_grid(spec, E)
+    res, rhs, den, status = _kernels.residual_grid(spec, E)
     # res is NaN off the OK nodes; an OK node without a finite res overflowed.
     ok, finite = status == _kernels.STATUS_OK, np.isfinite(res)
     if np.count_nonzero(finite) != np.count_nonzero(ok):

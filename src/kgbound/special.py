@@ -16,10 +16,11 @@ refused for the same reason.  u is reported unnormalized.
 
 kummer_polynomial evaluates 1F1(-n; c; x) by the three-term recurrence in
 the degree (DLMF 13.3.1), which keeps its accuracy where the power series
-cancels, scaled by powers of two so that it passes the largest double where
-u underflows.  It takes a float or an array and uses only +, -, * and /, so
-wavefunction_u (one radius, the reference that raises every error) and
-wavefunction_grid (the whole array) agree bit for bit.  kummer_1f1 sums
+cancels.  Each step is scaled by an exact power of two, so the recurrence
+passes the largest double where u underflows.  It takes a float or an array
+and uses only +, -, *, / and that exact scaling, so wavefunction_u (one
+radius, the reference that raises every error) and wavefunction_grid (the
+whole array) agree bit for bit.  kummer_1f1 sums
 the power series of 1F1(a; c; x) for any a: it is the mpmath-tested
 reference and the way to evaluate a function off an eigenvalue.
 """
@@ -40,9 +41,6 @@ POLE_TOL = 1e-8          # distance of c to a non-positive integer: singular
 TERM_CAP = 10_000        # series terms before giving up
 RATIO_TOL = 1e-16        # relative tail size that ends the summation
 _LOG_HUGE = 700.0        # ln of roughly the largest finite double
-_SCALE_BITS = 600        # M_k past 2**600 is scaled down by 2**-600
-_SCALE = 2.0 ** _SCALE_BITS
-_LOG_SCALE = math.log(_SCALE)
 MAX_RADIAL_POINTS = 100_000  # radii per evaluated line; bounds memory
 
 
@@ -93,29 +91,28 @@ def kummer_1f1(params: KummerParams, x: float) -> float:
 
 
 def _kummer_scaled(n: int, c: float, x):
-    """(M, s) with 1F1(-n; c; x) = M * 2**(600 s), at a float or an array.
+    """(M, e) with 1F1(-n; c; x) = M * 2**e, at a float or an array.
 
-    M_{k+1} = ((2k + c - x) M_k - k M_{k-1}) / (c + k), from M_0 = 1; once
-    |M_k| passes 2**600, both are scaled by the exact 2**-600, so a value
-    that never passes keeps its bytes.  A single step can still overflow.
+    M_{k+1} = ((2k + c - x) M_k - k M_{k-1}) / (c + k), from M_0 = 1.  After
+    each step M_{k+1} is brought into [1/2, 1) by an exact power of two and
+    M_k is scaled with it, so no step past the first can overflow.
     """
     prev, cur = 0.0, 1.0 + 0.0 * x
-    s = np.zeros(np.shape(x), dtype=np.int64)
-    with np.errstate(over="ignore", invalid="ignore"):
+    e = np.zeros(np.shape(x), dtype=np.int64)
+    with np.errstate(over="ignore", invalid="ignore"):  # x / c past a double
         for k in range(n):
             prev, cur = cur, ((2.0 * k + c - x) * cur - k * prev) / (c + k)
-            big = abs(cur) > _SCALE
-            if np.any(big):
-                scale = np.where(big, 1.0 / _SCALE, 1.0)
-                prev, cur, s = prev * scale, cur * scale, s + big
-    return cur, s
+            cur, shift = np.frexp(cur)
+            prev = np.ldexp(prev, -shift)
+            e += shift
+    return cur, e
 
 
 def kummer_polynomial(n: int, c: float, x):
     """1F1(-n; c; x) at a float or an array x; inf past the largest double."""
-    M, s = _kummer_scaled(n, c, x)
+    M, e = _kummer_scaled(n, c, x)
     with np.errstate(over="ignore"):
-        return np.ldexp(M, _SCALE_BITS * s)
+        return np.ldexp(M, e)
 
 
 @dataclass(frozen=True)
@@ -124,11 +121,9 @@ class WaveSolution:
 
     energy: float
     n: int
-    l: int
     eta: float
     tau: float        # 1/fm
     growth: float     # g = 1 + delta E
-    beta_sq: float    # 1/fm
     params: KummerParams
 
 
@@ -144,9 +139,8 @@ def build_wave_solution(constants: PhysicalConstants, particle: ParticleSpec,
     g = energy_factor(pot, energy)
     a = (case.eta + 1.0) - case.beta_sq / (2.0 * tau)
     c = 2.0 * (case.eta + 1.0)
-    return WaveSolution(energy=energy, n=qn.n, l=qn.l, eta=case.eta, tau=tau,
-                        growth=g, beta_sq=case.beta_sq,
-                        params=KummerParams(a=a, c=c))
+    return WaveSolution(energy=energy, n=qn.n, eta=case.eta, tau=tau,
+                        growth=g, params=KummerParams(a=a, c=c))
 
 
 def wavefunction_u(sol: WaveSolution, r: float) -> float:
@@ -164,13 +158,13 @@ def wavefunction_u(sol: WaveSolution, r: float) -> float:
     x = 2.0 * sol.tau * z
     if not (x >= 0.0 and math.isfinite(x)):
         raise DomainError(f"x must be finite and non-negative, got {x}")
-    F, s = _kummer_scaled(sol.n, sol.params.c, x)
+    F, e = _kummer_scaled(sol.n, sol.params.c, x)
     if F == 0.0:
         return 0.0
     if z == 0.0:
         raise DomainError(f"g r underflows to 0 at r={r}")
     log_mag = (-sol.tau * z + (sol.eta + 1.0) * math.log(z)
-               + (math.log(abs(F)) + _LOG_SCALE * s))
+               + (math.log(abs(F)) + math.log(2.0) * e))
     if not log_mag <= _LOG_HUGE:
         raise EvaluationError(f"u({r}) overflows (log magnitude {log_mag:.1f})")
     return math.copysign(math.exp(log_mag), F)
@@ -191,14 +185,14 @@ def wavefunction_grid(sol: WaveSolution, radii) -> np.ndarray:
         x = 2.0 * sol.tau * z
     bad = (r < 0.0) | ((r != 0.0) & ~((x >= 0.0) & np.isfinite(x)))
     live = np.flatnonzero((r != 0.0) & ~bad)
-    F, s = _kummer_scaled(sol.n, sol.params.c, x[live])
+    F, e = _kummer_scaled(sol.n, sol.params.c, x[live])
     keep = F != 0.0
-    live, F, s, z = live[keep], F[keep], s[keep], z[live[keep]]
+    live, F, e, z = live[keep], F[keep], e[keep], z[live[keep]]
     bad[live[z == 0.0]] = True  # g r underflowed; wavefunction_u raises
     keep = z != 0.0
-    live, F, s, z = live[keep], F[keep], s[keep], z[keep]
+    live, F, e, z = live[keep], F[keep], e[keep], z[keep]
     log_mag = (-sol.tau * z + (sol.eta + 1.0) * _map(math.log, z)
-               + (_map(math.log, np.abs(F)) + _LOG_SCALE * s))
+               + (_map(math.log, np.abs(F)) + math.log(2.0) * e))
     bad[live[~(log_mag <= _LOG_HUGE)]] = True
     if bad.any():
         _raise_from(wavefunction_u, sol, float(r[bad.argmax()]))
@@ -254,8 +248,6 @@ def default_r_max(sol: WaveSolution) -> float:
 class BoundaryReport:
     """Diagnostics of one evaluated radial function."""
 
-    r_max: float
-    grid_points: int
     u_origin: float
     max_abs: float
     tail_ratio: float    # |u(r_max)| / max |u|
@@ -272,10 +264,10 @@ def boundary_report(sol: WaveSolution, r_max: Optional[float] = None,
     if not (r_max > 0.0 and math.isfinite(r_max)):
         raise DomainError(f"r_max must be positive and finite, got {r_max}")
     radii = np.linspace(0.0, r_max, grid_points)
-    return grid_report(wavefunction_grid(sol, radii), radii)
+    return grid_report(wavefunction_grid(sol, radii))
 
 
-def grid_report(u: np.ndarray, radii: np.ndarray) -> BoundaryReport:
+def grid_report(u: np.ndarray) -> BoundaryReport:
     """Diagnostics of unnormalized samples u on radii running from 0 to
     r_max."""
     u = np.asarray(u, dtype=np.float64)
@@ -287,6 +279,5 @@ def grid_report(u: np.ndarray, radii: np.ndarray) -> BoundaryReport:
     # (the origin, underflowed tail points) separate no nodes themselves.
     positive = u[u != 0.0] > 0.0
     nodes = int(np.count_nonzero(positive[1:] != positive[:-1]))
-    return BoundaryReport(r_max=float(radii[-1]), grid_points=len(radii),
-                          u_origin=float(u[0]), max_abs=max_abs,
+    return BoundaryReport(u_origin=float(u[0]), max_abs=max_abs,
                           tail_ratio=tail_ratio, node_count=nodes)

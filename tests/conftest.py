@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from kgbound import CouplingMode, ParticleSpec, PhysicalConstants, PotentialSpec
-from kgbound.quantization import evaluate_grid
+from kgbound._kernels import residual_grid
 from kgbound.rootfind import SolverConfig, bracket_scan, solve_spectrum
 from kgbound.special import grid_report, kummer_1f1
 
@@ -38,7 +38,7 @@ def scan_grid(spec, config):
 def scan_brackets(spec, config):
     """The brackets of solve_cell's uniform scan for one cell."""
     E = scan_grid(spec, config)
-    res, _, den, status = evaluate_grid(spec, E)
+    res, _, den, status = residual_grid(spec, E)
     return bracket_scan(E, res, den, status)
 
 
@@ -52,7 +52,7 @@ def series_report(sol, r_max, points=2000):
         if F != 0.0:
             u[i] = math.copysign(math.exp(-sol.tau * z + (sol.eta + 1.0)
                                           * math.log(z) + math.log(abs(F))), F)
-    return grid_report(u, radii)
+    return grid_report(u)
 
 
 def fixture_path(mode_name):

@@ -229,6 +229,23 @@ def test_extreme_finite_residuals_scan_without_warnings(argv, capsys):
     assert capsys.readouterr().err == ""
 
 
+def test_window_whose_margin_rounds_away_is_scanned_inside_it(capsys):
+    # -m0c2 + 1e-6 rounds to -m0c2; the scan starts one double inside
+    assert main(["solve", "--mode", "pv", "--nmax=0", "--m0c2=1e300"]) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert out.count("absent,eta complex over the whole window") == 2
+
+
+def test_window_wider_than_the_largest_double_is_a_domain_error(capsys):
+    assert main(["solve", "--mode", "ps", "--nmax=0", "--m0c2=1e308"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("kgbound: error: energy window (")
+    assert err.endswith(") is wider than the largest double\n")
+    assert err.count("\n") == 1
+
+
 def test_sweep_single_point_matches_solve(tmp_path):
     sweep_out = tmp_path / "sweep.json"
     solve_out = tmp_path / "solve.json"
@@ -422,6 +439,34 @@ def test_wavefunction_underflowing_on_every_sample_is_an_error(capsys):
     out, err = capsys.readouterr()
     assert err == "kgbound: wave function vanished on the whole grid\n"
     assert out == ""
+
+
+@pytest.mark.parametrize("grid", [["--r-max=1e200", "--points=100"],
+                                  ["--r-max=1e130", "--points=1000"]])
+def test_wavefunction_past_a_polynomial_overflow_vanishes(grid, capsys):
+    # one unscaled recurrence step would overflow at these radii
+    assert main(WAVE_N60 + grid) == 2
+    out, err = capsys.readouterr()
+    assert err == "kgbound: wave function vanished on the whole grid\n"
+    assert out == ""
+
+
+@pytest.mark.parametrize("argv,name", [(["--n=-1", "--l=0"], "n"),
+                                       (["--n=0", "--l=-1"], "l")])
+def test_negative_quantum_number_is_usage_error(argv, name, capsys):
+    assert main(["wavefunction", "--mode", "ps"] + argv) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (f"kgbound: error: {name} must be a non-negative integer, "
+                   "got -1\n")
+
+
+def test_unknown_mode_names_the_modes(capsys):
+    assert main(["solve", "--mode", "nope"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == ("kgbound: error: unknown coupling mode 'nope'; expected "
+                   "one of emes, emos, pv, ps\n")
 
 
 def test_wavefunction_requires_present_line(capsys):

@@ -18,10 +18,9 @@ def make_spec(constants, pion, mode, n=0, l=0, delta=0.0, lambda_b=0.0,
 
 # a hand-built spec whose denominator is exactly zero at every energy:
 # quarter = 0.25 + 2.0 = 2.25, root = 1.5, den = 1.5 - 1.5
-POLE_SPEC = ResidualSpec(mode=CouplingMode.EMES, n=1, l=0, branch_sign=-1.0,
-                         m0c2=100.0, delta=0.0, alpha=1.0, c0=1.0, c1=0.0,
-                         k2=2.0, ll1=0.0, n_plus_half=1.5,
-                         window=(-99.0, 99.0))
+POLE_SPEC = ResidualSpec(n=1, l=0, branch_sign=-1.0, m0c2=100.0, delta=0.0,
+                         alpha=1.0, c0=1.0, c1=0.0, k2=2.0, ll1=0.0,
+                         n_plus_half=1.5, window=(-99.0, 99.0))
 
 # random inputs spanning every coupling mode, both branches and all five
 # statuses: A in [20, 400], |delta|, |lambda_b| <= 0.01, n, l <= 6

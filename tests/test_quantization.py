@@ -11,7 +11,7 @@ from kgbound import (BranchError, CouplingMode, DomainError, ParticleSpec,
                      residual, sign_validity)
 from kgbound import _kernels
 from kgbound.quantization import (DEFAULT_WINDOW_MARGIN, evaluate,
-                                  evaluate_grid, physical_window)
+                                  physical_window)
 
 
 def make_spec(constants, pion, mode, n=0, l=0, delta=0.0, lambda_b=0.0,
@@ -38,6 +38,21 @@ def test_physical_window_clips_where_energy_factor_dies():
     assert hi < 134.977 - DEFAULT_WINDOW_MARGIN
     assert 1.0 - 0.01 * hi > 0.0
     assert lo == -134.977 + DEFAULT_WINDOW_MARGIN
+
+
+@example(m0c2=1e300, delta=(1.0, 0.0))  # the margin rounds away
+@example(m0c2=1e308, delta=(1.0, 0.0))  # the width overflows
+@settings(max_examples=300, deadline=None)
+@given(m0c2=st.floats(-300.0, 308.0).map(lambda e: 10.0 ** e),
+       delta=st.tuples(st.sampled_from([-1.0, 0.0, 1.0]),
+                       st.floats(-300.0, 300.0).map(lambda e: 10.0 ** e)))
+def test_physical_window_lies_strictly_inside_or_is_refused(m0c2, delta):
+    try:
+        lo, hi = physical_window(m0c2, delta[0] * delta[1])
+    except DomainError:
+        return
+    assert -m0c2 < lo < hi < m0c2
+    assert math.isfinite(hi - lo)
 
 
 def test_physical_window_rejects_bad_margin():
@@ -137,10 +152,10 @@ def test_evaluate_reports_statuses(constants, pion):
     assert evaluate(spec, 0.0)[3] == _kernels.STATUS_COMPLEX_ETA
 
 
-def test_evaluate_grid_masks_invalid_energies(constants, pion):
+def test_residual_grid_masks_invalid_energies(constants, pion):
     spec = make_spec(constants, pion, CouplingMode.EMES)
     E = np.array([-200.0, 0.0, 200.0])
-    res, rhs, den, status = evaluate_grid(spec, E)
+    res, rhs, den, status = _kernels.residual_grid(spec, E)
     assert list(status) == [_kernels.STATUS_WINDOW, _kernels.STATUS_OK,
                             _kernels.STATUS_WINDOW]
     assert math.isnan(res[0]) and math.isnan(res[2])

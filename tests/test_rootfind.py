@@ -11,7 +11,7 @@ from kgbound import (ConvergenceError, CouplingMode, DomainError,
                      ParticleSpec, PhysicalConstants, PotentialSpec,
                      QuantumNumbers, SolverConfig, build_residual_spec,
                      secant_refine, solve_cell, solve_spectrum)
-from kgbound import _kernels, quantization
+from kgbound import _kernels
 from kgbound.quantization import residual
 from kgbound.rootfind import MAX_GRID_POINTS, bracket_scan, spectrum_cells
 
@@ -214,13 +214,13 @@ def test_solve_cell_absence_names_brackets_that_failed_to_refine(constants,
 
 def test_solve_cell_evaluates_the_grid_once(constants, pion, monkeypatch):
     calls = []
-    original = quantization.evaluate_grid
+    original = _kernels.residual_grid
 
     def counting(spec, energies):
         calls.append(len(energies))
         return original(spec, energies)
 
-    monkeypatch.setattr(quantization, "evaluate_grid", counting)
+    monkeypatch.setattr(_kernels, "residual_grid", counting)
     config = SolverConfig()
     specs = [make_spec(constants, pion, CouplingMode.PURE_SCALAR),
              make_spec(constants, pion, CouplingMode.EMOS),
@@ -306,7 +306,7 @@ def test_scan_nodes_with_status_ok_hold_numbers(mode, A, hbar_c, m0c2, delta,
         solve_cell(spec)
     except DomainError:
         return
-    res, rhs, den, status = quantization.evaluate_grid(
+    res, rhs, den, status = _kernels.residual_grid(
         spec, scan_grid(spec, SolverConfig()))
     ok = status == _kernels.STATUS_OK
     assert np.isfinite(res[ok]).all() and np.isfinite(rhs[ok]).all()
