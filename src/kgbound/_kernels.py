@@ -4,7 +4,9 @@ energy_terms holds the scalar validity checks and the energy-dependent
 terms g = 1 + delta E, K = k2 g^2 + l(l+1) and sqrt(1/4 + K); residual_point
 and model.case_parameters both build on it.  residual_grid is the array
 form of residual_point and must agree with it bit for bit.  Both read the
-cell's coefficients from a quantization.ResidualSpec.
+cell's coefficients from a quantization.ResidualSpec.  residual_grid runs
+once per (spectrum, l): the cells of one l share g, the LHS, the RHS
+numerator alpha (c0 + c1 E) and sqrt(1/4 + K), and differ only in n.
 
 Status codes:
     0  valid evaluation
@@ -84,32 +86,55 @@ def residual_point(spec, E):
     return lhs - rhs, rhs, den, STATUS_OK
 
 
-def residual_grid(spec, E):
-    """Vectorized residual_point over a 1-D energy array.
+def residual_grid(specs, E, out=None):
+    """residual_point of every cell in specs over a 1-D energy array.
 
-    Returns (res, rhs, den, status) float64/int32 arrays of E's shape.
+    specs are the cells of one (spectrum, l): ResidualSpecs equal in every
+    field but n and n_plus_half, so the energy terms are computed once and
+    each cell adds only its denominator.  Returns (res, rhs, den, status)
+    float64/int32 arrays of shape (len(specs), len(E)); row i is
+    residual_point of specs[i] at each energy.  out, if given, is such a
+    tuple of arrays, filled and returned in place of new ones.
     """
+    spec = specs[0]
+    shared = dict(vars(spec), n=None, n_plus_half=None)
+    for other in specs[1:]:
+        if dict(vars(other), n=None, n_plus_half=None) != shared:
+            raise ValueError("residual_grid takes cells that differ only in n")
     E = np.ascontiguousarray(E, dtype=np.float64)
+    if out is None:
+        out = (*np.empty((3, len(specs), len(E))),
+               np.empty((len(specs), len(E)), dtype=np.int32))
+    res, rhs, den, status = out
     m0c2 = spec.m0c2
+    n_plus_half = np.array([[s.n_plus_half] for s in specs])
     with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
         g = 1.0 + spec.delta * E
         gg = g * g
         quarter = 0.25 + (spec.k2 * gg + spec.ll1)
-        root = np.sqrt(quarter)
-        den = spec.n_plus_half + spec.branch_sign * root
-        rhs = spec.alpha * (spec.c0 + spec.c1 * E) / den
+        signed_root = spec.branch_sign * np.sqrt(quarter)
+        numerator = spec.alpha * (spec.c0 + spec.c1 * E)
         lhs = np.sqrt((m0c2 - E) * (m0c2 + E)) / g
-        res = lhs - rhs
+        np.add(n_plus_half, signed_root, out=den)
+        np.divide(numerator, den, out=rhs)
+        pole = np.abs(den, out=res) <= POLE_EPS  # res is scratch until set
+        np.subtract(lhs, rhs, out=res)
 
-    status = np.zeros(E.shape, dtype=np.int32)
+    status.fill(STATUS_OK)
+    in_window = (E > -m0c2) & (E < m0c2)
+    positive_g = g > 0.0
+    complex_eta = quarter < 0.0
+    valid = in_window & positive_g & ~complex_eta
+    if valid.all() and not pole.any():
+        return res, rhs, den, status
     # Later assignments win, so order from lowest to highest precedence.
-    status[np.abs(den) <= POLE_EPS] = STATUS_POLE
-    status[quarter < 0.0] = STATUS_COMPLEX_ETA
-    status[~(g > 0.0)] = STATUS_ENERGY_FACTOR
-    status[~((E > -m0c2) & (E < m0c2))] = STATUS_WINDOW
+    status[pole] = STATUS_POLE
+    status[:, complex_eta] = STATUS_COMPLEX_ETA
+    status[:, ~positive_g] = STATUS_ENERGY_FACTOR
+    status[:, ~in_window] = STATUS_WINDOW
 
     bad = status != STATUS_OK
     res[bad] = np.nan
     rhs[bad] = np.nan
-    den[(status >= STATUS_WINDOW) & (status <= STATUS_COMPLEX_ETA)] = np.nan
+    den[:, ~valid] = np.nan
     return res, rhs, den, status

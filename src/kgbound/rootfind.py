@@ -1,8 +1,10 @@
 """Root location and refinement for the quantization residual.
 
-The residual is evaluated once per cell on a uniform energy grid over the
-cell's window, which ends at the last energy with real eta; that one scan
-gives both the brackets and the absence diagnosis.  Sign changes
+The residual is evaluated on a uniform energy grid over each cell's
+window, which ends at the last energy with real eta; that one scan gives
+both the brackets and the absence diagnosis.  The window depends on l but
+not on n, so solve_spectrum scans once per (spectrum, l): one kernel call
+evaluates every cell of that l on one grid.  Sign changes
 between adjacent valid nodes become brackets, except where the denominator
 changes sign inside the pair (a pole, not a root).  Brackets are refined
 by secant steps that fall back to bisection when a step leaves the bracket
@@ -25,7 +27,8 @@ from .model import (ParticleSpec, PhysicalConstants, PotentialSpec,
                     QuantumNumbers)
 from .quantization import ResidualSpec, SpectrumEntry, build_residual_spec
 
-# Each scan array costs 8 bytes per point; this keeps one under 8 MB.
+# Points in one kernel call, cells times grid points: each scan array
+# costs 8 bytes per point, so this keeps one under 8 MB.
 MAX_GRID_POINTS = 1_000_000
 
 
@@ -185,8 +188,13 @@ def absence_reason(rhs: np.ndarray, status: np.ndarray, brackets: int) -> str:
     return "no sign change of the residual on the scan grid"
 
 
-def solve_cell(spec: ResidualSpec, config: SolverConfig = SolverConfig()) -> CellResult:
+def solve_cell(spec: ResidualSpec, config: SolverConfig = SolverConfig(),
+               scan: Optional[Tuple[np.ndarray, ...]] = None) -> CellResult:
     """Scan, refine, and classify the roots of one cell.
+
+    scan is the cell's (E, res, rhs, den, status) over the uniform grid of
+    its window, as solve_spectrum evaluates it for every cell of one l;
+    without it the cell is scanned on its own.
 
     Classification: two or more roots put the smallest on the lower line
     and the largest on the upper line; a single root goes to the lower
@@ -195,8 +203,10 @@ def solve_cell(spec: ResidualSpec, config: SolverConfig = SolverConfig()) -> Cel
     def f(E: float) -> float:
         return quantization.residual(spec, E)
 
-    E = np.linspace(*spec.window, config.grid_points)
-    res, rhs, den, status = _kernels.residual_grid(spec, E)
+    if scan is None:
+        E = np.linspace(*spec.window, config.grid_points)
+        scan = (E, *(a[0] for a in _kernels.residual_grid([spec], E)))
+    E, res, rhs, den, status = scan
     # res is NaN off the OK nodes; an OK node without a finite res overflowed.
     ok, finite = status == _kernels.STATUS_OK, np.isfinite(res)
     if np.count_nonzero(finite) != np.count_nonzero(ok):
@@ -289,11 +299,39 @@ def solve_spectrum(constants: PhysicalConstants, particle: ParticleSpec,
                    pot: PotentialSpec, n_max: int, l_max: Optional[int] = None,
                    branch: str = "plus",
                    config: SolverConfig = SolverConfig()) -> SpectrumTable:
-    """Solve every (n, l) cell and collect the classified lines."""
-    cells = []
-    for n, l in spectrum_cells(n_max, l_max):
-        spec = build_residual_spec(constants, particle, pot,
-                                   QuantumNumbers(n=n, l=l), branch=branch,
-                                   window_margin=config.window_margin)
-        cells.append(solve_cell(spec, config))
-    return SpectrumTable(cells=tuple(cells))
+    """Solve every (n, l) cell and collect the classified lines.
+
+    The cells of one l share their window, so each l is scanned by one
+    kernel call of at most MAX_GRID_POINTS points (a larger l is split),
+    and its cells are solved before the next l is scanned into the same
+    arrays.  An l whose window equals the previous l's reuses its grid.
+    """
+    table = spectrum_cells(n_max, l_max)
+    by_l: dict = {}
+    for n, l in table:
+        by_l.setdefault(l, []).append(build_residual_spec(
+            constants, particle, pot, QuantumNumbers(n=n, l=l), branch=branch,
+            window_margin=config.window_margin))
+    rows_per_call = MAX_GRID_POINTS // config.grid_points
+    rows = min(max(map(len, by_l.values())), rows_per_call)
+    # One set of scan arrays serves every kernel call of the spectrum:
+    # arrays of this size allocated and freed per call are often handed
+    # back to the system by the allocator and faulted in again at the next
+    # call, which costs more than sharing the energy terms saves.
+    work = (*np.empty((3, rows, config.grid_points)),
+            np.empty((rows, config.grid_points), dtype=np.int32))
+    solved = {}
+    window = None
+    for specs in by_l.values():
+        if specs[0].window != window:
+            window = specs[0].window
+            E = np.linspace(*window, config.grid_points)
+        for start in range(0, len(specs), rows_per_call):
+            chunk = specs[start:start + rows_per_call]
+            scan = _kernels.residual_grid(
+                chunk, E, out=tuple(a[:len(chunk)] for a in work))
+            for row, spec in enumerate(chunk):
+                cell = solve_cell(spec, config,
+                                  scan=(E, *(a[row] for a in scan)))
+                solved[cell.n, cell.l] = cell
+    return SpectrumTable(cells=tuple(solved[nl] for nl in table))

@@ -38,7 +38,7 @@ def scan_grid(spec, config):
 def scan_brackets(spec, config):
     """The brackets of solve_cell's uniform scan for one cell."""
     E = scan_grid(spec, config)
-    res, _, den, status = residual_grid(spec, E)
+    res, _, den, status = (a[0] for a in residual_grid([spec], E))
     return bracket_scan(E, res, den, status)
 
 

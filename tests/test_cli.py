@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import hashlib
 import json
 import shutil
 import warnings
@@ -65,6 +66,26 @@ def test_paper_grid_csv_is_byte_stable(tmp_path):
     assert len(data) == 18
     assert all(len(r) == 13 for r in data)
     assert [r[2] for r in data] == ["lower", "upper"] * 9
+
+
+# sha256 of `solve --mode M --paper-grid` as CSV.  Two runs agreeing says
+# nothing about a change that moves every run alike; these pins hold the
+# bytes across commits.  Re-pin only with the reason in CHANGES.md.
+PAPER_GRID_SHA256 = {
+    "emes": "3216ed4e5a5cb132d3580ad939b47250772092228ea574ff30b9f53f529ff37c",
+    "emos": "ae9e5242240edeb2221eadcab5db50420901e215a7cc3004e297fb459cd7eee1",
+    "pv": "8e2a0c966d2a107c780286c49f9ab37fef5a1b158b521e18bc483e8ec89079e2",
+    "ps": "2568ed38118b2de32c1a8acc3680a113c172f3bbc12b20646e160f3dcee512b1",
+}
+
+
+@pytest.mark.parametrize("mode", sorted(PAPER_GRID_SHA256))
+def test_paper_grid_csv_bytes_are_pinned(tmp_path, mode):
+    out = tmp_path / "grid.csv"
+    assert main(["solve", "--mode", mode, "--paper-grid",
+                 "--output", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == \
+        PAPER_GRID_SHA256[mode]
 
 
 @pytest.mark.parametrize("argv", [

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -58,26 +60,64 @@ def test_fallback_status_codes(constants, pion):
     assert np.isnan(res) and np.isnan(rhs)
 
 
-def assert_grid_matches_point(E, spec):
-    res, rhs, den, status = _kernels.residual_grid(spec, E)
+def with_n(spec, n):
+    return replace(spec, n=n, n_plus_half=n + 0.5)
+
+
+def assert_grid_matches_point(E, specs):
+    res, rhs, den, status = _kernels.residual_grid(specs, E)
     assert status.dtype == np.int32
-    for i, e in enumerate(E):
-        p = _kernels.residual_point(spec, float(e))
-        assert np.float64(p[0]).tobytes() == res[i].tobytes()
-        assert np.float64(p[1]).tobytes() == rhs[i].tobytes()
-        assert np.float64(p[2]).tobytes() == den[i].tobytes()
-        assert p[3] == status[i]
+    assert res.shape == rhs.shape == den.shape == status.shape \
+        == (len(specs), len(E))
+    for row, spec in enumerate(specs):
+        for i, e in enumerate(E):
+            p = _kernels.residual_point(spec, float(e))
+            assert np.float64(p[0]).tobytes() == res[row, i].tobytes()
+            assert np.float64(p[1]).tobytes() == rhs[row, i].tobytes()
+            assert np.float64(p[2]).tobytes() == den[row, i].tobytes()
+            assert p[3] == status[row, i]
+    # filled in place over stale values, out comes back with the same bytes
+    out = (*np.full((3,) + res.shape, 7.0), np.full(res.shape, 9, np.int32))
+    filled = _kernels.residual_grid(specs, E, out=out)
+    for fresh, got, given in zip((res, rhs, den, status), filled, out):
+        assert got is given
+        assert got.tobytes() == fresh.tobytes()
 
 
 def test_fallback_grid_matches_point_at_a_pole():
-    assert_grid_matches_point(np.linspace(-150.0, 150.0, 301), POLE_SPEC)
+    # n = 1 is the pole row; its neighbours share every energy term.  The
+    # second grid holds no invalid node but the pole row's.
+    group = [with_n(POLE_SPEC, n) for n in range(4)]
+    for E in (np.linspace(-150.0, 150.0, 301), np.linspace(-99.0, 99.0, 199)):
+        assert_grid_matches_point(E, group)
+        status = _kernels.residual_grid(group, E)[3]
+        in_window = np.abs(E) < POLE_SPEC.m0c2
+        assert (status[1, in_window] == _kernels.STATUS_POLE).all()
+        assert (status[[0, 2, 3]][:, in_window] == _kernels.STATUS_OK).all()
 
 
 @settings(deadline=None)
 @given(case_inputs)
 def test_fallback_grid_matches_point(constants, pion, case):
+    # the cells n = l ... l + 3 of one (spectrum, l), as solve_spectrum
+    # groups them
     spec = make_spec(constants, pion, **case)
-    assert_grid_matches_point(probe_energies(pion.m0c2, case["delta"]), spec)
+    group = [with_n(spec, spec.l + k) for k in range(4)]
+    # the probes, and the scan grid, whose nodes are mostly all valid
+    assert_grid_matches_point(probe_energies(pion.m0c2, case["delta"]), group)
+    assert_grid_matches_point(np.linspace(*spec.window, 101), group)
+
+
+def test_grid_refuses_cells_that_differ_beyond_n(constants, pion):
+    spec = make_spec(constants, pion, CouplingMode.EMES, n=1, l=1)
+    E = np.linspace(-100.0, 100.0, 11)
+    for other in (make_spec(constants, pion, CouplingMode.EMES, n=2, l=2),
+                  make_spec(constants, pion, CouplingMode.EMES, n=2, l=1,
+                            branch="minus"),
+                  make_spec(constants, pion, CouplingMode.EMOS, n=2, l=1),
+                  replace(spec, n=2, n_plus_half=2.5, window=(-1.0, 1.0))):
+        with pytest.raises(ValueError):
+            _kernels.residual_grid([spec, other], E)
 
 
 @settings(deadline=None)

@@ -155,7 +155,7 @@ def test_evaluate_reports_statuses(constants, pion):
 def test_residual_grid_masks_invalid_energies(constants, pion):
     spec = make_spec(constants, pion, CouplingMode.EMES)
     E = np.array([-200.0, 0.0, 200.0])
-    res, rhs, den, status = _kernels.residual_grid(spec, E)
+    res, rhs, den, status = (a[0] for a in _kernels.residual_grid([spec], E))
     assert list(status) == [_kernels.STATUS_WINDOW, _kernels.STATUS_OK,
                             _kernels.STATUS_WINDOW]
     assert math.isnan(res[0]) and math.isnan(res[2])

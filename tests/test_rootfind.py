@@ -216,9 +216,9 @@ def test_solve_cell_evaluates_the_grid_once(constants, pion, monkeypatch):
     calls = []
     original = _kernels.residual_grid
 
-    def counting(spec, energies):
+    def counting(specs, energies):
         calls.append(len(energies))
-        return original(spec, energies)
+        return original(specs, energies)
 
     monkeypatch.setattr(_kernels, "residual_grid", counting)
     config = SolverConfig()
@@ -231,6 +231,45 @@ def test_solve_cell_evaluates_the_grid_once(constants, pion, monkeypatch):
         calls.clear()
         solve_cell(spec, config)
         assert calls == [config.grid_points]
+
+
+@pytest.mark.parametrize("grid_points, rows", [
+    (4000, [4, 3, 2, 1]),
+    # 300 000 points leave room for 3 cells per call: l = 0 is split
+    (300_000, [3, 1, 3, 2, 1]),
+])
+def test_solve_spectrum_scans_once_per_l_within_the_point_bound(
+        constants, pion, monkeypatch, grid_points, rows):
+    calls = []
+    original = _kernels.residual_grid
+
+    def counting(specs, energies, **kwargs):
+        calls.append((len(specs), len(energies)))
+        assert len({spec.l for spec in specs}) == 1
+        return original(specs, energies, **kwargs)
+
+    monkeypatch.setattr(_kernels, "residual_grid", counting)
+    pot = PotentialSpec(A=A_DEFAULT, delta=0.003, lambda_b=0.003,
+                        mode=CouplingMode.EMES)
+    config = SolverConfig(grid_points=grid_points)
+    solve_spectrum(constants, pion, pot, n_max=3, config=config)
+    assert [r for r, _ in calls] == rows
+    assert all(p == grid_points for _, p in calls)
+    assert all(r * p <= MAX_GRID_POINTS for r, p in calls)
+
+
+@settings(deadline=None)
+@given(mode=st.sampled_from(list(CouplingMode)), A=st.floats(20.0, 400.0),
+       delta=st.floats(-0.006, 0.006), lambda_b=st.floats(-0.006, 0.006),
+       branch=st.sampled_from(["plus", "minus"]), n_max=st.integers(0, 5))
+def test_grouped_spectrum_equals_cell_by_cell(constants, pion, mode, A, delta,
+                                              lambda_b, branch, n_max):
+    pot = PotentialSpec(A=A, delta=delta, lambda_b=lambda_b, mode=mode)
+    table = solve_spectrum(constants, pion, pot, n_max=n_max, branch=branch)
+    assert table.cells == tuple(
+        solve_cell(build_residual_spec(constants, pion, pot,
+                                       QuantumNumbers(n=n, l=l), branch=branch))
+        for n, l in spectrum_cells(n_max, None))
 
 
 def test_secant_agrees_with_bisection_on_random_instances(constants, pion):
@@ -306,8 +345,8 @@ def test_scan_nodes_with_status_ok_hold_numbers(mode, A, hbar_c, m0c2, delta,
         solve_cell(spec)
     except DomainError:
         return
-    res, rhs, den, status = _kernels.residual_grid(
-        spec, scan_grid(spec, SolverConfig()))
+    res, rhs, den, status = (a[0] for a in _kernels.residual_grid(
+        [spec], scan_grid(spec, SolverConfig())))
     ok = status == _kernels.STATUS_OK
     assert np.isfinite(res[ok]).all() and np.isfinite(rhs[ok]).all()
     # den overflows to +-inf where K does (ps at delta = 1e300), and rhs is
