@@ -17,7 +17,8 @@ from .model import (DEFAULT_HBAR_C, NEUTRAL_PION_M0C2, CaseParameters,
 from .quantization import (ResidualSpec, SpectrumEntry, build_residual_spec,
                            constant_mass_b, residual, sign_validity)
 from .rootfind import (CellResult, RefineResult, SolverConfig, SpectrumTable,
-                       bracket_scan, secant_refine, solve_cell, solve_spectrum)
+                       bracket_scan, secant_refine, solve_cell, solve_spectra,
+                       solve_spectrum)
 from .special import (BoundaryReport, KummerParams, WaveSolution,
                       boundary_report, build_wave_solution, default_r_max,
                       grid_report, kummer_1f1, normalize_on_grid,
@@ -37,7 +38,7 @@ __all__ = [
     "sign_validity", "constant_mass_b",
     "SolverConfig", "RefineResult", "CellResult", "SpectrumTable",
     "bracket_scan", "secant_refine", "solve_cell",
-    "solve_spectrum",
+    "solve_spectrum", "solve_spectra",
     "KummerParams", "WaveSolution", "BoundaryReport", "kummer_1f1",
     "build_wave_solution", "wavefunction_u", "wavefunction_grid",
     "boundary_report", "grid_report", "default_r_max", "normalize_on_grid",

@@ -2,11 +2,12 @@
 
 energy_terms holds the scalar validity checks and the energy-dependent
 terms g = 1 + delta E, K = k2 g^2 + l(l+1) and sqrt(1/4 + K); residual_point
-and model.case_parameters both build on it.  residual_grid is the array
-form of residual_point and must agree with it bit for bit.  Both read the
-cell's coefficients from a quantization.ResidualSpec.  residual_grid runs
-once per (spectrum, l): the cells of one l share g, the LHS, the RHS
-numerator alpha (c0 + c1 E) and sqrt(1/4 + K), and differ only in n.
+and model.case_parameters both build on it.  residual_arrays is the
+array form of residual_point and must agree with it bit for bit; its
+coefficients broadcast against the energies.  residual_grid runs it once
+per (spectrum, l): the cells of one l share g, the LHS, the RHS numerator
+alpha (c0 + c1 E) and sqrt(1/4 + K), and differ only in n.  The lock-step
+secant of rootfind runs it with one coefficient set per bracket.
 
 Status codes:
     0  valid evaluation
@@ -55,17 +56,24 @@ def energy_terms(E, m0c2, delta, k2, ll1):
     return STATUS_OK, g, K, math.sqrt(quarter)
 
 
+def status_error(status, E):
+    """The DomainError or BranchError a non-OK status stands for, or None."""
+    if status == STATUS_OK:
+        return None
+    if status == STATUS_WINDOW:
+        return DomainError(f"E={E} outside the bound-state window")
+    if status == STATUS_ENERGY_FACTOR:
+        return DomainError(f"energy factor 1 + delta*E not positive at E={E}")
+    if status == STATUS_COMPLEX_ETA:
+        return BranchError(f"1/4 + K < 0 at E={E}; eta is complex")
+    return DomainError(f"quantization denominator vanishes at E={E}")
+
+
 def raise_for_status(status, E):
     """Raise the DomainError or BranchError a non-OK status stands for."""
-    if status == STATUS_OK:
-        return
-    if status == STATUS_WINDOW:
-        raise DomainError(f"E={E} outside the bound-state window")
-    if status == STATUS_ENERGY_FACTOR:
-        raise DomainError(f"energy factor 1 + delta*E not positive at E={E}")
-    if status == STATUS_COMPLEX_ETA:
-        raise BranchError(f"1/4 + K < 0 at E={E}; eta is complex")
-    raise DomainError(f"quantization denominator vanishes at E={E}")
+    err = status_error(status, E)
+    if err is not None:
+        raise err
 
 
 def residual_point(spec, E):
@@ -105,15 +113,26 @@ def residual_grid(specs, E, out=None):
     if out is None:
         out = (*np.empty((3, len(specs), len(E))),
                np.empty((len(specs), len(E)), dtype=np.int32))
-    res, rhs, den, status = out
-    m0c2 = spec.m0c2
     n_plus_half = np.array([[s.n_plus_half] for s in specs])
+    return residual_arrays(spec, n_plus_half, E, out)
+
+
+def residual_arrays(c, n_plus_half, E, out):
+    """residual_point over arrays, into out = (res, rhs, den, status).
+
+    c holds the coefficients m0c2, delta, k2, ll1, branch_sign, alpha, c0
+    and c1 as attributes, floats or arrays; they and n_plus_half broadcast
+    against E to the shape of the out arrays.  Every element is computed
+    with residual_point's operations in residual_point's order.
+    """
+    res, rhs, den, status = out
+    m0c2 = c.m0c2
     with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
-        g = 1.0 + spec.delta * E
+        g = 1.0 + c.delta * E
         gg = g * g
-        quarter = 0.25 + (spec.k2 * gg + spec.ll1)
-        signed_root = spec.branch_sign * np.sqrt(quarter)
-        numerator = spec.alpha * (spec.c0 + spec.c1 * E)
+        quarter = 0.25 + (c.k2 * gg + c.ll1)
+        signed_root = c.branch_sign * np.sqrt(quarter)
+        numerator = c.alpha * (c.c0 + c.c1 * E)
         lhs = np.sqrt((m0c2 - E) * (m0c2 + E)) / g
         np.add(n_plus_half, signed_root, out=den)
         np.divide(numerator, den, out=rhs)
@@ -126,15 +145,15 @@ def residual_grid(specs, E, out=None):
     complex_eta = quarter < 0.0
     valid = in_window & positive_g & ~complex_eta
     if valid.all() and not pole.any():
-        return res, rhs, den, status
+        return out
     # Later assignments win, so order from lowest to highest precedence.
-    status[pole] = STATUS_POLE
-    status[:, complex_eta] = STATUS_COMPLEX_ETA
-    status[:, ~positive_g] = STATUS_ENERGY_FACTOR
-    status[:, ~in_window] = STATUS_WINDOW
+    np.copyto(status, STATUS_POLE, where=pole)
+    np.copyto(status, STATUS_COMPLEX_ETA, where=complex_eta)
+    np.copyto(status, STATUS_ENERGY_FACTOR, where=~positive_g)
+    np.copyto(status, STATUS_WINDOW, where=~in_window)
 
     bad = status != STATUS_OK
-    res[bad] = np.nan
-    rhs[bad] = np.nan
-    den[:, ~valid] = np.nan
-    return res, rhs, den, status
+    np.copyto(res, np.nan, where=bad)
+    np.copyto(rhs, np.nan, where=bad)
+    np.copyto(den, np.nan, where=~valid)
+    return out

@@ -34,8 +34,8 @@ from .model import (DEFAULT_HBAR_C, NEUTRAL_PION_M0C2, CouplingMode,
                     ParticleSpec, PhysicalConstants, PotentialSpec,
                     QuantumNumbers, mass_at, vector_potential)
 from .quantization import build_residual_spec
-from .rootfind import (SolverConfig, solve_cell, solve_spectrum,
-                       spectrum_cells)
+from .rootfind import (SolverConfig, solve_cell, solve_spectra,
+                       solve_spectrum, spectrum_cells)
 from .special import (MAX_RADIAL_POINTS, build_wave_solution, default_r_max,
                       grid_report, normalize_on_grid, wavefunction_grid)
 
@@ -552,10 +552,12 @@ def _axis_values(start: float, stop: float, step: float):
 def _cmd_sweep(args) -> int:
     _resolve_inputs(args)
     on_delta = args.axis == "delta"
-    points = [(v, _spectrum(args, v if on_delta else args.delta,
-                            args.lambda_b if on_delta else v,
-                            args.nmax, args.lmax))
-              for v in _axis_values(args.start, args.stop, args.step)]
+    values = _axis_values(args.start, args.stop, args.step)
+    pots = [_potential(args, v if on_delta else args.delta,
+                       args.lambda_b if on_delta else v) for v in values]
+    points = list(zip(values, solve_spectra(
+        args.constants, args.particle, pots, n_max=args.nmax, l_max=args.lmax,
+        branch=args.branch, config=args.solver)))
     manifest = _manifest("sweep", args, axis=args.axis, start=args.start,
                          stop=args.stop, step=args.step,
                          fixed_delta=args.delta,

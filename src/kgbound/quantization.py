@@ -92,21 +92,33 @@ def _real_eta_window(window: tuple, m0c2: float, delta: float, k2: float,
 def build_residual_spec(constants: PhysicalConstants, particle: ParticleSpec,
                         pot: PotentialSpec, qn: QuantumNumbers,
                         branch="plus",
-                        window_margin: float = DEFAULT_WINDOW_MARGIN) -> ResidualSpec:
+                        window_margin: float = DEFAULT_WINDOW_MARGIN,
+                        window: Optional[tuple] = None) -> ResidualSpec:
     """Coefficients of one (n, l) cell on one branch.  The window is
     physical_window ending at the last energy with real eta, or all of
-    physical_window where eta is complex at both of its ends."""
+    physical_window where eta is complex at both of its ends.  It depends
+    on l but not on n, so window, if given, is taken as the window of
+    another cell of the same (spectrum, l) instead of being found again.
+
+    Coefficients that overflow to inf or NaN are refused: no residual
+    built on them is a number."""
     sgn = parse_branch(branch)
     m0c2 = particle.m0c2
     w = pot.lambda_b * m0c2
     alpha = pot.A / constants.hbar_c
     c0, c1, k2 = mode_coefficients(pot.mode, m0c2, w, alpha)
     ll1 = float(qn.l * (qn.l + 1))
-    window = physical_window(m0c2, pot.delta, window_margin)
+    if window is None:
+        window = _real_eta_window(
+            physical_window(m0c2, pot.delta, window_margin), m0c2, pot.delta,
+            k2, ll1)
+    if not all(map(math.isfinite, (alpha, c0, c1, k2))):
+        raise DomainError(f"coefficients alpha={alpha}, c0={c0}, c1={c1}, "
+                          f"k2={k2}: an input overflows double precision")
     return ResidualSpec(
         n=qn.n, l=qn.l, branch_sign=sgn, m0c2=m0c2, delta=pot.delta,
         alpha=alpha, c0=c0, c1=c1, k2=k2, ll1=ll1, n_plus_half=qn.n + 0.5,
-        window=_real_eta_window(window, m0c2, pot.delta, k2, ll1))
+        window=window)
 
 
 def evaluate(spec: ResidualSpec, E: float):

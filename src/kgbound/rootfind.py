@@ -1,28 +1,44 @@
 """Root location and refinement for the quantization residual.
 
-The residual is evaluated on a uniform energy grid over each cell's
-window, which ends at the last energy with real eta; that one scan gives
-both the brackets and the absence diagnosis.  The window depends on l but
-not on n, so solve_spectrum scans once per (spectrum, l): one kernel call
-evaluates every cell of that l on one grid.  Sign changes
-between adjacent valid nodes become brackets, except where the denominator
-changes sign inside the pair (a pole, not a root).  Brackets are refined
-by secant steps that fall back to bisection when a step leaves the bracket
-or stalls.  The brackets are disjoint and every secant iterate stays
-inside its bracket, so converged roots are distinct; they are classified
-into the lower/upper spectral lines of each (n, l) cell.
+A command's spectra are solved in three passes: scan, refine, classify.
+
+Scan.  The residual is evaluated on a uniform energy grid over each cell's
+window, which ends at the last energy with real eta.  The window depends
+on l but not on n, so one kernel call evaluates every cell of one
+(spectrum, l), into scan arrays the command owns, and the brackets of all
+its rows are searched at once.  Sign changes between adjacent valid nodes
+become brackets, except where the denominator changes sign inside the
+pair (a pole, not a root); a node where the residual is exactly 0 yields a
+degenerate (E, E) bracket.  The same scan gives each cell's absence
+diagnosis.
+
+Refine.  Every bracket of the command is refined by secant steps that
+fall back to bisection when a step leaves the bracket or stalls.  From
+LOCKSTEP_MIN_BRACKETS brackets on, lockstep_refine takes those steps for
+all brackets at once on arrays; below it secant_refine runs bracket by
+bracket.  Both give the same bits.
+
+Classify.  The brackets are disjoint and every secant iterate stays inside
+its bracket, so converged roots are distinct; solve_cell sorts each
+cell's roots into the lower/upper spectral lines of its (n, l) cell.
+
+An error is raised where solving the cells one by one, in the order
+(spectrum, l, n), would raise it first.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
+import operator
+from collections import namedtuple
 from dataclasses import dataclass, replace
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from . import _kernels, quantization
-from .errors import ConvergenceError, DomainError
+from .errors import BranchError, ConvergenceError, DomainError
 from .model import (ParticleSpec, PhysicalConstants, PotentialSpec,
                     QuantumNumbers)
 from .quantization import ResidualSpec, SpectrumEntry, build_residual_spec
@@ -30,6 +46,11 @@ from .quantization import ResidualSpec, SpectrumEntry, build_residual_spec
 # Points in one kernel call, cells times grid points: each scan array
 # costs 8 bytes per point, so this keeps one under 8 MB.
 MAX_GRID_POINTS = 1_000_000
+
+# Fewest brackets of one command refined in lock step; fewer are refined
+# one at a time, which costs less than the lock step's fixed cost per
+# iteration there.
+LOCKSTEP_MIN_BRACKETS = 96
 
 
 @dataclass(frozen=True)
@@ -139,6 +160,136 @@ def secant_refine(f: Callable[[float], float], bracket: Tuple[float, float],
         best_energy=best_x, best_residual=best_f, iterations=config.max_iter)
 
 
+# The fields of a ResidualSpec that the residual reads, one array each in
+# lockstep_refine: the coefficients of each bracket's cell.
+_Coefficients = namedtuple("_Coefficients", (
+    "m0c2", "delta", "k2", "ll1", "branch_sign", "alpha", "c0", "c1",
+    "n_plus_half"))
+_coefficients_of = operator.attrgetter(*_Coefficients._fields)
+
+
+def _residual_at(coeffs: np.ndarray, E: np.ndarray):
+    """(res, rhs, status) of each bracket's cell at its energy in E;
+    coeffs holds the _Coefficients fields as rows."""
+    c = _Coefficients(*coeffs)
+    out = (*np.empty((3, len(E))), np.empty(len(E), dtype=np.int32))
+    res, rhs, _, status = _kernels.residual_arrays(c, c.n_plus_half, E, out)
+    return res, rhs, status
+
+
+# Overflow to inf and NaN arithmetic go on silently, as in Python floats.
+@np.errstate(invalid="ignore", divide="ignore", over="ignore")
+def lockstep_refine(specs: Sequence[ResidualSpec],
+                    brackets: Sequence[Tuple[float, float]],
+                    config: SolverConfig) -> list:
+    """secant_refine of every bracket at once, on arrays.
+
+    specs[i] is the cell of brackets[i], refined as secant_refine refines
+    it with f = quantization.residual of that cell.  Each bracket takes
+    the same steps: IEEE +, -, *, / and sqrt are correctly rounded in NumPy
+    and in math alike, and _kernels.residual_arrays keeps residual_point's
+    order of operations, so every iterate has the same bits.  Returns per
+    bracket what refining it alone gives: a (RefineResult, sign verdict)
+    pair, where the verdict is quantization.sign_validity at the root; the
+    ConvergenceError; or the DomainError or BranchError that would be
+    raised.
+    """
+    n = len(brackets)
+    outcomes: list = [None] * n
+    if n == 0:
+        return outcomes
+    coeffs = np.array([_coefficients_of(s) for s in specs], dtype=float).T
+    p, q = np.array(brackets, dtype=float).reshape(n, 2).T
+    swap = p > q
+    a, b = np.where(swap, q, p), np.where(swap, p, q)
+    tol_r, tol_e = config.tol_residual, config.tol_energy
+
+    def fail(where, status, E):
+        for i, s, e in zip(where.tolist(), status.tolist(), E.tolist()):
+            outcomes[i] = _kernels.status_error(s, e)
+
+    def converge(where, E, res, rhs, iterations):
+        results = map(RefineResult, E.tolist(), res.tolist(),
+                      itertools.repeat(iterations))
+        for i, r, valid in zip(where.tolist(), results, (rhs >= 0.0).tolist()):
+            outcomes[i] = (r, valid)
+
+    # f(a) for every bracket, then f(b) for the proper ones.
+    idx = np.arange(n)
+    fa, rhs_a, status = _residual_at(coeffs, a)
+    bad = status != _kernels.STATUS_OK
+    fail(idx[bad], status[bad], a[bad])
+    degenerate = ~bad & (a == b)
+    close = degenerate & (np.abs(fa) <= tol_r)
+    converge(idx[close], a[close], fa[close], rhs_a[close], 0)
+    off = degenerate & ~close
+    for i, e, r in zip(idx[off].tolist(), a[off].tolist(), fa[off].tolist()):
+        outcomes[i] = ConvergenceError(
+            f"degenerate bracket at E={e} has residual {r}",
+            best_energy=e, best_residual=r, iterations=0)
+    keep = ~(bad | degenerate)
+    idx, a, b, fa, rhs_a = idx[keep], a[keep], b[keep], fa[keep], rhs_a[keep]
+    coeffs = coeffs[:, keep]
+    fb, rhs_b, status = _residual_at(coeffs, b)
+    bad = status != _kernels.STATUS_OK
+    fail(idx[bad], status[bad], b[bad])
+    at_a = ~bad & (fa == 0.0)
+    converge(idx[at_a], a[at_a], fa[at_a], rhs_a[at_a], 0)
+    at_b = ~bad & ~at_a & (fb == 0.0)
+    converge(idx[at_b], b[at_b], fb[at_b], rhs_b[at_b], 0)
+    same_sign = ~bad & ~at_a & ~at_b & (fa * fb > 0.0)
+    for i, lo, hi in zip(idx[same_sign].tolist(), a[same_sign].tolist(),
+                         b[same_sign].tolist()):
+        outcomes[i] = DomainError(f"no sign change on [{lo}, {hi}]")
+    keep = ~(bad | at_a | at_b | same_sign)
+    idx, a, b, fa, fb = idx[keep], a[keep], b[keep], fa[keep], fb[keep]
+    coeffs = coeffs[:, keep]
+
+    x0, f0, x1, f1 = a, fa, b, fb
+    first = np.abs(fa) < np.abs(fb)
+    best_x, best_f = np.where(first, a, b), np.where(first, fa, fb)
+    force_bisect = np.zeros(len(idx), dtype=bool)
+    for it in range(1, config.max_iter + 1):
+        if not len(idx):
+            break
+        secant = x1 - f1 * (x1 - x0) / (f1 - f0)
+        take = ~force_bisect & (f1 != f0) & (a < secant) & (secant < b)
+        x = np.where(take, secant, 0.5 * (a + b))
+        fx, rhs_x, status = _residual_at(coeffs, x)
+        bad = status != _kernels.STATUS_OK
+        if bad.any():
+            fail(idx[bad], status[bad], x[bad])
+        better = np.abs(fx) < np.abs(best_f)
+        best_x, best_f = np.where(better, x, best_x), np.where(better, fx, best_f)
+        step = np.abs(x - x1)
+        x0, f0, x1, f1 = x1, f1, x, fx
+        below = fa * fx < 0.0
+        a, b = np.where(below, a, x), np.where(below, x, b)
+        fa = np.where(below, fa, fx)
+        # A zero residual returns at once; its (x, fx, it) is what the
+        # convergence test would return too.
+        done = ~bad & ((fx == 0.0) | ((np.abs(fx) <= tol_r)
+                                       & ((step <= tol_e)
+                                          | (b - a <= tol_e))))
+        if done.any():
+            converge(idx[done], x[done], fx[done], rhs_x[done], it)
+        # A stalled secant (tiny step, residual still too large) must not
+        # spin in place; take a bisection next.
+        force_bisect = step <= tol_e
+        keep = ~(bad | done)
+        if not keep.all():
+            idx, a, b, fa, x0, f0, x1, f1, best_x, best_f, force_bisect = (
+                v[keep] for v in (idx, a, b, fa, x0, f0, x1, f1, best_x,
+                                  best_f, force_bisect))
+            coeffs = coeffs[:, keep]
+    for i, e, r in zip(idx.tolist(), best_x.tolist(), best_f.tolist()):
+        lo, hi = brackets[i]
+        outcomes[i] = ConvergenceError(
+            f"no convergence after {config.max_iter} iterations on [{lo}, {hi}]",
+            best_energy=e, best_residual=r, iterations=config.max_iter)
+    return outcomes
+
+
 @dataclass(frozen=True)
 class CellResult:
     """All spectral lines found for one (n, l) cell."""
@@ -173,14 +324,28 @@ def _failed(spec: ResidualSpec, line: str, err: ConvergenceError) -> SpectrumEnt
                          detail=str(err))
 
 
-def absence_reason(rhs: np.ndarray, status: np.ndarray, brackets: int) -> str:
-    """Short diagnostic for a cell with no accepted root, from its scan."""
+# What a cell's scan says when it yields no accepted root.
+_NO_VALID_NODE, _ETA_COMPLEX, _RHS_NEGATIVE, _SCANNED = range(4)
+
+
+def _scan_reading(rhs: np.ndarray, status: np.ndarray) -> int:
+    """absence_reason's reading of one cell's scan arrays."""
     ok = status == _kernels.STATUS_OK
     if not ok.any():
         if (status == _kernels.STATUS_COMPLEX_ETA).all():
-            return "eta complex over the whole window"
+            return _ETA_COMPLEX
+        return _NO_VALID_NODE
+    return _RHS_NEGATIVE if (rhs[ok] < 0.0).all() else _SCANNED
+
+
+def absence_reason(reading: int, brackets: int) -> str:
+    """Short diagnostic for a cell with no accepted root, from its scan's
+    reading (_scan_reading) and its bracket count."""
+    if reading == _ETA_COMPLEX:
+        return "eta complex over the whole window"
+    if reading == _NO_VALID_NODE:
         return "no valid evaluation point in the window"
-    if (rhs[ok] < 0.0).all():
+    if reading == _RHS_NEGATIVE:
         return "quantization RHS negative over the window"
     if brackets:
         return (f"{brackets} sign change(s) on the scan grid, "
@@ -188,47 +353,41 @@ def absence_reason(rhs: np.ndarray, status: np.ndarray, brackets: int) -> str:
     return "no sign change of the residual on the scan grid"
 
 
-def solve_cell(spec: ResidualSpec, config: SolverConfig = SolverConfig(),
-               scan: Optional[Tuple[np.ndarray, ...]] = None) -> CellResult:
-    """Scan, refine, and classify the roots of one cell.
+@dataclass(frozen=True)
+class CellScan:
+    """What the scan and refine passes found for one cell: its scan's
+    reading for absence_reason and, per bracket in ascending order, a
+    (RefineResult, sign verdict) pair or the ConvergenceError."""
 
-    scan is the cell's (E, res, rhs, den, status) over the uniform grid of
-    its window, as solve_spectrum evaluates it for every cell of one l;
-    without it the cell is scanned on its own.
+    reading: int
+    outcomes: tuple
+
+
+def solve_cell(spec: ResidualSpec, config: SolverConfig = SolverConfig(),
+               scan: Optional[CellScan] = None) -> CellResult:
+    """Classify the roots of one cell.
+
+    scan is what solve_spectra's scan and refine passes found for the
+    cell; without it the cell is scanned and refined on its own first.
 
     Classification: two or more roots put the smallest on the lower line
     and the largest on the upper line; a single root goes to the lower
     line when negative, the upper line otherwise.
     """
-    def f(E: float) -> float:
-        return quantization.residual(spec, E)
-
     if scan is None:
-        E = np.linspace(*spec.window, config.grid_points)
-        scan = (E, *(a[0] for a in _kernels.residual_grid([spec], E)))
-    E, res, rhs, den, status = scan
-    # res is NaN off the OK nodes; an OK node without a finite res overflowed.
-    ok, finite = status == _kernels.STATUS_OK, np.isfinite(res)
-    if np.count_nonzero(finite) != np.count_nonzero(ok):
-        i = np.flatnonzero(ok & ~finite)[0]
-        raise DomainError(f"residual {res[i]} at E={E[i]} in cell (n={spec.n},"
-                          f" l={spec.l}): an input overflows double precision")
-    brackets = bracket_scan(E, res, den, status)
+        (_, scan), = _scan_and_refine([[[spec]]], config)
     roots: List[RefineResult] = []
     failures: List[ConvergenceError] = []
-    for bracket in brackets:
-        try:
-            r = secant_refine(f, bracket, config)
-        except ConvergenceError as err:
-            failures.append(err)
-            continue
-        if quantization.sign_validity(spec, r.energy):
-            roots.append(r)
+    for outcome in scan.outcomes:
+        if isinstance(outcome, ConvergenceError):
+            failures.append(outcome)
+        elif outcome[1]:
+            roots.append(outcome[0])
     # The brackets ascend and are disjoint, so the roots ascend too.
 
     extras: List[SpectrumEntry] = []
     if not roots:
-        reason = absence_reason(rhs, status, len(brackets))
+        reason = absence_reason(scan.reading, len(scan.outcomes))
         lower = _absent(spec, "lower", reason)
         upper = _absent(spec, "upper", reason)
     elif len(roots) == 1:
@@ -252,6 +411,154 @@ def solve_cell(spec: ResidualSpec, config: SolverConfig = SolverConfig(),
         extras.append(_failed(spec, line, err))
     return CellResult(n=spec.n, l=spec.l, lower=lower, upper=upper,
                       extras=tuple(extras))
+
+
+def _scan_rows(grids: list, res: np.ndarray, rhs: np.ndarray,
+               den: np.ndarray, status: np.ndarray):
+    """Brackets and scan reading of every row of a block of scans; row r
+    holds a scan over the energies grids[r].
+
+    Returns (brackets, readings, overflow): per row its bracket list and
+    _scan_reading, up to the first row holding a non-finite residual at a
+    valid node, and that row and node (or None).  Rows whose nodes are all
+    valid and whose residual never vanishes are searched together by sign
+    bits; the others go through bracket_scan one by one.
+    """
+    # res is NaN at every invalid node, so a finite row sum says the row is
+    # valid and finite throughout.
+    with np.errstate(invalid="ignore", over="ignore"):
+        clean = np.isfinite(res.sum(axis=1))
+    plain = clean & ~(res == 0.0).any(axis=1)
+    negative = np.signbit(res)
+    crossing = negative[:, :-1] != negative[:, 1:]
+    below = np.signbit(den)
+    if below.any():
+        crossing &= below[:, :-1] == below[:, 1:]
+    brackets: List[list] = [[] for _ in grids]
+    rows, nodes = np.divmod(np.flatnonzero(crossing), res.shape[1] - 1)
+    for r, i in zip(rows.tolist(), nodes.tolist()):
+        E = grids[r]
+        brackets[r].append((E.item(i), E.item(i + 1)))
+    readings = np.where(rhs.max(axis=1) < 0.0, _RHS_NEGATIVE,
+                        _SCANNED).tolist()
+    for r in np.flatnonzero(~plain).tolist():
+        ok = status[r] == _kernels.STATUS_OK
+        bad = ok & ~np.isfinite(res[r])
+        if bad.any():
+            return brackets[:r], readings[:r], (r, np.flatnonzero(bad)[0])
+        brackets[r] = bracket_scan(grids[r], res[r], den[r], status[r])
+        readings[r] = _scan_reading(rhs[r], status[r])
+    return brackets, readings, None
+
+
+def _scan_and_refine(spectra: Iterable[List[List[ResidualSpec]]],
+                     config: SolverConfig) -> List[Tuple[ResidualSpec, CellScan]]:
+    """Scan and refine the cells of each spectrum, given as its
+    (spectrum, l) groups: each cell's CellScan, in that order.  Every
+    spectrum has the cells of the first.
+
+    The cells of one group share their window: each group is scanned by
+    kernel calls of at most MAX_GRID_POINTS points (a larger group is
+    split), and a group whose window equals the previous one's reuses its
+    grid.  The calls fill a block of scan arrays as large as the largest
+    group, and the brackets of all its rows are searched at once when the
+    next call does not fit.  spectra may raise DomainError as it is
+    iterated; that error, a scan's overflow error and the refine errors
+    are raised in the order solving the cells one at a time would meet
+    them.
+    """
+    points = config.grid_points
+    rows_per_call = MAX_GRID_POINTS // points
+    # One block of scan arrays serves the whole command: arrays of this
+    # size allocated and freed per call are often handed back to the
+    # system by the allocator and faulted in again at the next call.  A
+    # block of a whole spectrum searched no faster and cost about 1.5 MB
+    # more peak RSS on the sweep workload.
+    work = None
+    pending: list = []    # (spec, grid) of each filled row of work
+    cells: list = []      # (spec, grid reading, number of brackets)
+    specs: list = []      # the cell of each bracket
+    brackets: list = []
+
+    def search():
+        rows, grids = zip(*pending)
+        pending.clear()
+        found, readings, overflow = _scan_rows(
+            grids, *(a[:len(rows)] for a in work))
+        for spec, cell_brackets, reading in zip(rows, found, readings):
+            cells.append((spec, reading, len(cell_brackets)))
+            specs.extend([spec] * len(cell_brackets))
+            brackets.extend(cell_brackets)
+        if overflow is not None:
+            r, i = overflow
+            raise DomainError(
+                f"residual {work[0][r, i]} at E={grids[r][i]} in cell "
+                f"(n={rows[r].n}, l={rows[r].l}): an input overflows double "
+                "precision")
+
+    error = None
+    window = None
+    try:
+        for spectrum in spectra:
+            if work is None:
+                rows = min(max(map(len, spectrum)), rows_per_call)
+                work = (*np.empty((3, rows, points)),
+                        np.empty((rows, points), dtype=np.int32))
+            for group in spectrum:
+                if group[0].window != window:
+                    window = group[0].window
+                    E = np.linspace(*window, points)
+                for start in range(0, len(group), rows_per_call):
+                    chunk = group[start:start + rows_per_call]
+                    if len(pending) + len(chunk) > len(work[0]):
+                        search()
+                    row = len(pending)
+                    _kernels.residual_grid(chunk, E, out=tuple(
+                        a[row:row + len(chunk)] for a in work))
+                    pending.extend((spec, E) for spec in chunk)
+        if pending:
+            search()
+    except (DomainError, BranchError) as err:
+        error = err
+        # The rows scanned before the error come before it.
+        if pending:
+            try:
+                search()
+            except DomainError as earlier:
+                error = earlier
+    outcomes = _refine(specs, brackets, config)
+    if error is not None:
+        raise error
+    scans = []
+    first = 0
+    for spec, reading, count in cells:
+        scans.append((spec, CellScan(
+            reading=reading, outcomes=tuple(outcomes[first:first + count]))))
+        first += count
+    return scans
+
+
+def _refine(specs: list, brackets: list, config: SolverConfig) -> list:
+    """Refine each bracket of its cell in specs: per bracket a
+    (RefineResult, sign verdict) pair or the ConvergenceError.  The first
+    DomainError or BranchError in bracket order is raised."""
+    if len(brackets) >= LOCKSTEP_MIN_BRACKETS:
+        outcomes = lockstep_refine(specs, brackets, config)
+        for outcome in outcomes:
+            if isinstance(outcome, (DomainError, BranchError)):
+                raise outcome
+        return outcomes
+    outcomes = []
+    for spec, bracket in zip(specs, brackets):
+        def f(E: float) -> float:
+            return quantization.residual(spec, E)
+        try:
+            r = secant_refine(f, bracket, config)
+        except ConvergenceError as err:
+            outcomes.append(err)
+            continue
+        outcomes.append((r, quantization.sign_validity(spec, r.energy)))
+    return outcomes
 
 
 @dataclass(frozen=True)
@@ -295,43 +602,50 @@ def spectrum_cells(n_max: int, l_max: Optional[int]) -> List[Tuple[int, int]]:
     return cells
 
 
-def solve_spectrum(constants: PhysicalConstants, particle: ParticleSpec,
-                   pot: PotentialSpec, n_max: int, l_max: Optional[int] = None,
-                   branch: str = "plus",
-                   config: SolverConfig = SolverConfig()) -> SpectrumTable:
-    """Solve every (n, l) cell and collect the classified lines.
+def solve_spectra(constants: PhysicalConstants, particle: ParticleSpec,
+                  pots: Sequence[PotentialSpec], n_max: int,
+                  l_max: Optional[int] = None, branch: str = "plus",
+                  config: SolverConfig = SolverConfig()) -> List[SpectrumTable]:
+    """Solve every (n, l) cell of each potential; one table per potential.
 
-    The cells of one l share their window, so each l is scanned by one
-    kernel call of at most MAX_GRID_POINTS points (a larger l is split),
-    and its cells are solved before the next l is scanned into the same
-    arrays.  An l whose window equals the previous l's reuses its grid.
+    All cells of all potentials are scanned first, one (spectrum, l) per
+    kernel call, then all their brackets are refined together, then each
+    cell is classified.  The window of each (spectrum, l) is found once,
+    by its first cell, and handed to the others.
     """
     table = spectrum_cells(n_max, l_max)
     by_l: dict = {}
     for n, l in table:
-        by_l.setdefault(l, []).append(build_residual_spec(
-            constants, particle, pot, QuantumNumbers(n=n, l=l), branch=branch,
-            window_margin=config.window_margin))
-    rows_per_call = MAX_GRID_POINTS // config.grid_points
-    rows = min(max(map(len, by_l.values())), rows_per_call)
-    # One set of scan arrays serves every kernel call of the spectrum:
-    # arrays of this size allocated and freed per call are often handed
-    # back to the system by the allocator and faulted in again at the next
-    # call, which costs more than sharing the energy terms saves.
-    work = (*np.empty((3, rows, config.grid_points)),
-            np.empty((rows, config.grid_points), dtype=np.int32))
-    solved = {}
-    window = None
-    for specs in by_l.values():
-        if specs[0].window != window:
-            window = specs[0].window
-            E = np.linspace(*window, config.grid_points)
-        for start in range(0, len(specs), rows_per_call):
-            chunk = specs[start:start + rows_per_call]
-            scan = _kernels.residual_grid(
-                chunk, E, out=tuple(a[:len(chunk)] for a in work))
-            for row, spec in enumerate(chunk):
-                cell = solve_cell(spec, config,
-                                  scan=(E, *(a[row] for a in scan)))
-                solved[cell.n, cell.l] = cell
-    return SpectrumTable(cells=tuple(solved[nl] for nl in table))
+        by_l.setdefault(l, []).append(QuantumNumbers(n=n, l=l))
+
+    def spectra():
+        for pot in pots:
+            groups = []
+            for qns in by_l.values():
+                window = None
+                group = []
+                for qn in qns:
+                    spec = build_residual_spec(
+                        constants, particle, pot, qn, branch=branch,
+                        window_margin=config.window_margin, window=window)
+                    window = spec.window
+                    group.append(spec)
+                groups.append(group)
+            yield groups
+
+    solved = [solve_cell(spec, config, scan)
+              for spec, scan in _scan_and_refine(spectra(), config)]
+    tables = []
+    for start in range(0, len(solved), len(table)):
+        cells = {(c.n, c.l): c for c in solved[start:start + len(table)]}
+        tables.append(SpectrumTable(cells=tuple(cells[nl] for nl in table)))
+    return tables
+
+
+def solve_spectrum(constants: PhysicalConstants, particle: ParticleSpec,
+                   pot: PotentialSpec, n_max: int, l_max: Optional[int] = None,
+                   branch: str = "plus",
+                   config: SolverConfig = SolverConfig()) -> SpectrumTable:
+    """Solve every (n, l) cell of one potential: solve_spectra of [pot]."""
+    return solve_spectra(constants, particle, [pot], n_max, l_max, branch,
+                         config)[0]

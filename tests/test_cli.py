@@ -88,6 +88,72 @@ def test_paper_grid_csv_bytes_are_pinned(tmp_path, mode):
         PAPER_GRID_SHA256[mode]
 
 
+# sha256 of `sweep ... --format json`, taken before the sweep's brackets
+# were refined in lock step.  Every mode and both branches; the first,
+# third and last refine enough brackets to take the lock step, and the
+# last two hold failed entries (77 and 28).
+SWEEP_JSON_SHA256 = [
+    (["--mode", "emes", "--axis", "delta", "--start=-0.003", "--stop=0.003",
+      "--step=0.0005", "--nmax=3"],
+     "a4b86046efe781c89027136e2a58deac07cde589573055c8b856d1fb62bb452b"),
+    (["--mode", "emos", "--axis", "lambda_b", "--start=-0.004",
+      "--stop=0.004", "--step=0.001", "--A=300", "--delta=0.002",
+      "--branch", "minus", "--nmax=3"],
+     "9a2f5e7a57691e4f38975322181d21e80b7f0e16b8ce79d95290e4b82579e3ec"),
+    (["--mode", "pv", "--axis", "delta", "--start=0", "--stop=0.004",
+      "--step=0.0005", "--A=150", "--lambda-b=0.001", "--branch", "minus",
+      "--nmax=5"],
+     "eec89c5f9fe38c1f9790ff52d77bd2aecb526eab80f6957e220003b458c55a8f"),
+    (["--mode", "ps", "--axis", "delta", "--start=0", "--stop=0.002",
+      "--step=0.001", "--nmax=2", "--max-iter=8", "--tol-energy=1e-300",
+      "--tol-residual=1e-300"],
+     "6b05e7ed375a5c6c3cdbeda9bac69f1d1e89dc0a1558310bbd0fba4ac611d825"),
+    (["--mode", "emes", "--axis", "delta", "--start=-0.003", "--stop=0.003",
+      "--step=0.0005", "--nmax=3", "--max-iter=8", "--tol-energy=1e-300",
+      "--tol-residual=1e-300"],
+     "c2fed0cc3fd5114a7661358fae8c7fc3605cc2828edde0885fa0ff8cc9c31a58"),
+]
+
+
+@pytest.mark.parametrize("argv, digest", SWEEP_JSON_SHA256)
+def test_sweep_json_bytes_are_pinned(argv, digest, tmp_path):
+    out = tmp_path / "sweep.json"
+    assert main(["sweep"] + argv + ["--format", "json", "--output",
+                                    str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+def test_sweep_reports_the_first_error_in_point_order(capsys):
+    # delta = 0 solves, and its brackets are refined before the overflow
+    # at delta = 1e300 is raised
+    assert main(["sweep", "--mode", "emes", "--axis", "delta", "--start=0",
+                 "--stop=1e300", "--step=1e300", "--nmax=1"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == ("kgbound: error: residual nan at E=0.033752687921980495 "
+                   "in cell (n=0, l=0): an input overflows double precision\n")
+
+
+@pytest.mark.parametrize("argv", [
+    # k2 = alpha^2 (w^2 - 2w) is inf - inf
+    ["solve", "--mode", "emos", "--A=1e308", "--nmax=1"],
+    ["solve", "--mode", "emos", "--A=1e308", "--nmax=0"],
+    ["sweep", "--mode", "emos", "--A=1e308", "--nmax=1", "--axis", "delta",
+     "--start=0", "--stop=0.001", "--step=0.001"],
+    ["solve", "--mode", "emos", "--delta=-1e308", "--lambda-b=1e308",
+     "--nmax=1"],
+    # alpha = A / hbar_c is inf
+    ["solve", "--mode", "pv", "--hbar-c=1e-320"],
+])
+def test_non_finite_coefficients_are_a_domain_error(argv, capsys):
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("kgbound: error: coefficients alpha=")
+    assert err.endswith(": an input overflows double precision\n")
+    assert err.count("\n") == 1
+
+
 @pytest.mark.parametrize("argv", [
     ["solve", "--mode", "ps", "--nmax=2"],
     ["solve", "--mode", "emos", "--delta=0.003", "--nmax=1",

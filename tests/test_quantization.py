@@ -89,6 +89,11 @@ def test_window_ends_at_the_last_real_eta_energy(constants, pion, mode, A,
                                                  delta, lambda_b, l):
     spec = make_spec(constants, pion, mode, l=l, delta=delta,
                      lambda_b=lambda_b, A=A)
+    # the window depends on l only, so the cells of one (spectrum, l)
+    # share it
+    for n in (l + 1, l + 4):
+        assert make_spec(constants, pion, mode, n=n, l=l, delta=delta,
+                         lambda_b=lambda_b, A=A).window == spec.window
     lo, hi = physical_window(pion.m0c2, delta)
     if spec.window == (lo, hi):
         return

@@ -1,19 +1,22 @@
 import dataclasses
 import math
 import random
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from kgbound import (ConvergenceError, CouplingMode, DomainError,
-                     ParticleSpec, PhysicalConstants, PotentialSpec,
-                     QuantumNumbers, SolverConfig, build_residual_spec,
-                     secant_refine, solve_cell, solve_spectrum)
-from kgbound import _kernels
+from kgbound import (BranchError, ConvergenceError, CouplingMode,
+                     DomainError, ParticleSpec, PhysicalConstants,
+                     PotentialSpec, QuantumNumbers, SolverConfig,
+                     build_residual_spec, secant_refine, sign_validity,
+                     solve_cell, solve_spectra, solve_spectrum)
+from kgbound import _kernels, quantization, rootfind
 from kgbound.quantization import residual
-from kgbound.rootfind import MAX_GRID_POINTS, bracket_scan, spectrum_cells
+from kgbound.rootfind import (MAX_GRID_POINTS, bracket_scan, lockstep_refine,
+                              spectrum_cells)
 
 from conftest import (A_DEFAULT, GRID_VALUES, load_reference, scan_brackets,
                       scan_grid)
@@ -152,6 +155,53 @@ def test_bracket_scan_reads_signs_of_extreme_values(res, den, status, want):
                         np.array(status, dtype=np.int32)) == want
 
 
+RES = st.sampled_from([-2.0, -1.0, -1e-300, -0.0, 0.0, 1e-300, 1.0, 2.0,
+                       math.inf, -math.inf])
+DEN = st.sampled_from([-1e300, -1.0, 1.0, 1e300, -math.inf, math.inf])
+STATUS = st.sampled_from([OK] * 6 + [_kernels.STATUS_WINDOW,
+                                     _kernels.STATUS_COMPLEX_ETA, POLE])
+NODE = st.tuples(RES, st.sampled_from([-1.0, 0.0, 1.0]), DEN, STATUS)
+
+
+@settings(max_examples=300, deadline=None)
+@given(rows=st.integers(1, 4), points=st.integers(2, 9), data=st.data())
+def test_block_search_equals_bracket_scan_row_by_row(rows, points, data):
+    # a block as the kernel leaves it: res and rhs NaN off the valid
+    # nodes, den NaN off them too except at a pole; an infinite res at a
+    # valid node is an overflow
+    nodes = data.draw(st.lists(st.lists(NODE, min_size=points,
+                                        max_size=points),
+                               min_size=rows, max_size=rows))
+    res, rhs, den, status = (np.array(a, dtype=float)
+                             for a in np.moveaxis(np.array(nodes), 2, 0))
+    status = status.astype(np.int32)
+    invalid = status != OK
+    res[invalid] = rhs[invalid] = math.nan
+    den[invalid & (status != POLE)] = math.nan
+    grids = [np.linspace(-1.0, 1.0, points) * (r + 1) for r in range(rows)]
+    found, readings, overflow = rootfind._scan_rows(grids, res, rhs, den,
+                                                    status)
+    for r in range(rows):
+        ok = status[r] == OK
+        bad = np.flatnonzero(ok & ~np.isfinite(res[r]))
+        if bad.size:
+            assert overflow == (r, bad[0]) and len(found) == r
+            break
+        want = bracket_scan(grids[r], res[r], den[r], status[r])
+        assert found[r] == want
+        if not ok.any():
+            reason = ("eta complex over the whole window"
+                      if (status[r] == _kernels.STATUS_COMPLEX_ETA).all()
+                      else "no valid evaluation point in the window")
+        elif (rhs[r][ok] < 0.0).all():
+            reason = "quantization RHS negative over the window"
+        else:
+            reason = rootfind.absence_reason(rootfind._SCANNED, len(want))
+        assert rootfind.absence_reason(readings[r], len(want)) == reason
+    else:
+        assert overflow is None and len(found) == rows
+
+
 def test_coarse_energy_tolerance_keeps_distinct_roots(constants, pion):
     # ps, lambda_b = 0.003, minus branch: the (3, 1) roots at -/+14.0566 MeV
     # come from two brackets, so a coarse tolerance must not merge them
@@ -216,9 +266,9 @@ def test_solve_cell_evaluates_the_grid_once(constants, pion, monkeypatch):
     calls = []
     original = _kernels.residual_grid
 
-    def counting(specs, energies):
+    def counting(specs, energies, **kwargs):
         calls.append(len(energies))
-        return original(specs, energies)
+        return original(specs, energies, **kwargs)
 
     monkeypatch.setattr(_kernels, "residual_grid", counting)
     config = SolverConfig()
@@ -258,18 +308,111 @@ def test_solve_spectrum_scans_once_per_l_within_the_point_bound(
     assert all(r * p <= MAX_GRID_POINTS for r, p in calls)
 
 
+PARAMS = st.tuples(st.floats(-0.006, 0.006), st.floats(-0.006, 0.006))
+
+
 @settings(deadline=None)
 @given(mode=st.sampled_from(list(CouplingMode)), A=st.floats(20.0, 400.0),
-       delta=st.floats(-0.006, 0.006), lambda_b=st.floats(-0.006, 0.006),
-       branch=st.sampled_from(["plus", "minus"]), n_max=st.integers(0, 5))
-def test_grouped_spectrum_equals_cell_by_cell(constants, pion, mode, A, delta,
-                                              lambda_b, branch, n_max):
-    pot = PotentialSpec(A=A, delta=delta, lambda_b=lambda_b, mode=mode)
-    table = solve_spectrum(constants, pion, pot, n_max=n_max, branch=branch)
-    assert table.cells == tuple(
-        solve_cell(build_residual_spec(constants, pion, pot,
-                                       QuantumNumbers(n=n, l=l), branch=branch))
+       params=st.lists(PARAMS, min_size=1, max_size=4),
+       branch=st.sampled_from(["plus", "minus"]), n_max=st.integers(0, 5),
+       lockstep=st.booleans())
+def test_grouped_spectrum_equals_cell_by_cell(constants, pion, mode, A,
+                                              params, branch, n_max, lockstep):
+    pots = [PotentialSpec(A=A, delta=delta, lambda_b=lambda_b, mode=mode)
+            for delta, lambda_b in params]
+    # lockstep=True refines every bracket of the command in lock step
+    with mock.patch.object(rootfind, "LOCKSTEP_MIN_BRACKETS",
+                           0 if lockstep else rootfind.LOCKSTEP_MIN_BRACKETS):
+        tables = solve_spectra(constants, pion, pots, n_max=n_max,
+                               branch=branch)
+    assert tables == [solve_spectrum(constants, pion, pot, n_max=n_max,
+                                     branch=branch) for pot in pots]
+    assert tables[0].cells == tuple(
+        solve_cell(build_residual_spec(constants, pion, pots[0],
+                                       QuantumNumbers(n=n, l=l),
+                                       branch=branch))
         for n, l in spectrum_cells(n_max, None))
+
+
+def refined_alone(spec, bracket, config):
+    """secant_refine's outcome for one bracket, in lockstep_refine's terms."""
+    def f(E):
+        return residual(spec, E)
+    try:
+        r = secant_refine(f, bracket, config)
+    except (ConvergenceError, DomainError, BranchError) as err:
+        return err
+    return (r, sign_validity(spec, r.energy))
+
+
+def bits(outcome):
+    """An outcome as text that tells every float apart by its bits."""
+    if isinstance(outcome, Exception):
+        return (type(outcome).__name__, str(outcome), repr(vars(outcome)))
+    return repr(outcome)
+
+
+# energies in units of m0c2, past both window edges
+SPOT = st.floats(-1.1, 1.1)
+
+
+@settings(max_examples=150, deadline=None)
+@given(mode=st.sampled_from(list(CouplingMode)), A=st.floats(20.0, 400.0),
+       delta=st.floats(-0.006, 0.006), lambda_b=st.floats(-0.006, 0.006),
+       branch=st.sampled_from(["plus", "minus"]),
+       tol_energy=st.sampled_from([1e-300, 1e-15, 1e-9, 1e-3, 3.0]),
+       tol_residual=st.sampled_from([1e-300, 1e-15, 1e-8, 1e-3, 1.0]),
+       max_iter=st.sampled_from([8, 200]),
+       pairs=st.lists(st.tuples(SPOT, SPOT), max_size=6),
+       spots=st.lists(SPOT, max_size=4))
+def test_lockstep_equals_secant_refine_on_every_bracket(
+        constants, pion, mode, A, delta, lambda_b, branch, tol_energy,
+        tol_residual, max_iter, pairs, spots):
+    config = SolverConfig(tol_energy=tol_energy, tol_residual=tol_residual,
+                          max_iter=max_iter)
+    specs, brackets = [], []
+    for n, l in spectrum_cells(3, None):
+        spec = make_spec(constants, pion, mode, n=n, l=l, delta=delta,
+                         lambda_b=lambda_b, branch=branch, A=A)
+        scanned = scan_brackets(spec, config)
+        # the scan's brackets, reversed ones, degenerate ones at their ends
+        # and at arbitrary energies, and arbitrary pairs, which may lack a
+        # sign change or meet an invalid energy
+        extra = ([(b, a) for a, b in scanned[:1]]
+                 + [(a, a) for a, _ in scanned[:2]]
+                 + [(x * pion.m0c2, x * pion.m0c2) for x in spots]
+                 + [(x * pion.m0c2, y * pion.m0c2) for x, y in pairs])
+        specs += [spec] * (len(scanned) + len(extra))
+        brackets += scanned + extra
+    got = lockstep_refine(specs, brackets, config)
+    assert len(got) == len(brackets)
+    for spec, bracket, outcome in zip(specs, brackets, got):
+        assert bits(outcome) == bits(refined_alone(spec, bracket, config))
+
+
+def test_solve_spectra_raises_the_first_error_in_cell_order(constants, pion,
+                                                            monkeypatch):
+    good = PotentialSpec(A=A_DEFAULT, delta=0.0, lambda_b=0.0,
+                         mode=CouplingMode.EMES)
+    # delta E overflows in the scan; k2 is NaN when the cells are built
+    overflow = PotentialSpec(A=A_DEFAULT, delta=1e300, lambda_b=0.0,
+                             mode=CouplingMode.EMES)
+    nan_k2 = PotentialSpec(A=1e308, delta=0.0, lambda_b=0.0,
+                           mode=CouplingMode.EMOS)
+
+    def first_error(pots):
+        with pytest.raises(DomainError) as err:
+            solve_spectra(constants, pion, pots, n_max=1)
+        return str(err.value)
+
+    assert first_error([good, overflow, nan_k2]).startswith("residual nan")
+    assert first_error([good, nan_k2, overflow]).startswith("coefficients")
+    # a refine error in an earlier spectrum comes before a scan error
+    def refusing(spec, E):
+        raise DomainError("refused by the refinement")
+
+    monkeypatch.setattr(quantization, "residual", refusing)
+    assert first_error([good, overflow]) == "refused by the refinement"
 
 
 def test_secant_agrees_with_bisection_on_random_instances(constants, pion):
@@ -331,15 +474,24 @@ MAGNITUDE = st.floats(-300.0, 300.0).map(lambda e: 10.0 ** e)
        delta=st.tuples(st.sampled_from([-1.0, 1.0]), MAGNITUDE),
        lambda_b=st.tuples(st.sampled_from([-1.0, 1.0]), MAGNITUDE),
        n=st.integers(0, 5), l=st.integers(0, 5),
-       branch=st.sampled_from(["plus", "minus"]))
+       branch=st.sampled_from(["plus", "minus"]), n_max=st.integers(1, 3))
 def test_scan_nodes_with_status_ok_hold_numbers(mode, A, hbar_c, m0c2, delta,
-                                                lambda_b, n, l, branch):
+                                                lambda_b, n, l, branch, n_max):
     # an input that overflows must be refused, never scanned as "no root"
     try:
         constants = PhysicalConstants(hbar_c=hbar_c)
         particle = ParticleSpec.with_compton_lambda(m0c2, constants)
         pot = PotentialSpec(A=A, delta=delta[0] * delta[1],
                             lambda_b=lambda_b[0] * lambda_b[1], mode=mode)
+    except DomainError:
+        return
+    # a spectrum scans its cells in groups of one l; DomainError is the
+    # one refusal
+    try:
+        solve_spectrum(constants, particle, pot, n_max=n_max, branch=branch)
+    except DomainError:
+        pass
+    try:
         spec = build_residual_spec(constants, particle, pot,
                                    QuantumNumbers(n=n, l=l), branch=branch)
         solve_cell(spec)
