@@ -4,10 +4,24 @@ energy_terms holds the scalar validity checks and the energy-dependent
 terms g = 1 + delta E, K = k2 g^2 + l(l+1) and sqrt(1/4 + K); residual_point
 and model.case_parameters both build on it.  residual_arrays is the
 array form of residual_point and must agree with it bit for bit; its
-coefficients broadcast against the energies.  residual_grid runs it once
-per (spectrum, l): the cells of one l share g, the LHS, the RHS numerator
-alpha (c0 + c1 E) and sqrt(1/4 + K), and differ only in n.  The lock-step
-secant of rootfind runs it with one coefficient set per bracket.
+coefficients broadcast against the energies.  The lock-step secant of
+rootfind runs it with one coefficient set per bracket.
+
+A scan computes each term once, at the level it depends on:
+
+    energy grid      g, g^2, the LHS sqrt((m0c2 - E)(m0c2 + E)) / g and
+    (with delta)     the regular flag (grid_terms)
+    spectrum         the RHS numerator alpha (c0 + c1 E) (rhs_numerator)
+    (spectrum, l)    sqrt(1/4 + K), once per residual_grid call
+    cell (n)         den = n + 1/2 + s sqrt(1/4 + K), rhs and res, one row
+                     each
+
+Fast path: on a regular grid (ascending energies, all inside the window
+with g > 0) where 1/4 + K >= 0 and every row's den lies beyond POLE_EPS
+on one side of zero at both ends of the grid, every status is OK and the
+mask passes are skipped.  Along such a grid den is monotone, so its ends
+bound it; on the plus branch den >= 1/2 always.  Every other call sets
+the statuses by the masks.
 
 Status codes:
     0  valid evaluation
@@ -20,6 +34,8 @@ Status codes:
 from __future__ import annotations
 
 import math
+import operator
+from typing import NamedTuple
 
 import numpy as np
 
@@ -94,7 +110,49 @@ def residual_point(spec, E):
     return lhs - rhs, rhs, den, STATUS_OK
 
 
-def residual_grid(specs, E, out=None):
+# The ResidualSpec fields that the cells of one residual_grid call share:
+# all but n and n_plus_half.
+GROUP_FIELDS = ("l", "branch_sign", "m0c2", "delta", "alpha", "c0", "c1",
+                "k2", "ll1", "window")
+_group_key = operator.attrgetter(*GROUP_FIELDS)
+
+
+class GridTerms(NamedTuple):
+    """The residual's terms that depend only on the energies E, m0c2 and
+    delta: g = 1 + delta E, g^2 and the LHS.  regular is True when E is
+    non-empty and ascending and every energy lies in the window
+    (-m0c2, m0c2) with g > 0."""
+
+    g: np.ndarray
+    gg: np.ndarray
+    lhs: np.ndarray
+    regular: bool
+
+
+def _energy_arrays(m0c2, delta, E):
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+        g = 1.0 + delta * E
+        gg = g * g
+        lhs = np.sqrt((m0c2 - E) * (m0c2 + E)) / g
+    return g, gg, lhs
+
+
+def grid_terms(m0c2, delta, E) -> GridTerms:
+    """GridTerms of the energies E, shared by every cell scanned on them."""
+    g, gg, lhs = _energy_arrays(m0c2, delta, E)
+    regular = bool(E.size and (E[1:] >= E[:-1]).all()
+                   and ((E > -m0c2) & (E < m0c2) & (g > 0.0)).all())
+    return GridTerms(g, gg, lhs, regular)
+
+
+def rhs_numerator(c, E):
+    """alpha (c0 + c1 E), the RHS numerator; it depends on the spectrum
+    (c holds alpha, c0 and c1 as attributes) and the energies."""
+    with np.errstate(invalid="ignore", over="ignore"):
+        return c.alpha * (c.c0 + c.c1 * E)
+
+
+def residual_grid(specs, E, out=None, grid=None, numerator=None):
     """residual_point of every cell in specs over a 1-D energy array.
 
     specs are the cells of one (spectrum, l): ResidualSpecs equal in every
@@ -102,46 +160,77 @@ def residual_grid(specs, E, out=None):
     each cell adds only its denominator.  Returns (res, rhs, den, status)
     float64/int32 arrays of shape (len(specs), len(E)); row i is
     residual_point of specs[i] at each energy.  out, if given, is such a
-    tuple of arrays, filled and returned in place of new ones.
+    tuple of arrays, filled and returned in place of new ones.  grid and
+    numerator, if given, are grid_terms(m0c2, delta, E) and
+    rhs_numerator(spec, E) of these cells, computed once by a caller that
+    scans other cells on the same energies.
     """
     spec = specs[0]
-    shared = dict(vars(spec), n=None, n_plus_half=None)
+    shared = _group_key(spec)
     for other in specs[1:]:
-        if dict(vars(other), n=None, n_plus_half=None) != shared:
+        if _group_key(other) != shared:
             raise ValueError("residual_grid takes cells that differ only in n")
     E = np.ascontiguousarray(E, dtype=np.float64)
     if out is None:
         out = (*np.empty((3, len(specs), len(E))),
                np.empty((len(specs), len(E)), dtype=np.int32))
+    if grid is None:
+        grid = grid_terms(spec.m0c2, spec.delta, E)
     n_plus_half = np.array([[s.n_plus_half] for s in specs])
-    return residual_arrays(spec, n_plus_half, E, out)
+    return residual_arrays(spec, n_plus_half, E, out, grid, numerator)
 
 
-def residual_arrays(c, n_plus_half, E, out):
+def _pole_free(quarter, den):
+    """True when 1/4 + K >= 0 at every energy of a regular grid and no
+    row of den lies within POLE_EPS of zero.
+
+    Along ascending energies with g > 0, g^2, 1/4 + K and each row's
+    den = n + 1/2 + s sqrt(1/4 + K) are monotone, rounding included, so
+    each takes its extremes at the first and the last energy.
+    """
+    if not (quarter[0] >= 0.0 and quarter[-1] >= 0.0):
+        return False
+    for first, last in zip(den[..., 0].tolist(), den[..., -1].tolist()):
+        if not ((first > POLE_EPS and last > POLE_EPS)
+                or (first < -POLE_EPS and last < -POLE_EPS)):
+            return False
+    return True
+
+
+def residual_arrays(c, n_plus_half, E, out, grid=None, numerator=None):
     """residual_point over arrays, into out = (res, rhs, den, status).
 
     c holds the coefficients m0c2, delta, k2, ll1, branch_sign, alpha, c0
     and c1 as attributes, floats or arrays; they and n_plus_half broadcast
     against E to the shape of the out arrays.  Every element is computed
     with residual_point's operations in residual_point's order.
+
+    grid and numerator are grid_terms(c.m0c2, c.delta, E) and
+    rhs_numerator(c, E), computed here when not given.  A grid is given
+    only with float coefficients, as residual_grid gives it: on a regular
+    grid where 1/4 + K >= 0 throughout and no denominator is a pole
+    (_pole_free), every status is OK and the mask passes are skipped.
     """
     res, rhs, den, status = out
     m0c2 = c.m0c2
+    if grid is None:
+        # not regular: the masks below decide every status
+        grid = GridTerms(*_energy_arrays(m0c2, c.delta, E), False)
+    if numerator is None:
+        numerator = rhs_numerator(c, E)
     with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
-        g = 1.0 + c.delta * E
-        gg = g * g
-        quarter = 0.25 + (c.k2 * gg + c.ll1)
+        quarter = 0.25 + (c.k2 * grid.gg + c.ll1)
         signed_root = c.branch_sign * np.sqrt(quarter)
-        numerator = c.alpha * (c.c0 + c.c1 * E)
-        lhs = np.sqrt((m0c2 - E) * (m0c2 + E)) / g
         np.add(n_plus_half, signed_root, out=den)
         np.divide(numerator, den, out=rhs)
-        pole = np.abs(den, out=res) <= POLE_EPS  # res is scratch until set
-        np.subtract(lhs, rhs, out=res)
+        np.subtract(grid.lhs, rhs, out=res)
 
     status.fill(STATUS_OK)
+    if grid.regular and _pole_free(quarter, den):
+        return out
+    pole = np.abs(den) <= POLE_EPS
     in_window = (E > -m0c2) & (E < m0c2)
-    positive_g = g > 0.0
+    positive_g = grid.g > 0.0
     complex_eta = quarter < 0.0
     valid = in_window & positive_g & ~complex_eta
     if valid.all() and not pole.any():

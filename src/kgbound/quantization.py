@@ -93,25 +93,35 @@ def build_residual_spec(constants: PhysicalConstants, particle: ParticleSpec,
                         pot: PotentialSpec, qn: QuantumNumbers,
                         branch="plus",
                         window_margin: float = DEFAULT_WINDOW_MARGIN,
-                        window: Optional[tuple] = None) -> ResidualSpec:
+                        like: Optional[ResidualSpec] = None) -> ResidualSpec:
     """Coefficients of one (n, l) cell on one branch.  The window is
     physical_window ending at the last energy with real eta, or all of
-    physical_window where eta is complex at both of its ends.  It depends
-    on l but not on n, so window, if given, is taken as the window of
-    another cell of the same (spectrum, l) instead of being found again.
+    physical_window where eta is complex at both of its ends.
+
+    Every field but n depends only on (potential, branch, l), so like, if
+    given, must be another cell of the same (spectrum, l): the new cell
+    copies all its other fields instead of computing them again, and every
+    argument but qn.n is then ignored.  A like of another l is refused.
 
     Coefficients that overflow to inf or NaN are refused: no residual
     built on them is a number."""
+    if like is not None:
+        if like.l != qn.l:
+            raise ValueError(f"like has l={like.l}, the cell l={qn.l}")
+        # Copying the field dict costs a third of dataclasses.replace,
+        # whose frozen __init__ sets each field through object.__setattr__.
+        spec = object.__new__(ResidualSpec)
+        vars(spec).update(vars(like), n=qn.n, n_plus_half=qn.n + 0.5)
+        return spec
     sgn = parse_branch(branch)
     m0c2 = particle.m0c2
     w = pot.lambda_b * m0c2
     alpha = pot.A / constants.hbar_c
     c0, c1, k2 = mode_coefficients(pot.mode, m0c2, w, alpha)
     ll1 = float(qn.l * (qn.l + 1))
-    if window is None:
-        window = _real_eta_window(
-            physical_window(m0c2, pot.delta, window_margin), m0c2, pot.delta,
-            k2, ll1)
+    window = _real_eta_window(
+        physical_window(m0c2, pot.delta, window_margin), m0c2, pot.delta, k2,
+        ll1)
     if not all(map(math.isfinite, (alpha, c0, c1, k2))):
         raise DomainError(f"coefficients alpha={alpha}, c0={c0}, c1={c1}, "
                           f"k2={k2}: an input overflows double precision")

@@ -459,13 +459,14 @@ def _scan_and_refine(spectra: Iterable[List[List[ResidualSpec]]],
 
     The cells of one group share their window: each group is scanned by
     kernel calls of at most MAX_GRID_POINTS points (a larger group is
-    split), and a group whose window equals the previous one's reuses its
-    grid.  The calls fill a block of scan arrays as large as the largest
-    group, and the brackets of all its rows are searched at once when the
-    next call does not fit.  spectra may raise DomainError as it is
-    iterated; that error, a scan's overflow error and the refine errors
-    are raised in the order solving the cells one at a time would meet
-    them.
+    split).  A group whose window, m0c2 and delta equal the previous
+    group's reuses its grid and _kernels.grid_terms, and one whose alpha,
+    c0 and c1 are the same too reuses its RHS numerator.  The calls fill a
+    block of scan arrays as large as the largest group, and the brackets
+    of all its rows are searched at once when the next call does not fit.
+    spectra may raise DomainError as it is iterated; that error, a scan's
+    overflow error and the refine errors are raised in the order solving
+    the cells one at a time would meet them.
     """
     points = config.grid_points
     rows_per_call = MAX_GRID_POINTS // points
@@ -497,7 +498,7 @@ def _scan_and_refine(spectra: Iterable[List[List[ResidualSpec]]],
                 "precision")
 
     error = None
-    window = None
+    grid_key = numerator_key = None
     try:
         for spectrum in spectra:
             if work is None:
@@ -505,16 +506,23 @@ def _scan_and_refine(spectra: Iterable[List[List[ResidualSpec]]],
                 work = (*np.empty((3, rows, points)),
                         np.empty((rows, points), dtype=np.int32))
             for group in spectrum:
-                if group[0].window != window:
-                    window = group[0].window
-                    E = np.linspace(*window, points)
+                spec = group[0]
+                if (spec.window, spec.m0c2, spec.delta) != grid_key:
+                    grid_key = (spec.window, spec.m0c2, spec.delta)
+                    E = np.linspace(*spec.window, points)
+                    grid = _kernels.grid_terms(spec.m0c2, spec.delta, E)
+                    numerator_key = None
+                if (spec.alpha, spec.c0, spec.c1) != numerator_key:
+                    numerator_key = (spec.alpha, spec.c0, spec.c1)
+                    numerator = _kernels.rhs_numerator(spec, E)
                 for start in range(0, len(group), rows_per_call):
                     chunk = group[start:start + rows_per_call]
                     if len(pending) + len(chunk) > len(work[0]):
                         search()
                     row = len(pending)
                     _kernels.residual_grid(chunk, E, out=tuple(
-                        a[row:row + len(chunk)] for a in work))
+                        a[row:row + len(chunk)] for a in work), grid=grid,
+                        numerator=numerator)
                     pending.extend((spec, E) for spec in chunk)
         if pending:
             search()
@@ -610,8 +618,8 @@ def solve_spectra(constants: PhysicalConstants, particle: ParticleSpec,
 
     All cells of all potentials are scanned first, one (spectrum, l) per
     kernel call, then all their brackets are refined together, then each
-    cell is classified.  The window of each (spectrum, l) is found once,
-    by its first cell, and handed to the others.
+    cell is classified.  The coefficients and window of each (spectrum, l)
+    are found once, by its first cell, and copied to the others.
     """
     table = spectrum_cells(n_max, l_max)
     by_l: dict = {}
@@ -622,14 +630,12 @@ def solve_spectra(constants: PhysicalConstants, particle: ParticleSpec,
         for pot in pots:
             groups = []
             for qns in by_l.values():
-                window = None
                 group = []
                 for qn in qns:
-                    spec = build_residual_spec(
+                    group.append(build_residual_spec(
                         constants, particle, pot, qn, branch=branch,
-                        window_margin=config.window_margin, window=window)
-                    window = spec.window
-                    group.append(spec)
+                        window_margin=config.window_margin,
+                        like=group[0] if group else None))
                 groups.append(group)
             yield groups
 

@@ -1,4 +1,4 @@
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -64,8 +64,9 @@ def with_n(spec, n):
     return replace(spec, n=n, n_plus_half=n + 0.5)
 
 
-def assert_grid_matches_point(E, specs):
-    res, rhs, den, status = _kernels.residual_grid(specs, E)
+def assert_grid_matches_point(E, specs, **shared):
+    # shared: the grid and numerator terms, as the scan hands them over
+    res, rhs, den, status = _kernels.residual_grid(specs, E, **shared)
     assert status.dtype == np.int32
     assert res.shape == rhs.shape == den.shape == status.shape \
         == (len(specs), len(E))
@@ -76,12 +77,15 @@ def assert_grid_matches_point(E, specs):
             assert np.float64(p[1]).tobytes() == rhs[row, i].tobytes()
             assert np.float64(p[2]).tobytes() == den[row, i].tobytes()
             assert p[3] == status[row, i]
-    # filled in place over stale values, out comes back with the same bytes
+    # filled in place over stale values, out comes back with the same
+    # bytes, and so does a call that computes every term itself
     out = (*np.full((3,) + res.shape, 7.0), np.full(res.shape, 9, np.int32))
-    filled = _kernels.residual_grid(specs, E, out=out)
-    for fresh, got, given in zip((res, rhs, den, status), filled, out):
+    filled = _kernels.residual_grid(specs, E, out=out, **shared)
+    fresh = _kernels.residual_grid(specs, E)
+    for want, got, given, alone in zip((res, rhs, den, status), filled, out,
+                                       fresh):
         assert got is given
-        assert got.tobytes() == fresh.tobytes()
+        assert got.tobytes() == want.tobytes() == alone.tobytes()
 
 
 def test_fallback_grid_matches_point_at_a_pole():
@@ -108,6 +112,36 @@ def test_fallback_grid_matches_point(constants, pion, case):
     assert_grid_matches_point(np.linspace(*spec.window, 101), group)
 
 
+@settings(deadline=None)
+@given(case_inputs, st.sampled_from([0.0, None]), st.data())
+def test_grid_fast_path_matches_point_near_poles(constants, pion, case,
+                                                 lambda_b, data):
+    # Rows whose n + 1/2 sits at an end of the group's sqrt(1/4 + K) range,
+    # or at its value at one node, offset by up to 3 POLE_EPS, are the
+    # rows the fast path must leave to the masks on the minus branch.
+    # lambda_b = 0 in emes and emos gives k2 = 0, where sqrt(1/4 + K) =
+    # l + 1/2 at every energy, so the minus-branch row n = l is a pole
+    # throughout.
+    if lambda_b is not None:
+        case = dict(case, lambda_b=lambda_b)
+    spec = make_spec(constants, pion, **case)
+    E = np.linspace(*spec.window, 201)
+    roots = [_kernels.energy_terms(e, spec.m0c2, spec.delta, spec.k2,
+                                   spec.ll1)[3] for e in E.tolist()]
+    roots = [r for r in roots if not np.isnan(r)]
+    group = [with_n(spec, spec.l + k) for k in range(3)]
+    if roots:
+        anchors = st.sampled_from([min(roots), max(roots)]) \
+            | st.sampled_from(roots)
+        for root in data.draw(st.lists(anchors, min_size=1, max_size=3)):
+            k = data.draw(st.integers(-3, 3))
+            group.append(replace(spec,
+                                 n_plus_half=root + k * _kernels.POLE_EPS))
+    shared = {"grid": _kernels.grid_terms(spec.m0c2, spec.delta, E),
+              "numerator": _kernels.rhs_numerator(spec, E)}
+    assert_grid_matches_point(E, group, **shared)
+
+
 def test_grid_refuses_cells_that_differ_beyond_n(constants, pion):
     spec = make_spec(constants, pion, CouplingMode.EMES, n=1, l=1)
     E = np.linspace(-100.0, 100.0, 11)
@@ -118,6 +152,9 @@ def test_grid_refuses_cells_that_differ_beyond_n(constants, pion):
                   replace(spec, n=2, n_plus_half=2.5, window=(-1.0, 1.0))):
         with pytest.raises(ValueError):
             _kernels.residual_grid([spec, other], E)
+    # the check compares every field but n and n_plus_half
+    assert set(_kernels.GROUP_FIELDS) == \
+        {f.name for f in fields(ResidualSpec)} - {"n", "n_plus_half"}
 
 
 @settings(deadline=None)

@@ -109,6 +109,25 @@ def test_window_ends_at_the_last_real_eta_energy(constants, pion, mode, A,
             == _kernels.STATUS_COMPLEX_ETA)
 
 
+@pytest.mark.parametrize("branch", ["plus", "minus"])
+@pytest.mark.parametrize("mode", list(CouplingMode))
+def test_a_cell_built_like_another_equals_a_full_build(constants, pion, mode,
+                                                       branch):
+    pot = PotentialSpec.from_lambda_b(A=376.15, delta=0.00418,
+                                      lambda_b=0.00381, particle=pion,
+                                      mode=mode)
+    first = build_residual_spec(constants, pion, pot,
+                                QuantumNumbers(n=2, l=2), branch=branch)
+    for n in (3, 6):
+        qn = QuantumNumbers(n=n, l=2)
+        assert build_residual_spec(constants, pion, pot, qn, branch=branch,
+                                   like=first) \
+            == build_residual_spec(constants, pion, pot, qn, branch=branch)
+    with pytest.raises(ValueError):
+        build_residual_spec(constants, pion, pot, QuantumNumbers(n=3, l=1),
+                            branch=branch, like=first)
+
+
 def test_residual_matches_case_parameters(constants, pion):
     pot = PotentialSpec.from_lambda_b(A=200.0, delta=-0.003, lambda_b=0.003,
                                       particle=pion, mode=CouplingMode.EMES)
