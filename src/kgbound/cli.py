@@ -15,9 +15,11 @@ mismatch beyond tolerance.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import dataclasses
 import io
+import itertools
 import json
 import math
 import random
@@ -46,6 +48,7 @@ DEFAULT_A = 200.0
 DEFAULT_CHECK_TOL = 0.02
 DEFAULT_AIM_CAP = 32
 MAX_AXIS_POINTS = 10_000
+CSV_CHUNK_ROWS = 2048
 
 
 class _UsageError(Exception):
@@ -294,32 +297,101 @@ def _manifest(command: str, args, **fields) -> dict:
     }
 
 
-def _emit(text: str, output):
-    if output is None:
-        sys.stdout.write(text)
+@contextlib.contextmanager
+def _output(path):
+    """Where a command's text goes: stdout, or the file at path."""
+    if path is None:
+        yield sys.stdout
         return
     try:
-        with open(output, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            yield fh
     except OSError as err:
-        raise _UsageError(f"cannot write {output}: {err}")
+        raise _UsageError(f"cannot write {path}: {err}")
 
 
-def _write_table(args, manifest: dict, body, header, rows, notes=()):
+def _csv_quotes_cr() -> bool:
+    r"""Whether csv.writer(lineterminator="\n") quotes a field holding a
+    "\r": Python 3.13 does, 3.10 to 3.12 quote only the terminator's "\n"."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerow(["\r", ""])
+    return buf.getvalue().startswith('"')
+
+
+# The characters that make csv.QUOTE_MINIMAL wrap a field in quotes.
+_QUOTED = ',"\n\r' if _csv_quotes_cr() else ',"\n'
+
+
+def _field(value) -> str:
+    """One CSV field as csv.writer writes it: None empty, a str quoted
+    when it holds a delimiter, a quote or a line end, the rest by str."""
+    if value is None:
+        return ""
+    if not isinstance(value, str):
+        return str(value)
+    if any(c in value for c in _QUOTED):
+        return '"' + value.replace('"', '""') + '"'
+    return value
+
+
+@dataclasses.dataclass(frozen=True)
+class PaddedColumn:
+    """A float-array column after `blanks` empty fields."""
+
+    blanks: int
+    values: np.ndarray
+
+    def __len__(self) -> int:
+        return self.blanks + len(self.values)
+
+    def tolist(self) -> list:
+        return [None] * self.blanks + self.values.tolist()
+
+
+def _fields(column, i: int, j: int):
+    """The CSV fields of rows i to j - 1 of a column: a float array, a
+    PaddedColumn or a sequence of Python values."""
+    if isinstance(column, np.ndarray):
+        return map(repr, column[i:j].tolist())
+    if isinstance(column, PaddedColumn):
+        k = column.blanks
+        return itertools.chain([""] * (min(j, k) - i),
+                               _fields(column.values, max(i - k, 0),
+                                       max(j - k, 0)))
+    return map(_field, column[i:j])
+
+
+def write_csv(fh, header, columns):
+    r"""Write the header, then the rows of columns (of one length), as
+    csv.writer(fh, lineterminator="\n") writes them.  CSV_CHUNK_ROWS rows
+    are formatted and written at a time, so only one chunk's strings exist
+    at once and a float array never becomes a list of every float."""
+    fh.write(",".join(map(_field, header)) + "\n")
+    nrows = len(columns[0])
+    for i in range(0, nrows, CSV_CHUNK_ROWS):
+        j = min(i + CSV_CHUNK_ROWS, nrows)
+        fh.write("\n".join(map(",".join, zip(*(_fields(column, i, j)
+                                               for column in columns)))))
+        fh.write("\n")
+
+
+def _write_table(args, manifest: dict, body, header, columns, notes=()):
     """Emit a command's result: as JSON, the manifest followed by the items
     of body(); as CSV, the manifest and the notes as '#' lines, then the
-    header and the rows (floats by repr, None as an empty field)."""
-    if args.format == "json":
-        text = json.dumps({"manifest": manifest, **body()}) + "\n"
-    else:
-        buf = io.StringIO()
-        buf.writelines(f"# {key}: {value}\n" for key, value in manifest.items())
-        buf.writelines(f"# {note}\n" for note in notes)
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
-        text = buf.getvalue()
-    _emit(text, args.output)
+    header and columns() by write_csv.  A long table's time is then mostly
+    the one repr call per float."""
+    with _output(args.output) as fh:
+        if args.format == "json":
+            fh.write(json.dumps({"manifest": manifest, **body()}) + "\n")
+            return
+        fh.writelines(f"# {key}: {value}\n" for key, value in manifest.items())
+        fh.writelines(f"# {note}\n" for note in notes)
+        write_csv(fh, header, columns())
+
+
+def _entry_columns(entries, names):
+    """One column per attribute name of the spectrum entries."""
+    return [[getattr(e, name) for e in entries] for name in names]
 
 
 def _fmt_cell(value) -> str:
@@ -405,12 +477,10 @@ def _cmd_solve(args) -> int:
         manifest = _manifest("solve", args, delta=args.delta,
                              lambda_b=args.lambda_b, nmax=args.nmax,
                              lmax=args.lmax)
+        header = ["n", "l", "line", "energy", "residual_at_root",
+                  "iterations", "status", "detail"]
         _write_table(args, manifest, lambda: {"table": table.to_payload()},
-                     ["n", "l", "line", "energy", "residual_at_root",
-                      "iterations", "status", "detail"],
-                     ([e.n, e.l, e.line, e.energy, e.residual_at_root,
-                       e.iterations, e.status, e.detail]
-                      for e in table.entries))
+                     header, lambda: _entry_columns(table.entries, header))
         return 0
 
     if flagged:
@@ -429,7 +499,8 @@ def _cmd_solve(args) -> int:
         report.append(f"check: {'FAIL' if mismatches else 'PASS'} "
                       f"({mismatches} mismatches, worst deviation "
                       f"{worst:.5f} MeV, tolerance {tol} MeV)")
-        _emit("\n".join(report) + "\n", args.output)
+        with _output(args.output) as fh:
+            fh.write("\n".join(report) + "\n")
         return 3 if mismatches else 0
     manifest = _manifest("solve --paper-grid", args, nmax=GRID_NMAX,
                          grid_values=",".join(f"{v:.5f}" for v in GRID_VALUES))
@@ -439,7 +510,7 @@ def _cmd_solve(args) -> int:
                                      for (delta, lambda_b), t in tables]},
                  ["delta", "lambda_b", "line"]
                  + [f"E{n}{l}" for n, l in GRID_CELLS],
-                 _wide_rows(tables))
+                 lambda: list(zip(*_wide_rows(tables))))
     return 0
 
 
@@ -481,7 +552,7 @@ def _cmd_wavefunction(args) -> int:
     radii = np.linspace(0.0, r_max, args.points)
     # The radii ascend from 0; V and mc2 are left blank where r = 0.
     inside = radii[radii > 0.0]
-    blank = [None] * (len(radii) - len(inside))
+    blanks = len(radii) - len(inside)
 
     manifest = _manifest("wavefunction", args, delta=args.delta,
                          lambda_b=args.lambda_b, n=args.n, l=args.l,
@@ -507,19 +578,24 @@ def _cmd_wavefunction(args) -> int:
             "u_origin": rep.u_origin,
             "tail_ratio": rep.tail_ratio,
             "node_count": rep.node_count,
-            "u": samples.tolist(),
-            "V": blank + vector_potential(pot, inside, sol.energy).tolist(),
-            "mc2": blank + mass_at(args.particle, pot, inside,
-                                   sol.energy).tolist(),
+            "u": samples,
+            "V": PaddedColumn(blanks, vector_potential(pot, inside,
+                                                       sol.energy)),
+            "mc2": PaddedColumn(blanks, mass_at(args.particle, pot, inside,
+                                                sol.energy)),
         })
 
-    r = radii.tolist()
     columns = ("u", "V", "mc2")
     _write_table(
-        args, manifest, lambda: {"r": r, "lines": line_blocks},
+        args, manifest,
+        lambda: {"r": radii.tolist(),
+                 "lines": [{**blk, **{col: blk[col].tolist()
+                                      for col in columns}}
+                           for blk in line_blocks]},
         ["r"] + [f"{col}_{blk['line']}" for blk in line_blocks
                  for col in columns],
-        zip(r, *(blk[col] for blk in line_blocks for col in columns)),
+        lambda: [radii] + [blk[col] for blk in line_blocks
+                           for col in columns],
         notes=[f"line {blk['line']}: energy={blk['energy']!r} "
                f"eta={blk['eta']!r} tau={blk['tau']!r} "
                f"a={blk['kummer_a']!r} c={blk['kummer_c']!r} "
@@ -538,7 +614,11 @@ def _axis_values(start: float, stop: float, step: float):
         raise _UsageError("--step must be positive")
     if stop < start:
         raise _UsageError("--stop must not be below --start")
-    span = (stop - start) / step
+    width = stop - start
+    if math.isinf(width):
+        raise _UsageError(f"the axis span --stop - --start = {stop!r} - "
+                          f"{start!r} overflows a double")
+    span = width / step
     if span >= MAX_AXIS_POINTS:
         raise _UsageError(f"the axis has more than {MAX_AXIS_POINTS} points")
     values = [start + k * step for k in range(math.floor(span + 1e-12) + 1)]
@@ -563,13 +643,15 @@ def _cmd_sweep(args) -> int:
                          fixed_delta=args.delta,
                          fixed_lambda_b=args.lambda_b, nmax=args.nmax,
                          lmax=args.lmax)
+    names = ["n", "l", "line", "energy", "status"]
     _write_table(args, manifest,
                  lambda: {"axis": args.axis,
                           "points": [{"value": v, "table": t.to_payload()}
                                      for v, t in points]},
-                 [args.axis, "n", "l", "line", "energy", "status"],
-                 ([v, e.n, e.l, e.line, e.energy, e.status]
-                  for v, t in points for e in t.entries))
+                 [args.axis] + names,
+                 lambda: [[v for v, t in points for _ in t.entries]]
+                 + _entry_columns([e for _, t in points for e in t.entries],
+                                  names))
     return 0
 
 

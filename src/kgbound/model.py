@@ -85,7 +85,12 @@ class ParticleSpec:
         hbar*c / m0c2.  With this choice lambda * m0c2 / (hbar*c) == 1
         exactly in floating point, which the constant-mass limit relies on."""
         _require_rest_energy(m0c2)  # before dividing by it
-        return cls(m0c2=m0c2, lam=constants.hbar_c / m0c2)
+        lam = constants.hbar_c / m0c2
+        if not (lam > 0.0 and math.isfinite(lam)):
+            raise DomainError(f"m0c2={m0c2!r} MeV gives lambda = hbar_c / "
+                              f"m0c2 = {lam!r} fm, which is not positive "
+                              "and finite")
+        return cls(m0c2=m0c2, lam=lam)
 
     @classmethod
     def neutral_pion(cls, constants: PhysicalConstants = PhysicalConstants()) -> "ParticleSpec":

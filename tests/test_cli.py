@@ -1,17 +1,23 @@
 import csv
 import dataclasses
 import hashlib
+import io
+import itertools
 import json
+import math
 import shutil
 import warnings
 from datetime import datetime, timezone
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kgbound import (NEUTRAL_PION_M0C2, ParticleSpec, PhysicalConstants,
                      PotentialSpec, SolverConfig, solve_spectrum)
-from kgbound.cli import DEFAULT_AIM_CAP, GRID_VALUES, MAX_AXIS_POINTS, main
+from kgbound.cli import (CSV_CHUNK_ROWS, DEFAULT_AIM_CAP, GRID_VALUES,
+                         MAX_AXIS_POINTS, PaddedColumn, main, write_csv)
 from kgbound.special import MAX_RADIAL_POINTS
 from kgbound.model import CouplingMode
 from kgbound.quantization import SpectrumEntry
@@ -382,6 +388,15 @@ def test_sweep_rejects_axis_above_point_bound(capsys):
     assert f"more than {MAX_AXIS_POINTS} points" in capsys.readouterr().err
 
 
+def test_sweep_axis_whose_span_overflows_is_usage_error(capsys):
+    # three points, but stop - start is past the largest double
+    assert main(SWEEP_PS + ["--start=-1e308", "--stop=1e308",
+                            "--step=1e308"]) == 1
+    err = capsys.readouterr().err
+    assert "axis span --stop - --start = 1e+308 - -1e+308 overflows" in err
+    assert "more than" not in err
+
+
 @pytest.mark.parametrize("start,step", [(1e300, 1.0), (1.0, 1e-300)])
 def test_sweep_axis_of_one_point_needs_no_step(start, step, capsys):
     # start == stop is one point however little the step would advance it
@@ -466,6 +481,106 @@ def test_wavefunction_csv_layout(tmp_path):
     assert origin[5] == "" and origin[6] == ""
     interior = data[32]
     assert interior[2] != "" and interior[3] != ""
+
+
+CSV_FLOATS = st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan,
+                              5e-324, 1e16, 1e-5]) | st.floats()
+CSV_TEXT = (st.text(st.sampled_from(',"\r\n a'), max_size=4)
+            | st.text(max_size=4))
+CSV_VALUES = (st.none() | st.integers(-10 ** 30, 10 ** 30) | CSV_FLOATS
+              | CSV_TEXT)
+
+
+@st.composite
+def csv_tables(draw):
+    """(header, columns): float arrays, padded float arrays and lists of
+    Python values, tiled from small drawn pools to chunk-sized lengths."""
+    nrows = draw(st.sampled_from([0, 1, CSV_CHUNK_ROWS - 1, CSV_CHUNK_ROWS,
+                                  CSV_CHUNK_ROWS + 1, 2 * CSV_CHUNK_ROWS + 1]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    header = draw(st.lists(CSV_TEXT, min_size=2, max_size=5))
+    columns = []
+    for _ in header:
+        kind = draw(st.sampled_from(["array", "padded", "values"]))
+        if kind == "values":
+            pool = draw(st.lists(CSV_VALUES, min_size=1, max_size=12))
+            columns.append([pool[k] for k in rng.integers(len(pool),
+                                                          size=nrows)])
+            continue
+        pool = np.array(draw(st.lists(CSV_FLOATS, min_size=1, max_size=12)))
+        blanks = draw(st.integers(0, nrows)) if kind == "padded" else 0
+        values = pool[rng.integers(len(pool), size=nrows - blanks)]
+        columns.append(PaddedColumn(blanks, values) if kind == "padded"
+                       else values)
+    return header, columns
+
+
+@settings(deadline=None)
+@given(csv_tables())
+def test_write_csv_equals_csv_writer(table):
+    header, columns = table
+    got = io.StringIO()
+    write_csv(got, header, columns)
+    want = io.StringIO()
+    writer = csv.writer(want, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(zip(*(c if isinstance(c, list) else c.tolist()
+                           for c in columns)))
+    # the first differing line, not pytest's slow diff of the whole text
+    lines = itertools.zip_longest(got.getvalue().split("\n"),
+                                  want.getvalue().split("\n"))
+    assert next(((k, a, b) for k, (a, b) in enumerate(lines) if a != b),
+                None) is None
+
+
+def _bits(value):
+    return None if value is None else float(value).hex()
+
+
+@pytest.mark.parametrize("extra,to_file", [
+    (["--line", "both"], False), (["--line", "lower"], False),
+    (["--normalize"], False), (["--line", "both"], True)])
+def test_wavefunction_csv_fields_equal_json_values(extra, to_file, tmp_path,
+                                                   capsys):
+    argv = ["wavefunction", "--mode", "ps", "--n=2", "--l=1",
+            "--delta=0.003", "--points=300"] + extra
+
+    def run(fmt):
+        path = tmp_path / f"wf.{fmt}"
+        out = ["--output", str(path)] if to_file else []
+        assert main(argv + ["--format", fmt] + out) == 0
+        return path.read_text(encoding="utf-8") if to_file \
+            else capsys.readouterr().out
+
+    rows = list(csv.reader(line for line in run("csv").splitlines()
+                           if not line.startswith("#")))
+    payload = json.loads(run("json"))
+    expected = [("r", payload["r"])] + [
+        (f"{col}_{blk['line']}", blk[col])
+        for blk in payload["lines"] for col in ("u", "V", "mc2")]
+    assert rows[0] == [name for name, _ in expected]
+    assert len(rows) == 301
+    for k, (_, values) in enumerate(expected):
+        fields = [row[k] for row in rows[1:]]
+        assert [_bits(v) for v in values] == [_bits(f or None) for f in fields]
+    # the r = 0 row: V and mc2 blank in CSV, null in JSON
+    assert rows[1][2:4] == ["", ""]
+    assert all(blk["V"][0] is None and blk["mc2"][0] is None
+               for blk in payload["lines"])
+
+
+def test_solve_csv_detail_round_trips_to_json(capsys):
+    argv = ["solve", "--mode", "emes", "--nmax=3"]
+    assert main(argv) == 0
+    text = capsys.readouterr().out
+    assert '"single root, negative"' in text
+    rows = list(csv.DictReader(line for line in text.splitlines()
+                               if not line.startswith("#")))
+    assert main(argv + ["--format", "json"]) == 0
+    entries = [e for cell in json.loads(capsys.readouterr().out)["table"]
+               ["cells"] for e in cell["entries"]]
+    assert [r["detail"] for r in rows] == [e["detail"] for e in entries]
+    assert "single root, negative" in [r["detail"] for r in rows]
 
 
 def test_wavefunction_points_above_bound_is_usage_error(capsys):
@@ -781,6 +896,14 @@ def test_non_positive_m0c2_is_usage_error(m0c2, capsys):
     err = capsys.readouterr().err
     assert "kgbound: error: m0c2 must be positive" in err
     assert "Traceback" not in err
+
+
+def test_m0c2_whose_lambda_overflows_names_m0c2(capsys):
+    # lambda is derived as hbar_c / m0c2; no flag sets it
+    assert main(["solve", "--mode", "ps", "--m0c2=1e-320"]) == 1
+    err = capsys.readouterr().err
+    assert ("kgbound: error: m0c2=1e-320 MeV gives lambda = hbar_c / m0c2 "
+            "= inf fm") in err
 
 
 def line_nodes(out):
