@@ -407,20 +407,36 @@ def _wide_rows(tables):
                    + [_fmt_cell(t.energy(n, l, line)) for n, l in GRID_CELLS])
 
 
+def _fixture_energy(raw: str):
+    """A fixture cell: None where the line is absent, else a finite MeV."""
+    value = None if raw in ("None", "") else float(raw)
+    if value is not None and not math.isfinite(value):
+        raise ValueError(f"energy {raw!r} is not finite")
+    return value
+
+
 def _check_fixture(tables, fixture_path: str, tol: float, allow_extra: bool):
     """Per-cell comparison of the solved grid against a fixture CSV.
 
-    tables pairs each solved table with its (delta, lambda_b).  Returns
-    (report_lines, mismatch_count, worst_dev)."""
+    tables pairs each solved table with its (delta, lambda_b); a solved
+    block with no fixture row is a mismatch too.  Returns (report_lines,
+    mismatch_count, worst_dev)."""
     try:
         with open(fixture_path, encoding="utf-8", newline="") as fh:
-            fixture = list(csv.DictReader(fh))
+            reader = csv.DictReader(fh)
+            fixture = list(reader)
+            header = reader.fieldnames or ()  # an empty file has none
     except OSError as err:
         raise _UsageError(f"cannot read fixture {fixture_path}: {err}")
-    by_key = {}
-    for (delta, lambda_b), t in tables:
-        for line in ("lower", "upper"):
-            by_key[(round(delta, 9), round(lambda_b, 9), line)] = t
+    lacking = [c for c in ["delta", "lambda_b", "line"]
+               + [f"E{n}{l}" for n, l in GRID_CELLS] if c not in header]
+    if header and lacking:
+        raise _UsageError(f"malformed fixture {fixture_path}: its header "
+                          f"lacks {', '.join(lacking)}")
+    by_key = {(round(delta, 9), round(lambda_b, 9), line): t
+              for (delta, lambda_b), t in tables
+              for line in ("lower", "upper")}
+    seen = set()
     report = []
     mismatches = 0
     worst = 0.0
@@ -428,43 +444,43 @@ def _check_fixture(tables, fixture_path: str, tol: float, allow_extra: bool):
         try:
             key = (round(float(row["delta"]), 9),
                    round(float(row["lambda_b"]), 9), row["line"])
-        except (KeyError, ValueError) as err:
+            energies = [_fixture_energy(row[f"E{n}{l}"])
+                        for n, l in GRID_CELLS]
+        except (TypeError, ValueError) as err:
             raise _UsageError(f"malformed fixture row {row!r}: {err}")
+        seen.add(key)
         t = by_key.get(key)
         if t is None:
             report.append(f"MISSING block delta={row['delta']} "
                           f"lambda_b={row['lambda_b']}")
             mismatches += 1
             continue
-        for n, l in GRID_CELLS:
-            col = f"E{n}{l}"
-            raw = row.get(col, "None")
-            expected = None if raw in ("None", "", None) else float(raw)
+        for (n, l), expected in zip(GRID_CELLS, energies):
             computed = t.energy(n, l, key[2])
             tag = (f"delta={row['delta']} lambda_b={row['lambda_b']} "
-                   f"{col} {key[2]}")
+                   f"E{n}{l} {key[2]}")
             if expected is None and computed is None:
                 continue
             if expected is None:
-                line_txt = (f"EXTRA {tag}: computed {computed:.5f}, "
-                            f"fixture has none")
-                if allow_extra:
-                    report.append(line_txt + " (allowed)")
-                else:
-                    report.append(line_txt)
-                    mismatches += 1
-                continue
-            if computed is None:
+                report.append(f"EXTRA {tag}: computed {computed:.5f}, "
+                              "fixture has none"
+                              + (" (allowed)" if allow_extra else ""))
+                mismatches += not allow_extra
+            elif computed is None:
                 report.append(f"MISSING {tag}: fixture {expected:.5f}, "
                               f"no root found")
                 mismatches += 1
-                continue
-            dev = abs(computed - expected)
-            worst = max(worst, dev)
-            if dev > tol:
-                report.append(f"DEVIATION {tag}: computed {computed:.5f}, "
-                              f"fixture {expected:.5f}, dev {dev:.5f}")
-                mismatches += 1
+            else:
+                dev = abs(computed - expected)
+                worst = max(worst, dev)
+                if dev > tol:
+                    report.append(f"DEVIATION {tag}: computed {computed:.5f}, "
+                                  f"fixture {expected:.5f}, dev {dev:.5f}")
+                    mismatches += 1
+    for delta, lambda_b, line in (k for k in by_key if k not in seen):
+        report.append(f"MISSING fixture row delta={delta:.5f} "
+                      f"lambda_b={lambda_b:.5f} {line}")
+        mismatches += 1
     return report, mismatches, worst
 
 

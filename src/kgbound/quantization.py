@@ -67,22 +67,27 @@ def physical_window(m0c2: float, delta: float,
     return (lo, hi)
 
 
+def complex_eta(E: float, m0c2: float, delta: float, k2: float,
+                ll1: float) -> bool:
+    """True when E lies in the window and 1/4 + K(E) < 0 there."""
+    return (_kernels.energy_terms(E, m0c2, delta, k2, ll1)[0]
+            == _kernels.STATUS_COMPLEX_ETA)
+
+
 def _real_eta_window(window: tuple, m0c2: float, delta: float, k2: float,
                      ll1: float) -> tuple:
     """window cut at the last double with real eta, found by bisection.
     1/4 + K(E) is monotone in E, so eta is complex on at most one end; a
-    window with real eta at both ends, or complex eta at both, stays whole."""
-    def complex_eta(E: float) -> bool:
-        return (_kernels.energy_terms(E, m0c2, delta, k2, ll1)[0]
-                == _kernels.STATUS_COMPLEX_ETA)
-
+    window with real eta at both ends, or complex eta at both, stays whole.
+    So eta is complex over the window returned exactly when it is complex
+    at its first energy."""
     lo, hi = window
-    cut_lo = complex_eta(lo)
-    if cut_lo == complex_eta(hi):
+    cut_lo = complex_eta(lo, m0c2, delta, k2, ll1)
+    if cut_lo == complex_eta(hi, m0c2, delta, k2, ll1):
         return window
     real, edge = (hi, lo) if cut_lo else (lo, hi)
     while (mid := 0.5 * (real + edge)) not in (real, edge):
-        if complex_eta(mid):
+        if complex_eta(mid, m0c2, delta, k2, ll1):
             edge = mid
         else:
             real = mid

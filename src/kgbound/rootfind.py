@@ -3,14 +3,15 @@
 A command's spectra are solved in three passes: scan, refine, classify.
 
 Scan.  The residual is evaluated on a uniform energy grid over each cell's
-window, which ends at the last energy with real eta.  The window depends
-on l but not on n, so one kernel call evaluates every cell of one
-(spectrum, l), into scan arrays the command owns, and the brackets of all
-its rows are searched at once.  Sign changes between adjacent valid nodes
-become brackets, except where the denominator changes sign inside the
-pair (a pole, not a root); a node where the residual is exactly 0 yields a
-degenerate (E, E) bracket.  The same scan gives each cell's absence
-diagnosis.
+window, which ends at the last energy with real eta; where eta is complex
+at the window's first energy it is complex throughout, and the cell is
+not scanned.  The window depends on l but not on n, so one kernel call
+evaluates every cell of one (spectrum, l), into scan arrays the command
+owns, and the brackets of all its rows are searched as soon as it
+returns.  Sign changes between adjacent valid nodes become brackets,
+except where the denominator changes sign inside the pair (a pole, not a
+root); a node where the residual is exactly 0 yields a degenerate (E, E)
+bracket.  The same scan gives each cell's absence diagnosis.
 
 Refine.  Every bracket of the command is refined by secant steps that
 fall back to bisection when a step leaves the bracket or stalls.  From
@@ -457,47 +458,24 @@ def _scan_and_refine(spectra: Iterable[List[List[ResidualSpec]]],
     (spectrum, l) groups: each cell's CellScan, in that order.  Every
     spectrum has the cells of the first.
 
-    The cells of one group share their window: each group is scanned by
-    kernel calls of at most MAX_GRID_POINTS points (a larger group is
-    split).  A group whose window, m0c2 and delta equal the previous
-    group's reuses its grid and _kernels.grid_terms, and one whose alpha,
-    c0 and c1 are the same too reuses its RHS numerator.  The calls fill a
-    block of scan arrays as large as the largest group, and the brackets
-    of all its rows are searched at once when the next call does not fit.
-    spectra may raise DomainError as it is iterated; that error, a scan's
-    overflow error and the refine errors are raised in the order solving
-    the cells one at a time would meet them.
+    A group whose window has complex eta at its first energy has it
+    throughout: its cells read _ETA_COMPLEX unscanned.  Each other group
+    is scanned by kernel calls of at most MAX_GRID_POINTS points (a larger
+    group is split) into one block of scan arrays, and each call's rows
+    are searched as soon as it returns.  A group whose window, m0c2 and
+    delta equal the last scanned group's reuses its grid and
+    _kernels.grid_terms, and one whose alpha, c0 and c1 are the same too
+    reuses its RHS numerator.  spectra may raise DomainError as it is
+    iterated; that error, a scan's overflow error and the refine errors
+    are raised in the order solving the cells one by one would meet them.
     """
     points = config.grid_points
     rows_per_call = MAX_GRID_POINTS // points
     # One block of scan arrays serves the whole command: arrays of this
     # size allocated and freed per call are often handed back to the
-    # system by the allocator and faulted in again at the next call.  A
-    # block of a whole spectrum searched no faster and cost about 1.5 MB
-    # more peak RSS on the sweep workload.
+    # system by the allocator and faulted in again at the next call.
     work = None
-    pending: list = []    # (spec, grid) of each filled row of work
-    cells: list = []      # (spec, grid reading, number of brackets)
-    specs: list = []      # the cell of each bracket
-    brackets: list = []
-
-    def search():
-        rows, grids = zip(*pending)
-        pending.clear()
-        found, readings, overflow = _scan_rows(
-            grids, *(a[:len(rows)] for a in work))
-        for spec, cell_brackets, reading in zip(rows, found, readings):
-            cells.append((spec, reading, len(cell_brackets)))
-            specs.extend([spec] * len(cell_brackets))
-            brackets.extend(cell_brackets)
-        if overflow is not None:
-            r, i = overflow
-            raise DomainError(
-                f"residual {work[0][r, i]} at E={grids[r][i]} in cell "
-                f"(n={rows[r].n}, l={rows[r].l}): an input overflows double "
-                "precision")
-
-    error = None
+    cells: list = []      # (spec, scan reading, brackets) of each cell
     grid_key = numerator_key = None
     try:
         for spectrum in spectra:
@@ -507,6 +485,10 @@ def _scan_and_refine(spectra: Iterable[List[List[ResidualSpec]]],
                         np.empty((rows, points), dtype=np.int32))
             for group in spectrum:
                 spec = group[0]
+                if quantization.complex_eta(spec.window[0], spec.m0c2,
+                                            spec.delta, spec.k2, spec.ll1):
+                    cells.extend((cell, _ETA_COMPLEX, ()) for cell in group)
+                    continue
                 if (spec.window, spec.m0c2, spec.delta) != grid_key:
                     grid_key = (spec.window, spec.m0c2, spec.delta)
                     E = np.linspace(*spec.window, points)
@@ -517,39 +499,34 @@ def _scan_and_refine(spectra: Iterable[List[List[ResidualSpec]]],
                     numerator = _kernels.rhs_numerator(spec, E)
                 for start in range(0, len(group), rows_per_call):
                     chunk = group[start:start + rows_per_call]
-                    if len(pending) + len(chunk) > len(work[0]):
-                        search()
-                    row = len(pending)
-                    _kernels.residual_grid(chunk, E, out=tuple(
-                        a[row:row + len(chunk)] for a in work), grid=grid,
+                    scan = _kernels.residual_grid(chunk, E, out=tuple(
+                        a[:len(chunk)] for a in work), grid=grid,
                         numerator=numerator)
-                    pending.extend((spec, E) for spec in chunk)
-        if pending:
-            search()
-    except (DomainError, BranchError) as err:
-        error = err
-        # The rows scanned before the error come before it.
-        if pending:
-            try:
-                search()
-            except DomainError as earlier:
-                error = earlier
-    outcomes = _refine(specs, brackets, config)
-    if error is not None:
-        raise error
-    scans = []
-    first = 0
-    for spec, reading, count in cells:
-        scans.append((spec, CellScan(
-            reading=reading, outcomes=tuple(outcomes[first:first + count]))))
-        first += count
-    return scans
+                    found, readings, overflow = _scan_rows(
+                        [E] * len(chunk), *scan)
+                    cells.extend(zip(chunk, readings, found))
+                    if overflow is not None:
+                        r, i = overflow
+                        raise DomainError(
+                            f"residual {scan[0][r, i]} at E={E[i]} in cell "
+                            f"(n={chunk[r].n}, l={chunk[r].l}): an input "
+                            "overflows double precision")
+    except (DomainError, BranchError):
+        # a refine error in the cells scanned before comes first
+        _refine(cells, config)
+        raise
+    outcomes = iter(_refine(cells, config))
+    return [(spec, CellScan(reading, tuple(next(outcomes) for _ in found)))
+            for spec, reading, found in cells]
 
 
-def _refine(specs: list, brackets: list, config: SolverConfig) -> list:
-    """Refine each bracket of its cell in specs: per bracket a
-    (RefineResult, sign verdict) pair or the ConvergenceError.  The first
-    DomainError or BranchError in bracket order is raised."""
+def _refine(cells: list, config: SolverConfig) -> list:
+    """Refine the brackets of cells, (spec, scan reading, brackets)
+    triples, in order: per bracket a (RefineResult, sign verdict) pair or
+    the ConvergenceError.  The first DomainError or BranchError in bracket
+    order is raised."""
+    specs = [spec for spec, _, found in cells for _ in found]
+    brackets = [bracket for _, _, found in cells for bracket in found]
     if len(brackets) >= LOCKSTEP_MIN_BRACKETS:
         outcomes = lockstep_refine(specs, brackets, config)
         for outcome in outcomes:
@@ -583,8 +560,9 @@ class SpectrumTable:
         raise KeyError(f"cell (n={n}, l={l}) not in table")
 
     def energy(self, n: int, l: int, line: str) -> Optional[float]:
-        c = self.cell(n, l)
-        return (c.lower if line == "lower" else c.upper).energy
+        if line not in ("lower", "upper"):
+            raise DomainError(f"line must be 'lower' or 'upper', got {line!r}")
+        return getattr(self.cell(n, l), line).energy
 
     @property
     def entries(self) -> tuple:

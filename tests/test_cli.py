@@ -272,6 +272,59 @@ def test_check_catches_doctored_fixture(tmp_path, capsys):
     assert "DEVIATION" in out
 
 
+def write_fixture(path, rows):
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        csv.writer(fh, lineterminator="\n").writerows(rows)
+
+
+def pv_fixture_rows():
+    with open(fixture_path("pv"), encoding="utf-8", newline="") as fh:
+        return list(csv.reader(fh))
+
+
+@pytest.mark.parametrize("keep, missing", [
+    (0, 18),    # an empty file
+    (1, 18),    # the header alone
+    (17, 2),    # the last block's two lines dropped
+])
+def test_check_counts_each_solved_block_without_a_fixture_row(
+        keep, missing, tmp_path, capsys):
+    fixture = tmp_path / "short.csv"
+    write_fixture(fixture, pv_fixture_rows()[:keep])
+    assert main(["solve", "--mode", "pv", "--check", str(fixture)]) == 3
+    out = capsys.readouterr().out
+    assert out.count("MISSING fixture row") == missing
+    assert f"check: FAIL ({missing} mismatches" in out
+    if keep == 17:
+        assert ("MISSING fixture row delta=0.00300 lambda_b=0.00300 upper\n"
+                in out)
+
+
+def test_check_refuses_a_header_lacking_an_energy_column(tmp_path, capsys):
+    rows = pv_fixture_rows()
+    col = rows[0].index("E33")
+    fixture = tmp_path / "no_e33.csv"
+    write_fixture(fixture, [row[:col] + row[col + 1:] for row in rows])
+    assert main(["solve", "--mode", "pv", "--check", str(fixture)]) == 1
+    captured = capsys.readouterr()
+    assert "malformed fixture" in captured.err and "lacks E33" in captured.err
+    assert "check:" not in captured.out
+
+
+@pytest.mark.parametrize("field, value", [
+    ("delta", "abc"), ("E11", "abc"), ("E11", "nan"), ("E11", "inf")])
+def test_check_refuses_a_malformed_fixture_row(field, value, tmp_path,
+                                               capsys):
+    rows = pv_fixture_rows()
+    rows[1][rows[0].index(field)] = value
+    fixture = tmp_path / "bad_row.csv"
+    write_fixture(fixture, rows)
+    assert main(["solve", "--mode", "pv", "--check", str(fixture)]) == 1
+    captured = capsys.readouterr()
+    assert "malformed fixture row" in captured.err
+    assert "check:" not in captured.out
+
+
 def test_check_missing_fixture_is_usage_error(tmp_path, capsys):
     rc = main(["solve", "--mode", "pv",
                "--check", str(tmp_path / "nope.csv")])
@@ -358,6 +411,12 @@ def test_sweep_rejects_bad_step(capsys):
     assert main(["sweep", "--mode", "emes", "--axis", "delta",
                  "--start", "0.0", "--stop", "0.003", "--step", "0.0"]) == 1
     assert "--step must be positive" in capsys.readouterr().err
+
+
+def test_sweep_rejects_stop_below_start(capsys):
+    assert main(["sweep", "--mode", "emes", "--axis", "delta",
+                 "--start", "0.003", "--stop", "0.0", "--step", "0.001"]) == 1
+    assert "--stop must not be below --start" in capsys.readouterr().err
 
 
 SWEEP_PS = ["sweep", "--mode", "ps", "--axis", "delta", "--nmax=0"]
@@ -678,6 +737,13 @@ def test_wavefunction_requires_present_line(capsys):
     assert "absent" in capsys.readouterr().err
 
 
+def test_wavefunction_with_both_lines_absent_is_an_error(capsys):
+    # eta is complex over the whole pv (0, 0) window
+    assert main(["wavefunction", "--mode", "pv", "--n=0", "--l=0"]) == 2
+    assert ("no spectral line found for (n=0, l=0) in mode pv"
+            in capsys.readouterr().err)
+
+
 def test_wavefunction_normalize(tmp_path):
     out = tmp_path / "wf.json"
     assert main(["wavefunction", "--mode", "emes", "--n", "1", "--l", "0",
@@ -714,6 +780,18 @@ def test_aim_verify_perturbed_tau_on_a_lower_level_is_no_alarm(capsys):
     assert "level n=40: 1/1 perturbed seeds terminate" in out
     assert "certificate: FAIL" in out
     assert "warning" not in out
+
+
+@pytest.mark.parametrize("flag, message", [
+    ("--cap=-1", "--cap must be non-negative"),
+    ("--nmax=-1", "--nmax must be non-negative"),
+    ("--seeds=0", "--seeds must be at least 1"),
+])
+def test_aim_verify_rejects_out_of_range_counts(flag, message, capsys):
+    assert main(["aim-verify", flag]) == 1
+    captured = capsys.readouterr()
+    assert message in captured.err
+    assert captured.out == ""
 
 
 def test_aim_verify_honors_level_cap(capsys):
@@ -769,6 +847,13 @@ def test_lambda_is_not_settable(tmp_path, capsys):
     cfg.write_text("mode = ps\nlambda = 1.5\n", encoding="utf-8")
     assert main(["solve", "--config", str(cfg)]) == 1
     assert "unknown key 'lambda'" in capsys.readouterr().err
+
+
+def test_config_line_without_equals_is_usage_error(tmp_path, capsys):
+    cfg = tmp_path / "bare.cfg"
+    cfg.write_text("mode = ps\ndelta 0.003\n", encoding="utf-8")
+    assert main(["solve", "--config", str(cfg)]) == 1
+    assert f"{cfg}:2: expected 'key = value'" in capsys.readouterr().err
 
 
 def test_missing_config_is_usage_error(tmp_path, capsys):

@@ -79,6 +79,19 @@ def test_secant_rejects_bracket_without_sign_change():
         secant_refine(lambda E: E * E + 1.0, (0.0, 1.0), SolverConfig())
 
 
+@pytest.mark.parametrize("bracket", [(2.0, 5.0), (-1.0, 2.0)])
+def test_secant_returns_at_once_on_a_root_at_an_end(bracket):
+    calls = []
+
+    def f(x):
+        calls.append(x)
+        return x - 2.0
+
+    r = secant_refine(f, bracket, SolverConfig())
+    assert (r.energy, r.residual, r.iterations) == (2.0, 0.0, 0)
+    assert calls == list(bracket)
+
+
 def test_secant_degenerate_bracket():
     config = SolverConfig()
     r = secant_refine(lambda E: E - 5.0, (5.0, 5.0), config)
@@ -274,13 +287,19 @@ def test_solve_cell_evaluates_the_grid_once(constants, pion, monkeypatch):
     config = SolverConfig()
     specs = [make_spec(constants, pion, CouplingMode.PURE_SCALAR),
              make_spec(constants, pion, CouplingMode.EMOS),
-             make_spec(constants, pion, CouplingMode.PURE_VECTOR),
              make_spec(constants, pion, CouplingMode.EMES, n=1, l=1,
                        branch="minus")]
     for spec in specs:
         calls.clear()
         solve_cell(spec, config)
         assert calls == [config.grid_points]
+    # eta is complex over the whole pv (0, 0) window: nothing to scan
+    calls.clear()
+    cell = solve_cell(make_spec(constants, pion, CouplingMode.PURE_VECTOR),
+                      config)
+    assert calls == []
+    assert cell.lower.detail == cell.upper.detail == (
+        "eta complex over the whole window")
 
 
 @pytest.mark.parametrize("grid_points, rows", [
@@ -390,8 +409,32 @@ def test_lockstep_equals_secant_refine_on_every_bracket(
         assert bits(outcome) == bits(refined_alone(spec, bracket, config))
 
 
+@settings(max_examples=300, deadline=None)
+@given(mode=st.sampled_from(list(CouplingMode)), A=st.floats(20.0, 400.0),
+       delta=st.floats(-0.006, 0.006), lambda_b=st.floats(-0.006, 0.006),
+       l=st.integers(0, 2), branch=st.sampled_from(["plus", "minus"]))
+def test_window_complex_at_its_start_is_complex_throughout(
+        constants, pion, mode, A, delta, lambda_b, l, branch):
+    # the scan skips such a window; a full scan would read the same
+    spec = make_spec(constants, pion, mode, l=l, delta=delta,
+                     lambda_b=lambda_b, branch=branch, A=A)
+    complex_start = quantization.complex_eta(
+        spec.window[0], spec.m0c2, spec.delta, spec.k2, spec.ll1)
+    config = SolverConfig()
+    status = _kernels.residual_grid([spec], scan_grid(spec, config))[3]
+    assert (status == _kernels.STATUS_COMPLEX_ETA).all() == complex_start
+    if not complex_start:
+        return
+    cell = solve_cell(spec, config)
+    assert cell.lower.status == cell.upper.status == "absent"
+    assert cell.lower.detail == cell.upper.detail == (
+        "eta complex over the whole window")
+
+
+@pytest.mark.parametrize("n_max", [0, 1])
 def test_solve_spectra_raises_the_first_error_in_cell_order(constants, pion,
-                                                            monkeypatch):
+                                                            monkeypatch,
+                                                            n_max):
     good = PotentialSpec(A=A_DEFAULT, delta=0.0, lambda_b=0.0,
                          mode=CouplingMode.EMES)
     # delta E overflows in the scan; k2 is NaN when the cells are built
@@ -402,7 +445,7 @@ def test_solve_spectra_raises_the_first_error_in_cell_order(constants, pion,
 
     def first_error(pots):
         with pytest.raises(DomainError) as err:
-            solve_spectra(constants, pion, pots, n_max=1)
+            solve_spectra(constants, pion, pots, n_max=n_max)
         return str(err.value)
 
     assert first_error([good, overflow, nan_k2]).startswith("residual nan")
@@ -597,6 +640,15 @@ def test_solve_spectrum_table_shape_and_lookup(constants, pion):
     assert table.energy(0, 0, "upper") == pytest.approx(105.71706, abs=0.02)
     with pytest.raises(KeyError):
         table.cell(5, 0)
+
+
+@pytest.mark.parametrize("line", ["Lower", "both", ""])
+def test_spectrum_table_energy_refuses_an_unknown_line(constants, pion, line):
+    pot = PotentialSpec(A=A_DEFAULT, delta=0.0, lambda_b=0.0,
+                        mode=CouplingMode.PURE_SCALAR)
+    table = solve_spectrum(constants, pion, pot, n_max=0)
+    with pytest.raises(DomainError, match="line must be 'lower' or 'upper'"):
+        table.energy(0, 0, line)
 
 
 def test_solve_spectrum_matches_reference_grid(solve_block):
