@@ -22,15 +22,18 @@ Both seeds are polynomials in w = 1/z,
     lambda_0 = 2 tau - 2 (eta + 1) w,    s_0 = (2 tau (eta + 1) - beta^2) w,
 
 and d/dz = -w^2 d/dw maps polynomials in w to polynomials in w, so every
-lambda_n, s_n and delta_n is a polynomial in w as well.  The chain is
-carried as Fraction-coefficient Polys in w: no denominators, no gcd, and
-"vanishes identically" is the exact statement "every coefficient is 0".
+lambda_n, s_n and delta_n is a polynomial in w as well.  Each one is held
+as integer numerators over one positive denominator, reduced so that the
+denominator and the numerators share no factor: a sum or product is
+integer arithmetic followed by a single gcd, and "vanishes identically" is
+the exact statement "every numerator is 0".  No step divides polynomials.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 
 from .errors import DomainError
 
@@ -44,20 +47,21 @@ def _coeff(value) -> Fraction:
 
 
 class Poly:
-    """Dense univariate polynomial with Fraction coefficients.
+    """Dense univariate polynomial with rational coefficients.
 
-    coeffs[k] multiplies w**k (w = 1/z in the iteration below); trailing
-    zeros are stripped so the zero polynomial has an empty coefficient
-    tuple and degree -1.
+    The coefficient of w**k (w = 1/z in the iteration below) is
+    nums[k] / den, with nums a tuple of ints and den a positive int.  The
+    form is canonical: trailing zeros are stripped, gcd(den, *nums) == 1,
+    and the zero polynomial is ((), 1) with degree -1.  So two equal
+    polynomials have equal nums and den.
     """
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("nums", "den")
 
     def __init__(self, coeffs=()):
         cs = [_coeff(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
+        den = lcm(*(c.denominator for c in cs))
+        _fill(self, [c.numerator * (den // c.denominator) for c in cs], den)
 
     def __setattr__(self, name, value):
         raise AttributeError("Poly is immutable")
@@ -68,57 +72,71 @@ class Poly:
 
     @classmethod
     def one(cls) -> "Poly":
-        return cls((Fraction(1),))
+        return cls((1,))
 
     @classmethod
     def x(cls) -> "Poly":
-        return cls((Fraction(0), Fraction(1)))
+        return cls((0, 1))
+
+    @property
+    def coeffs(self) -> tuple:
+        """The coefficients as Fractions, lowest power first."""
+        den = self.den
+        return tuple(Fraction(c, den) for c in self.nums)
 
     @property
     def degree(self) -> int:
-        return len(self.coeffs) - 1
+        return len(self.nums) - 1
 
     @property
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.nums
 
     @property
     def lead(self) -> Fraction:
         if self.is_zero:
             raise DomainError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
+        return Fraction(self.nums[-1], self.den)
 
     def __add__(self, other: "Poly") -> "Poly":
-        a, b = self.coeffs, other.coeffs
+        a, da, b, db = self.nums, self.den, other.nums, other.den
+        if da != db:
+            g = gcd(da, db)
+            ma, mb = db // g, da // g
+            a = [c * ma for c in a]
+            b = [c * mb for c in b]
+            da *= ma
         if len(a) < len(b):
             a, b = b, a
         out = list(a)
         for k, c in enumerate(b):
             out[k] += c
-        return Poly(out)
+        return _poly(out, da)
 
     def __neg__(self) -> "Poly":
-        return Poly(tuple(-c for c in self.coeffs))
+        return _poly([-c for c in self.nums], self.den)
 
     def __sub__(self, other: "Poly") -> "Poly":
         return self + (-other)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            f = _coeff(other)
-            return Poly(tuple(c * f for c in self.coeffs))
-        if self.is_zero or other.is_zero:
-            return Poly.zero()
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return Poly(out)
+        if isinstance(other, Poly):
+            a, b = self.nums, other.nums
+            if not a or not b:
+                return Poly.zero()
+            out = [0] * (len(a) + len(b) - 1)
+            for i, x in enumerate(a):
+                for j, y in enumerate(b):
+                    out[i + j] += x * y
+            return _poly(out, self.den * other.den)
+        f = _coeff(other)
+        return _poly([c * f.numerator for c in self.nums],
+                     self.den * f.denominator)
 
     __rmul__ = __mul__
 
     def derivative(self) -> "Poly":
-        return Poly(tuple(k * c for k, c in enumerate(self.coeffs) if k))
+        return _poly([k * c for k, c in enumerate(self.nums) if k], self.den)
 
     def divmod(self, other: "Poly"):
         if other.is_zero:
@@ -126,6 +144,7 @@ class Poly:
         rem = list(self.coeffs)
         d = other.degree
         lead = other.lead
+        divisor = other.coeffs
         quot = [Fraction(0)] * max(len(rem) - d, 0)
         for k in range(len(rem) - 1, d - 1, -1):
             c = rem[k]
@@ -133,7 +152,7 @@ class Poly:
                 continue
             q = c / lead
             quot[k - d] = q
-            for j, b in enumerate(other.coeffs):
+            for j, b in enumerate(divisor):
                 rem[k - d + j] -= q * b
         return Poly(quot), Poly(rem)
 
@@ -152,16 +171,44 @@ class Poly:
         return Poly(tuple(coef * f ** k for k, coef in enumerate(self.coeffs)))
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Poly) and self.coeffs == other.coeffs
+        return (isinstance(other, Poly) and self.nums == other.nums
+                and self.den == other.den)
 
     def __hash__(self):
-        return hash(self.coeffs)
+        return hash((self.nums, self.den))
 
     def __repr__(self):
         if self.is_zero:
             return "Poly(0)"
         terms = [f"{c}*w^{k}" for k, c in enumerate(self.coeffs) if c != 0]
         return "Poly(" + " + ".join(terms) + ")"
+
+
+_set_nums = Poly.nums.__set__
+_set_den = Poly.den.__set__
+
+
+def _fill(p: Poly, nums: list, den: int) -> None:
+    """Set p to nums / den, for a positive den, in canonical form: trailing
+    zeros stripped and the common factor of den and every numerator
+    divided out."""
+    while nums and not nums[-1]:
+        nums.pop()
+    if not nums:
+        den = 1
+    else:
+        g = gcd(den, *nums)
+        if g != 1:
+            nums = [c // g for c in nums]
+            den //= g
+    _set_nums(p, tuple(nums))
+    _set_den(p, den)
+
+
+def _poly(nums: list, den: int) -> Poly:
+    p = object.__new__(Poly)
+    _fill(p, nums, den)
+    return p
 
 
 # Nothing in the iteration divides: poly_gcd and Poly.divmod stay only
@@ -176,7 +223,7 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
 
 def d_dz(p: Poly) -> Poly:
     """The z-derivative of a polynomial in w = 1/z: p -> -w^2 p'(w)."""
-    return Poly((0, 0, *(-p.derivative()).coeffs))
+    return _poly([0, 0, *(-k * c for k, c in enumerate(p.nums) if k)], p.den)
 
 
 @dataclass(frozen=True)

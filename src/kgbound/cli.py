@@ -18,6 +18,7 @@ import argparse
 import contextlib
 import csv
 import dataclasses
+import functools
 import io
 import itertools
 import json
@@ -730,9 +731,14 @@ def _cmd_aim_verify(args) -> int:
 
 # ---------------------------------------------------------------- main
 
+# Built by the first main() call, not at import, and reused by every later
+# one: parsing leaves no state on the parser, and its error, usage and
+# --version paths look up sys.stdout and sys.stderr when they run.
+_shared_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _shared_parser().parse_args(argv)
     try:
         return args.handler(args)
     except (_UsageError, DomainError, BranchError) as err:

@@ -1,6 +1,7 @@
 import csv
 import math
 import os
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -53,6 +54,62 @@ def series_report(sol, r_max, points=2000):
             u[i] = math.copysign(math.exp(-sol.tau * z + (sol.eta + 1.0)
                                           * math.log(z) + math.log(abs(F))), F)
     return grid_report(u)
+
+
+class RefPoly:
+    """Reference polynomial with Fraction coefficients, lowest power first,
+    trailing zeros stripped: the oracle of kgbound.aim.Poly, built on
+    Fraction arithmetic alone."""
+
+    def __init__(self, coeffs=()):
+        cs = [Fraction(c) for c in coeffs]
+        while cs and cs[-1] == 0:
+            cs.pop()
+        self.coeffs = tuple(cs)
+
+    def __add__(self, other):
+        a, b = self.coeffs, other.coeffs
+        if len(a) < len(b):
+            a, b = b, a
+        return RefPoly(c + (b[k] if k < len(b) else 0) for k, c in enumerate(a))
+
+    def __neg__(self):
+        return RefPoly(-c for c in self.coeffs)
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __mul__(self, other):
+        if not isinstance(other, RefPoly):
+            return RefPoly(c * other for c in self.coeffs)
+        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs))
+        for i, a in enumerate(self.coeffs):
+            for j, b in enumerate(other.coeffs):
+                out[i + j] += a * b
+        return RefPoly(out)
+
+    def derivative(self):
+        return RefPoly(k * c for k, c in enumerate(self.coeffs) if k)
+
+    def d_dz(self):
+        """-w^2 p'(w): d/dz of a polynomial in w = 1/z."""
+        return RefPoly((0, 0, *(-self.derivative()).coeffs))
+
+    def scale_arg(self, c):
+        return RefPoly(coef * Fraction(c) ** k
+                       for k, coef in enumerate(self.coeffs))
+
+
+def ref_terminates_at(n, tau, eta, beta_sq):
+    """The iteration chain of kgbound.aim on RefPoly: whether the delta
+    between levels n + 1 and n vanishes."""
+    lam0 = RefPoly((2 * tau, -2 * (eta + 1)))
+    s0 = RefPoly((0, 2 * tau * (eta + 1) - beta_sq))
+    prev = lam, s = lam0, s0
+    for _ in range(n + 1):
+        prev, (lam, s) = (lam, s), (lam.d_dz() + lam0 * lam + s,
+                                    s.d_dz() + s0 * lam)
+    return not (s * prev[0] - prev[1] * lam).coeffs
 
 
 def fixture_path(mode_name):

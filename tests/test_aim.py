@@ -1,14 +1,17 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
 import sympy
-from hypothesis import Phase, given, settings
+from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
 from kgbound import DomainError
 from kgbound.aim import (Poly, d_dz, exact_tau, iterate, poly_gcd, seed,
                          terminates_at, termination_delta, verify_level)
+
+from conftest import RefPoly, ref_terminates_at
 
 
 def test_poly_strips_trailing_zeros():
@@ -239,3 +242,82 @@ def test_w_form_matches_sympy_z_form(n, eta, beta_sq):
         (lam_n, s_n), (lam_next, s_next) = chain[n], chain[n + 1]
         delta = sympy.cancel(s_next * lam_n - s_n * lam_next, _Z)
         assert terminates_at(n, tau, eta, beta_sq) == (delta == 0)
+
+
+# ------------------------------------------ Fraction-coefficient reference
+
+# Numerators and denominators are drawn apart, so values that reduce
+# (2/4, 3/3, 0/5) come in as often as those that do not.
+_coefficients = st.one_of(
+    st.integers(-30, 30),
+    st.builds(Fraction, st.integers(-30, 30), st.integers(1, 12)))
+_coeff_lists = st.lists(_coefficients, max_size=6)
+_nonzero_fractions = st.builds(Fraction, st.integers(-30, 30).filter(bool),
+                               st.integers(1, 12))
+
+
+def _canonical(p: Poly) -> Poly:
+    assert p.den > 0
+    assert math.gcd(p.den, *p.nums) == 1
+    assert not p.nums or p.nums[-1] != 0
+    assert p.nums or p.den == 1
+    return p
+
+
+@settings(max_examples=200, deadline=None)
+@given(a=_coeff_lists, b=_coeff_lists, k=st.integers(-30, 30),
+       f=st.builds(Fraction, st.integers(-30, 30), st.integers(1, 12)),
+       c=_nonzero_fractions)
+def test_poly_arithmetic_matches_the_fraction_reference(a, b, k, f, c):
+    p, q = _canonical(Poly(a)), _canonical(Poly(b))
+    rp, rq = RefPoly(a), RefPoly(b)
+    assert p.coeffs == rp.coeffs
+    for got, want in ((p + q, rp + rq), (p - q, rp - rq), (-p, -rp),
+                      (p * q, rp * rq), (p * k, rp * k), (k * p, rp * k),
+                      (p * f, rp * f), (p.derivative(), rp.derivative()),
+                      (d_dz(p), rp.d_dz()), (p.scale_arg(c), rp.scale_arg(c))):
+        assert _canonical(got).coeffs == want.coeffs
+
+
+@settings(max_examples=200, deadline=None)
+@given(a=_coeff_lists, b=_coeff_lists, g=_nonzero_fractions)
+def test_equal_polynomials_built_two_ways_are_equal(a, b, g):
+    # the sum and product from Poly arithmetic, and the same polynomials
+    # built from the reference's coefficients; scaled round trips, one of
+    # them through trailing zeros
+    p, q = Poly(a), Poly(b)
+    pairs = [(p + q, Poly((RefPoly(a) + RefPoly(b)).coeffs)),
+             (p * q, Poly((RefPoly(a) * RefPoly(b)).coeffs)),
+             (p * g * (1 / g), p),
+             (Poly([2 * Fraction(x) for x in a] + [0, 0]) * Fraction(1, 2), p),
+             (p - p, Poly.zero())]
+    for one, other in pairs:
+        assert one == other
+        assert hash(one) == hash(other)
+        assert one.coeffs == other.coeffs
+        assert (one.nums, one.den) == (other.nums, other.den)
+
+
+_etas = st.builds(Fraction, st.integers(-40, 40), st.integers(1, 12))
+_beta_sqs = st.builds(Fraction, st.integers(0, 60), st.integers(1, 12))
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(0, 6), eta=_etas, beta_sq=_beta_sqs)
+@example(n=0, eta=Fraction(-1), beta_sq=Fraction(0))
+@example(n=3, eta=Fraction(-1), beta_sq=Fraction(0))
+@example(n=6, eta=Fraction(-1), beta_sq=Fraction(0))
+def test_terminates_at_matches_the_fraction_reference(n, eta, beta_sq):
+    # exact tau and 1.01 tau where level n has one; eta + n + 1 = 0 has
+    # none, and the degenerate seed eta = -1, beta^2 = 0 terminates at
+    # every tau, so a plain tau stands in for both
+    if eta + n + 1 == 0:
+        taus = (Fraction(3, 7),)
+    else:
+        tau = exact_tau(eta, beta_sq, n)
+        taus = (tau, tau * Fraction(101, 100), tau + Fraction(3, 7))
+    for tau in taus:
+        assert terminates_at(n, tau, eta, beta_sq) == \
+            ref_terminates_at(n, tau, eta, beta_sq)
+    if eta == -1 and beta_sq == 0:
+        assert all(terminates_at(n, tau, eta, beta_sq) for tau in taus)

@@ -1,3 +1,4 @@
+import contextlib
 import csv
 import dataclasses
 import hashlib
@@ -16,6 +17,7 @@ from hypothesis import strategies as st
 
 from kgbound import (NEUTRAL_PION_M0C2, ParticleSpec, PhysicalConstants,
                      PotentialSpec, SolverConfig, solve_spectrum)
+from kgbound import cli
 from kgbound.cli import (CSV_CHUNK_ROWS, DEFAULT_AIM_CAP, GRID_VALUES,
                          MAX_AXIS_POINTS, PaddedColumn, main, write_csv)
 from kgbound.special import MAX_RADIAL_POINTS
@@ -43,6 +45,36 @@ def test_version_reports_package_version(capsys):
         main(["--version"])
     assert exc.value.code == 0
     assert "kgbound" in capsys.readouterr().out
+
+
+def _run_main(argv):
+    """(rc, stdout, stderr) of one main() call, each call on fresh streams."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            rc = main(argv)
+        except SystemExit as exc:
+            rc = exc.code
+    return rc, out.getvalue(), err.getvalue()
+
+
+def test_one_parser_serves_every_call_of_a_process():
+    # a good command, an argparse usage error, --version, the good command
+    # again: the parser built by the first call must answer each of them
+    # as a freshly built one does, on the streams of the call itself
+    commands = (["aim-verify", "--nmax", "2", "--seeds", "2"],
+                ["aim-verify", "--nmax", "x"],
+                ["--version"],
+                ["aim-verify", "--nmax", "2", "--seeds", "2"])
+    fresh = []
+    for argv in commands:
+        cli._shared_parser.cache_clear()
+        fresh.append(_run_main(argv))
+    assert [rc for rc, _, _ in fresh] == [0, 1, 0, 0]
+    assert "invalid int value" in fresh[1][2]
+    cli._shared_parser.cache_clear()
+    assert [_run_main(argv) for argv in commands] == fresh
+    assert cli._shared_parser.cache_info().misses == 1
 
 
 def test_missing_mode_is_usage_error(capsys):
@@ -797,6 +829,46 @@ def test_aim_verify_rejects_out_of_range_counts(flag, message, capsys):
 def test_aim_verify_honors_level_cap(capsys):
     assert main(["aim-verify", "--nmax", str(DEFAULT_AIM_CAP + 1)]) == 1
     assert "exceeds the level cap" in capsys.readouterr().err
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+_EMPTY_SHA256 = _sha256("")
+
+# (argv, rc, sha256 of stdout, sha256 of stderr) of `aim-verify`, taken on
+# the Fraction-coefficient Poly before it moved to integer numerators over
+# one denominator.  The last success pin is level 32, the default cap.
+AIM_VERIFY_SHA256 = [
+    (["--nmax", "8", "--seeds", "5"], 0,
+     "fc240abab485c9b4879adaf2cbc40ff1a0ebe38507a91804b402d9a4de2cfd89",
+     _EMPTY_SHA256),
+    (["--nmax", "12", "--seeds", "5", "--seed", "47"], 0,
+     "ff5d860b40579fc2a3e287362870030f4314e6d12c6b0689c57acb00fa489baf",
+     _EMPTY_SHA256),
+    (["--nmax", "12", "--seeds", "5", "--seed", "47", "--perturb"], 2,
+     "868fddee8187f1d29b06dab35fb81f6ed4ecdb451febf804a43ef9685de55b5c",
+     _EMPTY_SHA256),
+    (["--nmax", "32", "--seeds", "1"], 0,
+     "57fe60b68c4a956de76b874000e2c6d0a91ebfcb7b86937fde92413802fdc69d",
+     _EMPTY_SHA256),
+    (["--nmax=-1"], 1, _EMPTY_SHA256,
+     "dfa5afeed41e17c7016efb226c06cdd501c9d372e980ddfa130865119ddd8fe1"),
+    (["--seeds=0"], 1, _EMPTY_SHA256,
+     "1e4450909f177bfd4ebd572aab2a024bd2fbed6f42adca3829a1fd8856069408"),
+    (["--nmax", "33"], 1, _EMPTY_SHA256,
+     "ce51c1d4020365a1ffd931daa7650a74e6533a206e81cc6c5effb8db5b5aef7a"),
+]
+
+
+@pytest.mark.parametrize("argv, rc, out_digest, err_digest", AIM_VERIFY_SHA256)
+def test_aim_verify_outputs_are_pinned(argv, rc, out_digest, err_digest,
+                                       capsys):
+    assert main(["aim-verify"] + argv) == rc
+    captured = capsys.readouterr()
+    assert (_sha256(captured.out), _sha256(captured.err)) == \
+        (out_digest, err_digest)
 
 
 def test_config_file_supplies_defaults(tmp_path):
