@@ -8,14 +8,12 @@ radial wave functions.
 
 from .errors import (AbsentError, BranchError, ConvergenceError, DomainError,
                      EvaluationError, KGBoundError)
-from .limits import (LimitCase, classify, constant_mass_identity_check,
-                     default_identity_samples)
 from .model import (DEFAULT_HBAR_C, NEUTRAL_PION_M0C2, CaseParameters,
                     CouplingMode, ParticleSpec, PhysicalConstants,
                     PotentialSpec, QuantumNumbers, case_parameters, mass_at,
                     vector_potential)
 from .quantization import (ResidualSpec, SpectrumEntry, build_residual_spec,
-                           constant_mass_b, residual, sign_validity)
+                           residual, sign_validity)
 from .rootfind import (CellResult, RefineResult, SolverConfig, SpectrumTable,
                        bracket_scan, secant_refine, solve_cell, solve_spectra,
                        solve_spectrum)
@@ -35,13 +33,11 @@ __all__ = [
     "QuantumNumbers", "CaseParameters", "case_parameters", "mass_at",
     "vector_potential",
     "ResidualSpec", "SpectrumEntry", "build_residual_spec", "residual",
-    "sign_validity", "constant_mass_b",
+    "sign_validity",
     "SolverConfig", "RefineResult", "CellResult", "SpectrumTable",
     "bracket_scan", "secant_refine", "solve_cell",
     "solve_spectrum", "solve_spectra",
     "KummerParams", "WaveSolution", "BoundaryReport", "kummer_1f1",
     "build_wave_solution", "wavefunction_u", "wavefunction_grid",
     "boundary_report", "grid_report", "default_r_max", "normalize_on_grid",
-    "LimitCase", "classify", "constant_mass_identity_check",
-    "default_identity_samples",
 ]

@@ -7,9 +7,11 @@ Subcommands:
     sweep         spectrum along a delta or lambda_b axis
     aim-verify    exact termination certificate of the iteration scheme
 
-Exit codes: 0 success, 1 usage or domain problem, 2 convergence or
-evaluation failure (including a requested line that is absent), 3 fixture
-mismatch beyond tolerance.
+Exit codes: 0 success, 1 usage or domain problem (including an input
+file that cannot be read or decoded, and an output, stdout too, that
+cannot be written), 2 convergence or evaluation failure (including a
+requested line that is absent), 3 fixture mismatch beyond tolerance.  A
+stdout pipe closed by its reader (`| head`) exits 1 with no message.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ import io
 import itertools
 import json
 import math
+import os
 import random
 import re
 import sys
@@ -54,6 +57,10 @@ CSV_CHUNK_ROWS = 2048
 
 class _UsageError(Exception):
     pass
+
+
+class _StdoutClosed(Exception):
+    """The reader of stdout closed it before the output ended."""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -228,7 +235,7 @@ def load_config(path: str) -> dict:
     try:
         with open(path, encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as err:
+    except (OSError, UnicodeDecodeError) as err:
         raise _UsageError(f"cannot read config {path}: {err}")
     table = {}
     for lineno, raw in enumerate(text.splitlines(), 1):
@@ -300,15 +307,38 @@ def _manifest(command: str, args, **fields) -> dict:
 
 @contextlib.contextmanager
 def _output(path):
-    """Where a command's text goes: stdout, or the file at path."""
-    if path is None:
-        yield sys.stdout
-        return
+    """Where a command's text goes: stdout, or the file at path.  stdout is
+    flushed here, so that its write errors surface here and not at exit.
+    A write error is a usage error, except a stdout pipe closed by its
+    reader, which raises _StdoutClosed."""
     try:
+        if path is None:
+            yield sys.stdout
+            sys.stdout.flush()
+            return
         with open(path, "w", encoding="utf-8", newline="") as fh:
             yield fh
     except OSError as err:
-        raise _UsageError(f"cannot write {path}: {err}")
+        if path is None and isinstance(err, BrokenPipeError):
+            raise _StdoutClosed() from None
+        where = "stdout" if path is None else path
+        raise _UsageError(f"cannot write {where}: {err}")
+
+
+def _discard_stdout():
+    """Point the stdout descriptor at os.devnull, so that the interpreter's
+    flush at exit meets no closed pipe and prints no "Exception ignored".
+    A stdout with no descriptor, such as an in-memory buffer, is left as
+    it is."""
+    try:
+        fd = sys.stdout.fileno()
+    except (AttributeError, io.UnsupportedOperation):
+        return
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    try:
+        os.dup2(devnull, fd)
+    finally:
+        os.close(devnull)
 
 
 def _csv_quotes_cr() -> bool:
@@ -427,7 +457,7 @@ def _check_fixture(tables, fixture_path: str, tol: float, allow_extra: bool):
             reader = csv.DictReader(fh)
             fixture = list(reader)
             header = reader.fieldnames or ()  # an empty file has none
-    except OSError as err:
+    except (OSError, UnicodeDecodeError) as err:
         raise _UsageError(f"cannot read fixture {fixture_path}: {err}")
     lacking = [c for c in ["delta", "lambda_b", "line"]
                + [f"E{n}{l}" for n, l in GRID_CELLS] if c not in header]
@@ -725,7 +755,8 @@ def _cmd_aim_verify(args) -> int:
                          f"exactly -> {'PASS' if ok else 'FAIL'}")
             all_pass = all_pass and ok
     lines.append(f"certificate: {'PASS' if all_pass else 'FAIL'}")
-    sys.stdout.write("\n".join(lines) + "\n")
+    with _output(None) as fh:
+        fh.write("\n".join(lines) + "\n")
     return 0 if all_pass else 2
 
 
@@ -747,6 +778,11 @@ def main(argv=None) -> int:
     except (ConvergenceError, EvaluationError, AbsentError) as err:
         sys.stderr.write(f"kgbound: {err}\n")
         return 2
+    except _StdoutClosed:
+        # The reader wants no more output (`| head`): nothing to report,
+        # but the output is cut short, so the exit code is not 0.
+        _discard_stdout()
+        return 1
 
 
 if __name__ == "__main__":

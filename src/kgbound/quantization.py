@@ -155,15 +155,6 @@ def sign_validity(spec: ResidualSpec, E: float) -> bool:
     return status == _kernels.STATUS_OK and rhs >= 0.0
 
 
-def constant_mass_b(A: float, B: float,
-                    constants: PhysicalConstants = PhysicalConstants()) -> float:
-    """Mass coupling b that makes an added Coulomb-like scalar strength B
-    cancel the position dependence of the mass: b = B / (hbar c * A)."""
-    if A == 0.0:
-        raise DomainError("A must be nonzero")
-    return B / (constants.hbar_c * A)
-
-
 @dataclass(frozen=True)
 class SpectrumEntry:
     """One resolved spectral line of a (n, l) cell."""

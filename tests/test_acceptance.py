@@ -8,10 +8,8 @@ import pytest
 
 from kgbound import (CouplingMode, ParticleSpec, PhysicalConstants,
                      PotentialSpec, QuantumNumbers, SolverConfig,
-                     build_residual_spec, constant_mass_b,
-                     secant_refine, solve_spectrum)
+                     build_residual_spec, secant_refine, solve_spectrum)
 from kgbound.aim import exact_tau, terminates_at
-from kgbound.limits import constant_mass_identity_check, default_identity_samples
 from kgbound.quantization import residual
 from kgbound.special import (KummerParams, boundary_report,
                              build_wave_solution, default_r_max, kummer_1f1)
@@ -399,21 +397,3 @@ def test_c09_rootfinder_oracle(constants, pion, solve_block):
     assert matched > 0
     print(f"criterion 9: PASS ({compared} roots vs bisection, worst gap "
           f"{worst:.2e} MeV; grid doubling keeps all {matched} roots)")
-
-
-def test_c10_constant_mass_limit(constants, pion):
-    samples = default_identity_samples(pion)
-    verified = 0
-    for B in (200.0, -100.0):
-        b = constant_mass_b(A_DEFAULT, B, constants)
-        for delta in (0.0, 0.0025):
-            pot = PotentialSpec(A=A_DEFAULT, delta=delta,
-                                lambda_b=pion.lam * b, mode=CouplingMode.EMES)
-            assert constant_mass_identity_check(pion, pot, B, samples)
-            off = PotentialSpec(A=A_DEFAULT, delta=delta,
-                                lambda_b=pion.lam * b * 1.01,
-                                mode=CouplingMode.EMES)
-            assert not constant_mass_identity_check(pion, off, B, samples)
-            verified += 1
-    print(f"criterion 10: PASS ({verified} (A, B, delta) combinations, "
-          f"1 percent coupling offset breaks the identity)")

@@ -1,11 +1,14 @@
 import contextlib
 import csv
 import dataclasses
+import errno
 import hashlib
 import io
 import itertools
 import json
 import math
+import os
+import re
 import shutil
 import warnings
 from datetime import datetime, timezone
@@ -934,6 +937,20 @@ def test_missing_config_is_usage_error(tmp_path, capsys):
     assert "cannot read config" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag, text, message", [
+    ("--config", b"mode = ps\n\xff\n", "cannot read config"),
+    ("--check", b"delta,lambda_b\n\xff\n", "cannot read fixture"),
+])
+def test_undecodable_input_file_is_usage_error(flag, text, message, tmp_path,
+                                               capsys):
+    path = tmp_path / "latin1.txt"
+    path.write_bytes(text)
+    assert main(["solve", "--mode", "ps", flag, str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"kgbound: error: {message} {path}: 'utf-8' codec")
+    assert err.count("\n") == 1
+
+
 # The 14 keys a --config file may set, each the long name of a flag; keys
 # are case-insensitive and '-' and '_' are interchangeable.
 CONFIG_VALUES = {
@@ -1037,6 +1054,56 @@ def test_unwritable_output_is_usage_error(argv, tmp_path, capsys):
     assert "Traceback" not in err
 
 
+class _FullDevice(io.RawIOBase):
+    """A file whose every write fails as on a full disk."""
+
+    def writable(self):
+        return True
+
+    def write(self, b):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
+# One command per way output reaches stdout: the table writer (CSV and
+# JSON), the --check report and aim-verify's text.
+STDOUT_COMMANDS = [
+    ["solve", "--mode", "ps", "--nmax=1"],
+    ["solve", "--mode", "pv", "--check", fixture_path("pv")],
+    ["wavefunction", "--mode", "ps", "--n=2", "--l=1", "--points=20000"],
+    ["sweep", "--mode", "ps", "--axis", "delta", "--start=0", "--stop=0.001",
+     "--step=0.001", "--format", "json"],
+    ["aim-verify", "--nmax", "2", "--seeds", "1"],
+]
+
+
+@pytest.mark.parametrize("argv", STDOUT_COMMANDS)
+def test_full_stdout_is_usage_error(argv):
+    # buffered as a real stdout is, so the error may come at the last flush
+    stdout = io.TextIOWrapper(io.BufferedWriter(_FullDevice()),
+                              encoding="utf-8")
+    err = io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(err):
+        assert main(argv) == 1
+    assert err.getvalue() == ("kgbound: error: cannot write stdout: "
+                              "[Errno 28] No space left on device\n")
+
+
+@pytest.mark.parametrize("argv", STDOUT_COMMANDS)
+def test_stdout_closed_by_its_reader_exits_1_silently(argv):
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    err = io.StringIO()
+    with open(write_end, "w", encoding="utf-8") as stdout:
+        with (contextlib.redirect_stdout(stdout),
+              contextlib.redirect_stderr(err)):
+            assert main(argv) == 1
+        # the descriptor now writes to os.devnull, so the flush on close,
+        # like the interpreter's at exit, meets no closed pipe
+        assert (os.fstat(write_end).st_rdev
+                == os.stat(os.devnull).st_rdev)
+    assert err.getvalue() == ""
+
+
 @pytest.mark.parametrize("tol", ["nan", "inf", "-1", "-1e-300"])
 def test_check_tol_must_be_finite_and_non_negative(tol, capsys):
     assert main(["solve", "--mode", "pv", "--check", fixture_path("pv"),
@@ -1118,3 +1185,100 @@ def test_wavefunction_refuses_a_line_singular_at_the_origin(mode, argv,
     out, err = capsys.readouterr()
     assert "kgbound: error: u is not regular at the origin (eta = -" in err
     assert out == ""
+
+
+# ---------------------------------------------------------------- argv fuzz
+
+# Hostile values for every float flag: zeros, extremes, non-numbers,
+# subnormals, ordinary values and a word.
+FUZZ_FLOATS = ("0", "-0.0", "1e308", "-1e308", "nan", "inf", "-inf",
+               "5e-324", "1e-300", "1e-9", "0.003", "-0.003", "134.977",
+               "200", "x")
+# The sweep axis: mostly valid, so that some sweeps run, and at most 4
+# points when valid.
+FUZZ_AXIS = ("-0.003", "0", "0.003", "0.006", "nan", "inf", "-1e308",
+             "1e308", "5e-324", "x")
+# Integer flags take values no larger than a few cells or grid points cost.
+FUZZ_INTS = {"grid_points": ("-1", "99", "100", "400", "1000001"),
+             "max_iter": ("7", "8", "50"), "nmax": ("-1", "0", "1", "3"),
+             "lmax": ("-1", "0", "2"), "n": ("-1", "0", "1", "3"),
+             "l": ("-1", "0", "2"), "points": ("15", "16", "200", "100001"),
+             "aim_nmax": ("-1", "0", "4", "33"), "cap": ("-1", "0", "32"),
+             "seeds": ("0", "1", "2"), "seed": ("0", "7")}
+
+
+def _option_values(option):
+    if option.choices:
+        return option.choices + ("bogus",)
+    if option.dest == "mode":
+        return tuple(m.value for m in CouplingMode) + ("bogus",)
+    return FUZZ_FLOATS if option.kind is float else FUZZ_INTS[option.dest]
+
+
+@pytest.fixture(scope="session")
+def fuzz_flags(tmp_path_factory):
+    """Per subcommand, (required, optional) flags and their values; None
+    stands for a switch without a value."""
+    home = tmp_path_factory.mktemp("fuzz")
+    good, latin1 = home / "good.cfg", home / "latin1.cfg"
+    good.write_text("mode = ps\nnmax = 1\n", encoding="utf-8")
+    latin1.write_bytes(b"mode = ps\n\xff\n")
+    files = (str(good), str(latin1), str(home / "missing"))
+
+    def table(options):
+        return [(o.flag, _option_values(o)) for o in options]
+
+    # --mode is always given, as a command without one is refused at once
+    mode = table(o for o in cli._PHYSICS_OPTIONS if o.dest == "mode")
+    model = (table(o for o in cli._PHYSICS_OPTIONS + cli._SOLVER_OPTIONS
+                   if o.dest != "mode")
+             + [("--config", files), ("--format", ("csv", "json", "x"))])
+    ranges = table(cli._RANGE_OPTIONS)
+    return {
+        "solve": (mode, model + ranges + [
+            ("--paper-grid", (None,)),
+            ("--check", (fixture_path("pv"),) + files[1:]),
+            ("--check-tol", FUZZ_FLOATS), ("--allow-extra-roots", (None,))]),
+        "wavefunction": (
+            mode + [("--n", FUZZ_INTS["n"]), ("--l", FUZZ_INTS["l"])],
+            model + [("--line", ("lower", "upper", "both", "x")),
+                     ("--r-max", FUZZ_FLOATS),
+                     ("--points", FUZZ_INTS["points"]),
+                     ("--normalize", (None,))]),
+        "sweep": (
+            mode + [("--axis", ("delta", "lambda_b", "x"))]
+            + [(flag, FUZZ_AXIS) for flag in ("--start", "--stop", "--step")],
+            model + ranges),
+        "aim-verify": ([], [
+            ("--nmax", FUZZ_INTS["aim_nmax"]), ("--cap", FUZZ_INTS["cap"]),
+            ("--seeds", FUZZ_INTS["seeds"]), ("--seed", FUZZ_INTS["seed"]),
+            ("--perturb", (None,))]),
+    }
+
+
+@st.composite
+def fuzz_argv(draw, flags):
+    command = draw(st.sampled_from(sorted(flags)))
+    required, optional = flags[command]
+    argv = [command]
+    for flag, values in required + optional:
+        # one optional flag in four, so that some commands succeed
+        if (flag, values) in optional and draw(st.integers(0, 3)):
+            continue
+        value = draw(st.sampled_from(values))
+        argv.append(flag if value is None else f"{flag}={value}")
+    return argv
+
+
+NON_FINITE = re.compile(r"\b(nan|inf|infinity)\b", re.IGNORECASE)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_any_argv_maps_to_an_exit_code(fuzz_flags, data):
+    argv = data.draw(fuzz_argv(fuzz_flags))
+    rc, out, err = _run_main(argv)
+    assert rc in (0, 1, 2, 3), (argv, rc, err)
+    assert "Traceback" not in err
+    if rc == 0 and argv[0] != "aim-verify":
+        assert not NON_FINITE.search(out), (argv, NON_FINITE.search(out))

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import kgbound
 from kgbound import (BranchError, CouplingMode, DomainError, ParticleSpec,
                      PhysicalConstants, PotentialSpec, QuantumNumbers,
                      case_parameters, mass_at, vector_potential)
@@ -16,6 +17,12 @@ ALL_MODES = tuple(CouplingMode)
 
 def make_pot(mode, delta=0.0, lambda_b=0.0, A=200.0):
     return PotentialSpec(A=A, delta=delta, lambda_b=lambda_b, mode=mode)
+
+
+def test_every_exported_name_resolves_on_the_package():
+    assert [name for name in kgbound.__all__
+            if not hasattr(kgbound, name)] == []
+    assert len(set(kgbound.__all__)) == len(kgbound.__all__)
 
 
 def test_mode_parse_accepts_known_names():

@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 from kgbound import (BranchError, CouplingMode, DomainError, ParticleSpec,
                      PotentialSpec, QuantumNumbers, SpectrumEntry,
-                     build_residual_spec, case_parameters, constant_mass_b,
-                     residual, sign_validity)
+                     build_residual_spec, case_parameters, residual,
+                     sign_validity)
 from kgbound import _kernels
 from kgbound.quantization import (DEFAULT_WINDOW_MARGIN, evaluate,
                                   physical_window)
@@ -202,15 +202,6 @@ def test_lhs_rhs_agree_at_converged_roots(solve_block, constants, pion):
         assert math.isclose(res + rhs, rhs, rel_tol=1e-8)
         checked += 1
     assert checked >= 10
-
-
-def test_constant_mass_b():
-    hc = 197.3269804
-    assert constant_mass_b(200.0, 200.0) == 200.0 / (hc * 200.0)
-    assert constant_mass_b(200.0, -100.0) == -100.0 / (hc * 200.0)
-    assert constant_mass_b(200.0, 0.0) == 0.0
-    with pytest.raises(DomainError):
-        constant_mass_b(0.0, 100.0)
 
 
 def test_spectrum_entry_validation():
