@@ -59,10 +59,6 @@ class _UsageError(Exception):
     pass
 
 
-class _StdoutClosed(Exception):
-    """The reader of stdout closed it before the output ended."""
-
-
 class _Parser(argparse.ArgumentParser):
     """argparse exits 2 on bad usage; the contract here is exit code 1.
 
@@ -310,7 +306,7 @@ def _output(path):
     """Where a command's text goes: stdout, or the file at path.  stdout is
     flushed here, so that its write errors surface here and not at exit.
     A write error is a usage error, except a stdout pipe closed by its
-    reader, which raises _StdoutClosed."""
+    reader, whose BrokenPipeError passes on to main."""
     try:
         if path is None:
             yield sys.stdout
@@ -319,15 +315,19 @@ def _output(path):
         with open(path, "w", encoding="utf-8", newline="") as fh:
             yield fh
     except OSError as err:
-        if path is None and isinstance(err, BrokenPipeError):
-            raise _StdoutClosed() from None
-        where = "stdout" if path is None else path
-        raise _UsageError(f"cannot write {where}: {err}")
+        if path is not None:
+            raise _UsageError(f"cannot write {path}: {err}")
+        # the buffer keeps what it could not write and retries it at exit
+        _discard_stdout()
+        if isinstance(err, BrokenPipeError):
+            raise
+        raise _UsageError(f"cannot write stdout: {err}")
 
 
 def _discard_stdout():
     """Point the stdout descriptor at os.devnull, so that the interpreter's
-    flush at exit meets no closed pipe and prints no "Exception ignored".
+    flush at exit meets neither a closed pipe nor a full device, and
+    prints no "Exception ignored" nor exits 120.
     A stdout with no descriptor, such as an in-memory buffer, is left as
     it is."""
     try:
@@ -778,10 +778,9 @@ def main(argv=None) -> int:
     except (ConvergenceError, EvaluationError, AbsentError) as err:
         sys.stderr.write(f"kgbound: {err}\n")
         return 2
-    except _StdoutClosed:
+    except BrokenPipeError:
         # The reader wants no more output (`| head`): nothing to report,
         # but the output is cut short, so the exit code is not 0.
-        _discard_stdout()
         return 1
 
 

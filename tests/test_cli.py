@@ -1,7 +1,6 @@
 import contextlib
 import csv
 import dataclasses
-import errno
 import hashlib
 import io
 import itertools
@@ -10,6 +9,8 @@ import math
 import os
 import re
 import shutil
+import subprocess
+import sys
 import warnings
 from datetime import datetime, timezone
 
@@ -1054,14 +1055,8 @@ def test_unwritable_output_is_usage_error(argv, tmp_path, capsys):
     assert "Traceback" not in err
 
 
-class _FullDevice(io.RawIOBase):
-    """A file whose every write fails as on a full disk."""
-
-    def writable(self):
-        return True
-
-    def write(self, b):
-        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+needs_dev_full = pytest.mark.skipif(not os.path.exists("/dev/full"),
+                                    reason="no /dev/full on this system")
 
 
 # One command per way output reaches stdout: the table writer (CSV and
@@ -1076,14 +1071,19 @@ STDOUT_COMMANDS = [
 ]
 
 
+@needs_dev_full
 @pytest.mark.parametrize("argv", STDOUT_COMMANDS)
 def test_full_stdout_is_usage_error(argv):
     # buffered as a real stdout is, so the error may come at the last flush
-    stdout = io.TextIOWrapper(io.BufferedWriter(_FullDevice()),
-                              encoding="utf-8")
     err = io.StringIO()
-    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(err):
-        assert main(argv) == 1
+    with open("/dev/full", "w", encoding="utf-8") as stdout:
+        with (contextlib.redirect_stdout(stdout),
+              contextlib.redirect_stderr(err)):
+            assert main(argv) == 1
+        # the buffer still holds what it could not write; the flush on
+        # close, like the interpreter's at exit, must find os.devnull
+        assert (os.fstat(stdout.fileno()).st_rdev
+                == os.stat(os.devnull).st_rdev)
     assert err.getvalue() == ("kgbound: error: cannot write stdout: "
                               "[Errno 28] No space left on device\n")
 
@@ -1102,6 +1102,39 @@ def test_stdout_closed_by_its_reader_exits_1_silently(argv):
         assert (os.fstat(write_end).st_rdev
                 == os.stat(os.devnull).st_rdev)
     assert err.getvalue() == ""
+
+
+def _run_cli(argv, stdout):
+    """Run the CLI in a new interpreter, whose stdout is flushed at exit
+    as the console script's is.  PYTHONUNBUFFERED is dropped: unbuffered,
+    every write fails at once and nothing is left for that flush."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.Popen([sys.executable, "-m", "kgbound.cli", *argv],
+                            stdout=stdout, stderr=subprocess.PIPE, env=env)
+
+
+@needs_dev_full
+def test_full_stdout_exits_1_in_a_real_process():
+    with open("/dev/full", "w") as full:
+        proc = _run_cli(["solve", "--mode", "ps"], full)
+        _, err = proc.communicate(timeout=60)
+    assert proc.returncode == 1
+    assert err.decode() == ("kgbound: error: cannot write stdout: "
+                            "[Errno 28] No space left on device\n")
+
+
+def test_stdout_closed_by_its_reader_exits_1_in_a_real_process():
+    proc = _run_cli(["wavefunction", "--mode", "ps", "--n=2", "--l=1",
+                     "--points=20000"], subprocess.PIPE)
+    proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 1
+    assert err == b""
 
 
 @pytest.mark.parametrize("tol", ["nan", "inf", "-1", "-1e-300"])
