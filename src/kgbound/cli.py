@@ -40,7 +40,7 @@ from .model import (DEFAULT_HBAR_C, NEUTRAL_PION_M0C2, CouplingMode,
                     ParticleSpec, PhysicalConstants, PotentialSpec,
                     QuantumNumbers, mass_at, vector_potential)
 from .quantization import build_residual_spec
-from .rootfind import (SolverConfig, solve_cell, solve_spectra,
+from .rootfind import (CellResult, SolverConfig, solve_cell, solve_spectra,
                        solve_spectrum, spectrum_cells)
 from .special import (MAX_RADIAL_POINTS, build_wave_solution, default_r_max,
                       grid_report, normalize_on_grid, wavefunction_grid)
@@ -77,6 +77,17 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         sys.stderr.write(f"{self.prog}: error: {message}\n")
         raise SystemExit(1)
+
+    def _print_message(self, message, file=None):
+        # argparse's own drops the OSError of its write (from Python
+        # 3.11; 3.10 lets it out as a traceback), so --help and --version
+        # on a full or closed stdout would exit 0: they go through
+        # _output, as every table does.
+        if message and file is sys.stdout:
+            with _output(None) as fh:
+                fh.write(message)
+            return
+        super()._print_message(message, file)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -406,14 +417,103 @@ def write_csv(fh, header, columns):
         fh.write("\n")
 
 
+_encode_str = json.encoder.encode_basestring_ascii
+
+
+def _json_scalar(value) -> str:
+    """value as json.dumps writes it: a float by float.__repr__, or NaN,
+    Infinity and -Infinity."""
+    if value is None:
+        return "null"
+    if isinstance(value, str):
+        return _encode_str(value)
+    if isinstance(value, float):
+        if math.isfinite(value):
+            return float.__repr__(value)
+        return ("NaN" if value != value
+                else "Infinity" if value > 0.0 else "-Infinity")
+    return json.dumps(value)
+
+
+def _entry_json(e) -> str:
+    """json.dumps of a SpectrumEntry's field dict, in field order."""
+    return (f'{{"n": {e.n}, "l": {e.l}, "line": {_encode_str(e.line)}, '
+            f'"energy": {_json_scalar(e.energy)}, "residual_at_root": '
+            f'{_json_scalar(e.residual_at_root)}, "iterations": '
+            f'{e.iterations}, "status": {_encode_str(e.status)}, '
+            f'"detail": {_encode_str(e.detail)}}}')
+
+
+def _entry_texts():
+    """A function from a SpectrumEntry to its JSON text.  An entry that
+    holds no float (an absent line) recurs at every point of a sweep, so
+    its text is formatted once and reused."""
+    made = {}
+
+    def text(e) -> str:
+        if e.energy is not None or e.residual_at_root is not None:
+            return _entry_json(e)
+        key = (e.n, e.l, e.line, e.iterations, e.status, e.detail)
+        found = made.get(key)
+        if found is None:
+            found = made[key] = _entry_json(e)
+        return found
+
+    return text
+
+
+def _nested(value) -> bool:
+    """True for a list or tuple of dicts or CellResults, whose items are
+    formatted one by one; any other list goes to json.dumps whole."""
+    return (isinstance(value, (list, tuple)) and bool(value)
+            and isinstance(value[0], (dict, CellResult)))
+
+
+def _json_text(value, entry_text) -> str:
+    """json.dumps(value), where a CellResult stands for its cell in
+    SpectrumTable.to_payload(): {"n", "l", "entries"}."""
+    if isinstance(value, CellResult):
+        return (f'{{"n": {value.n}, "l": {value.l}, "entries": ['
+                + ", ".join(map(entry_text, value.entries)) + "]}")
+    if isinstance(value, dict):
+        return "{" + ", ".join(f"{_encode_str(key)}: "
+                               f"{_json_text(item, entry_text)}"
+                               for key, item in value.items()) + "}"
+    if _nested(value):
+        return "[" + ", ".join(_json_text(item, entry_text)
+                               for item in value) + "]"
+    return _json_scalar(value)
+
+
+def write_json(fh, document: dict):
+    """Write json.dumps(document) and a newline, where a CellResult stands
+    for its cell in SpectrumTable.to_payload().  A table's text is
+    formatted from its entries' fields, with no dict built per entry, and
+    each item of a list of dicts in document is formatted and written on
+    its own, so a sweep's text is never all held at once.  document's
+    keys are strings."""
+    entry_text = _entry_texts()
+    fh.write("{")
+    for i, (key, value) in enumerate(document.items()):
+        fh.write(f'{", " if i else ""}{_encode_str(key)}: ')
+        if _nested(value):
+            fh.write("[")
+            for j, item in enumerate(value):
+                fh.write((", " if j else "") + _json_text(item, entry_text))
+            fh.write("]")
+        else:
+            fh.write(_json_text(value, entry_text))
+    fh.write("}\n")
+
+
 def _write_table(args, manifest: dict, body, header, columns, notes=()):
     """Emit a command's result: as JSON, the manifest followed by the items
-    of body(); as CSV, the manifest and the notes as '#' lines, then the
-    header and columns() by write_csv.  A long table's time is then mostly
-    the one repr call per float."""
+    of body() by write_json; as CSV, the manifest and the notes as '#'
+    lines, then the header and columns() by write_csv.  A long table's
+    time is then mostly the one repr call per float."""
     with _output(args.output) as fh:
         if args.format == "json":
-            fh.write(json.dumps({"manifest": manifest, **body()}) + "\n")
+            write_json(fh, {"manifest": manifest, **body()})
             return
         fh.writelines(f"# {key}: {value}\n" for key, value in manifest.items())
         fh.writelines(f"# {note}\n" for note in notes)
@@ -526,8 +626,9 @@ def _cmd_solve(args) -> int:
                              lmax=args.lmax)
         header = ["n", "l", "line", "energy", "residual_at_root",
                   "iterations", "status", "detail"]
-        _write_table(args, manifest, lambda: {"table": table.to_payload()},
-                     header, lambda: _entry_columns(table.entries, header))
+        _write_table(args, manifest,
+                     lambda: {"table": {"cells": table.cells}}, header,
+                     lambda: _entry_columns(table.entries, header))
         return 0
 
     if flagged:
@@ -553,7 +654,7 @@ def _cmd_solve(args) -> int:
                          grid_values=",".join(f"{v:.5f}" for v in GRID_VALUES))
     _write_table(args, manifest,
                  lambda: {"tables": [{"delta": delta, "lambda_b": lambda_b,
-                                      **t.to_payload()}
+                                      "cells": t.cells}
                                      for (delta, lambda_b), t in tables]},
                  ["delta", "lambda_b", "line"]
                  + [f"E{n}{l}" for n, l in GRID_CELLS],
@@ -693,7 +794,8 @@ def _cmd_sweep(args) -> int:
     names = ["n", "l", "line", "energy", "status"]
     _write_table(args, manifest,
                  lambda: {"axis": args.axis,
-                          "points": [{"value": v, "table": t.to_payload()}
+                          "points": [{"value": v,
+                                      "table": {"cells": t.cells}}
                                      for v, t in points]},
                  [args.axis] + names,
                  lambda: [[v for v, t in points for _ in t.entries]]
@@ -769,8 +871,8 @@ _shared_parser = functools.cache(build_parser)
 
 
 def main(argv=None) -> int:
-    args = _shared_parser().parse_args(argv)
     try:
+        args = _shared_parser().parse_args(argv)
         return args.handler(args)
     except (_UsageError, DomainError, BranchError) as err:
         sys.stderr.write(f"kgbound: error: {err}\n")

@@ -15,6 +15,7 @@ the condition and are rejected (sign_validity).
 from __future__ import annotations
 
 import math
+import struct
 from dataclasses import dataclass
 from typing import Optional
 
@@ -46,6 +47,16 @@ class ResidualSpec:
     window: tuple
 
 
+def new_frozen(cls, **fields):
+    """An instance of the frozen dataclass cls holding fields, given in
+    field order, with no __post_init__ run: one update of its field dict,
+    in place of the frozen __init__, which sets each field through
+    object.__setattr__ and costs two to five times as much."""
+    obj = object.__new__(cls)
+    obj.__dict__.update(fields)
+    return obj
+
+
 def physical_window(m0c2: float, delta: float,
                     margin: float = DEFAULT_WINDOW_MARGIN) -> tuple:
     """Open energy interval scanned for roots: (-m0c2, m0c2) shrunk by
@@ -74,24 +85,56 @@ def complex_eta(E: float, m0c2: float, delta: float, k2: float,
             == _kernels.STATUS_COMPLEX_ETA)
 
 
+_DOUBLE = struct.Struct("<d")
+_BITS = struct.Struct("<Q")
+_SIGN = 1 << 63
+
+
+def _rank(x: float) -> int:
+    """x's place among the doubles: adjacent doubles differ by 1 and
+    both zeros are 0."""
+    bits, = _BITS.unpack(_DOUBLE.pack(x))
+    return bits if bits < _SIGN else _SIGN - bits
+
+
+def _unrank(k: int) -> float:
+    return _DOUBLE.unpack(_BITS.pack(k if k >= 0 else _SIGN - k))[0]
+
+
 def _real_eta_window(window: tuple, m0c2: float, delta: float, k2: float,
                      ll1: float) -> tuple:
-    """window cut at the last double with real eta, found by bisection.
-    1/4 + K(E) is monotone in E, so eta is complex on at most one end; a
-    window with real eta at both ends, or complex eta at both, stays whole.
-    So eta is complex over the window returned exactly when it is complex
-    at its first energy."""
+    """window cut at the last double with real eta.  1/4 + K(E) is
+    monotone in E, rounding included, so eta is complex on at most one
+    end; a window with real eta at both ends, or complex eta at both,
+    stays whole.  So eta is complex over the window returned exactly
+    when it is complex at its first energy.
+
+    With complex eta on one end, k2 < 0 and delta != 0, and eta turns
+    complex where g = 1 + delta E passes sqrt(-(1/4 + l(l+1))/k2), that
+    is at E = (g - 1)/delta.  The search starts there, takes steps of 1,
+    2, 4, ... doubles toward the side the predicate points to, then
+    halves the bracket left.  A start k doubles off costs about
+    2 log2(k) + 2 evaluations.  The rounding of 1/4 + K moves the edge by
+    up to about a double of g, which is about 1/|g - 1| doubles of E."""
     lo, hi = window
     cut_lo = complex_eta(lo, m0c2, delta, k2, ll1)
     if cut_lo == complex_eta(hi, m0c2, delta, k2, ll1):
         return window
-    real, edge = (hi, lo) if cut_lo else (lo, hi)
-    while (mid := 0.5 * (real + edge)) not in (real, edge):
-        if complex_eta(mid, m0c2, delta, k2, ll1):
-            edge = mid
+    g = math.sqrt(-(0.25 + ll1) / k2)
+    start = (g - 1.0) / delta
+    real, edge = (_rank(hi), _rank(lo)) if cut_lo else (_rank(lo), _rank(hi))
+    toward = 1 if edge > real else -1
+    k = _rank(start) if math.isfinite(start) else real
+    step = 1
+    while abs(edge - real) > 1:
+        if not (real < k < edge or edge < k < real):
+            k = (real + edge) // 2
+        if complex_eta(_unrank(k), m0c2, delta, k2, ll1):
+            edge, k = k, k - toward * step
         else:
-            real = mid
-    return (real, hi) if cut_lo else (lo, real)
+            real, k = k, k + toward * step
+        step *= 2
+    return (_unrank(real), hi) if cut_lo else (lo, _unrank(real))
 
 
 def build_residual_spec(constants: PhysicalConstants, particle: ParticleSpec,
@@ -113,8 +156,6 @@ def build_residual_spec(constants: PhysicalConstants, particle: ParticleSpec,
     if like is not None:
         if like.l != qn.l:
             raise ValueError(f"like has l={like.l}, the cell l={qn.l}")
-        # Copying the field dict costs a third of dataclasses.replace,
-        # whose frozen __init__ sets each field through object.__setattr__.
         spec = object.__new__(ResidualSpec)
         vars(spec).update(vars(like), n=qn.n, n_plus_half=qn.n + 0.5)
         return spec
@@ -130,10 +171,10 @@ def build_residual_spec(constants: PhysicalConstants, particle: ParticleSpec,
     if not all(map(math.isfinite, (alpha, c0, c1, k2))):
         raise DomainError(f"coefficients alpha={alpha}, c0={c0}, c1={c1}, "
                           f"k2={k2}: an input overflows double precision")
-    return ResidualSpec(
-        n=qn.n, l=qn.l, branch_sign=sgn, m0c2=m0c2, delta=pot.delta,
-        alpha=alpha, c0=c0, c1=c1, k2=k2, ll1=ll1, n_plus_half=qn.n + 0.5,
-        window=window)
+    return new_frozen(
+        ResidualSpec, n=qn.n, l=qn.l, branch_sign=sgn, m0c2=m0c2,
+        delta=pot.delta, alpha=alpha, c0=c0, c1=c1, k2=k2, ll1=ll1,
+        n_plus_half=qn.n + 0.5, window=window)
 
 
 def evaluate(spec: ResidualSpec, E: float):

@@ -29,11 +29,10 @@ An error is raised where solving the cells one by one, in the order
 
 from __future__ import annotations
 
-import itertools
 import math
 import operator
 from collections import namedtuple
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -42,7 +41,8 @@ from . import _kernels, quantization
 from .errors import BranchError, ConvergenceError, DomainError
 from .model import (ParticleSpec, PhysicalConstants, PotentialSpec,
                     QuantumNumbers)
-from .quantization import ResidualSpec, SpectrumEntry, build_residual_spec
+from .quantization import (ResidualSpec, SpectrumEntry, build_residual_spec,
+                           new_frozen)
 
 # Points in one kernel call, cells times grid points: each scan array
 # costs 8 bytes per point, so this keeps one under 8 MB.
@@ -210,10 +210,10 @@ def lockstep_refine(specs: Sequence[ResidualSpec],
             outcomes[i] = _kernels.status_error(s, e)
 
     def converge(where, E, res, rhs, iterations):
-        results = map(RefineResult, E.tolist(), res.tolist(),
-                      itertools.repeat(iterations))
-        for i, r, valid in zip(where.tolist(), results, (rhs >= 0.0).tolist()):
-            outcomes[i] = (r, valid)
+        for i, e, r, valid in zip(where.tolist(), E.tolist(), res.tolist(),
+                                  (rhs >= 0.0).tolist()):
+            outcomes[i] = (new_frozen(RefineResult, energy=e, residual=r,
+                                      iterations=iterations), valid)
 
     # f(a) for every bracket, then f(b) for the proper ones.
     idx = np.arange(n)
@@ -306,23 +306,30 @@ class CellResult:
         return (self.lower, self.upper) + self.extras
 
 
+def _entry(spec: ResidualSpec, line: str, energy, residual, iterations: int,
+           status: str, detail: str = "") -> SpectrumEntry:
+    """A SpectrumEntry of spec's cell, made by new_frozen and then
+    checked by its __post_init__."""
+    e = new_frozen(SpectrumEntry, n=spec.n, l=spec.l, line=line,
+                   energy=energy, residual_at_root=residual,
+                   iterations=iterations, status=status, detail=detail)
+    e.__post_init__()
+    return e
+
+
 def _absent(spec: ResidualSpec, line: str, detail: str) -> SpectrumEntry:
-    return SpectrumEntry(n=spec.n, l=spec.l, line=line, energy=None,
-                         residual_at_root=None, iterations=0,
-                         status="absent", detail=detail)
+    return _entry(spec, line, None, None, 0, "absent", detail)
 
 
-def _converged(spec: ResidualSpec, line: str, r: RefineResult) -> SpectrumEntry:
-    return SpectrumEntry(n=spec.n, l=spec.l, line=line, energy=r.energy,
-                         residual_at_root=r.residual, iterations=r.iterations,
-                         status="converged")
+def _converged(spec: ResidualSpec, line: str, r: RefineResult,
+               detail: str = "") -> SpectrumEntry:
+    return _entry(spec, line, r.energy, r.residual, r.iterations,
+                  "converged", detail)
 
 
 def _failed(spec: ResidualSpec, line: str, err: ConvergenceError) -> SpectrumEntry:
-    return SpectrumEntry(n=spec.n, l=spec.l, line=line, energy=None,
-                         residual_at_root=err.best_residual,
-                         iterations=err.iterations, status="failed",
-                         detail=str(err))
+    return _entry(spec, line, None, err.best_residual, err.iterations,
+                  "failed", str(err))
 
 
 # What a cell's scan says when it yields no accepted root.
@@ -404,14 +411,13 @@ def solve_cell(spec: ResidualSpec, config: SolverConfig = SolverConfig(),
         upper = _converged(spec, "upper", roots[-1])
         for r in roots[1:-1]:
             line = "lower" if r.energy < 0.0 else "upper"
-            e = _converged(spec, line, r)
-            extras.append(replace(e, detail="unclassified extra root"))
+            extras.append(_converged(spec, line, r, "unclassified extra root"))
     for err in failures:
         line = "lower" if (err.best_energy is not None
                            and err.best_energy < 0.0) else "upper"
         extras.append(_failed(spec, line, err))
-    return CellResult(n=spec.n, l=spec.l, lower=lower, upper=upper,
-                      extras=tuple(extras))
+    return new_frozen(CellResult, n=spec.n, l=spec.l, lower=lower,
+                      upper=upper, extras=tuple(extras))
 
 
 def _scan_rows(grids: list, res: np.ndarray, rhs: np.ndarray,
@@ -429,19 +435,22 @@ def _scan_rows(grids: list, res: np.ndarray, rhs: np.ndarray,
     # valid and finite throughout.
     with np.errstate(invalid="ignore", over="ignore"):
         clean = np.isfinite(res.sum(axis=1))
-    plain = clean & ~(res == 0.0).any(axis=1)
+    plain = clean & (res != 0.0).all(axis=1)
     negative = np.signbit(res)
     crossing = negative[:, :-1] != negative[:, 1:]
     below = np.signbit(den)
     if below.any():
         crossing &= below[:, :-1] == below[:, 1:]
     brackets: List[list] = [[] for _ in grids]
-    rows, nodes = np.divmod(np.flatnonzero(crossing), res.shape[1] - 1)
-    for r, i in zip(rows.tolist(), nodes.tolist()):
+    pairs = res.shape[1] - 1
+    for k in np.flatnonzero(crossing).tolist():
+        r, i = divmod(k, pairs)
         E = grids[r]
         brackets[r].append((E.item(i), E.item(i + 1)))
-    readings = np.where(rhs.max(axis=1) < 0.0, _RHS_NEGATIVE,
-                        _SCANNED).tolist()
+    readings = [_RHS_NEGATIVE if top < 0.0 else _SCANNED
+                for top in rhs.max(axis=1).tolist()]
+    if plain.all():
+        return brackets, readings, None
     for r in np.flatnonzero(~plain).tolist():
         ok = status[r] == _kernels.STATUS_OK
         bad = ok & ~np.isfinite(res[r])
@@ -515,9 +524,14 @@ def _scan_and_refine(spectra: Iterable[List[List[ResidualSpec]]],
         # a refine error in the cells scanned before comes first
         _refine(cells, config)
         raise
-    outcomes = iter(_refine(cells, config))
-    return [(spec, CellScan(reading, tuple(next(outcomes) for _ in found)))
-            for spec, reading, found in cells]
+    outcomes = _refine(cells, config)
+    scans = []
+    end = 0
+    for spec, reading, found in cells:
+        start, end = end, end + len(found)
+        scans.append((spec, new_frozen(CellScan, reading=reading,
+                                       outcomes=tuple(outcomes[start:end]))))
+    return scans
 
 
 def _refine(cells: list, config: SolverConfig) -> list:
@@ -619,11 +633,12 @@ def solve_spectra(constants: PhysicalConstants, particle: ParticleSpec,
 
     solved = [solve_cell(spec, config, scan)
               for spec, scan in _scan_and_refine(spectra(), config)]
-    tables = []
-    for start in range(0, len(solved), len(table)):
-        cells = {(c.n, c.l): c for c in solved[start:start + len(table)]}
-        tables.append(SpectrumTable(cells=tuple(cells[nl] for nl in table)))
-    return tables
+    # each spectrum's cells come solved in by_l order
+    solved_at = {(qn.n, qn.l): i for i, qn in
+                 enumerate(qn for qns in by_l.values() for qn in qns)}
+    picks = [solved_at[nl] for nl in table]
+    return [SpectrumTable(cells=tuple(solved[start + i] for i in picks))
+            for start in range(0, len(solved), len(table))]
 
 
 def solve_spectrum(constants: PhysicalConstants, particle: ParticleSpec,

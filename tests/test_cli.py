@@ -1,6 +1,7 @@
 import contextlib
 import csv
 import dataclasses
+import errno
 import hashlib
 import io
 import itertools
@@ -21,6 +22,7 @@ from hypothesis import strategies as st
 
 from kgbound import (NEUTRAL_PION_M0C2, ParticleSpec, PhysicalConstants,
                      PotentialSpec, SolverConfig, solve_spectrum)
+from kgbound.rootfind import CellResult, SpectrumTable, solve_spectra
 from kgbound import cli
 from kgbound.cli import (CSV_CHUNK_ROWS, DEFAULT_AIM_CAP, GRID_VALUES,
                          MAX_AXIS_POINTS, PaddedColumn, main, write_csv)
@@ -53,13 +55,18 @@ def test_version_reports_package_version(capsys):
 
 def _run_main(argv):
     """(rc, stdout, stderr) of one main() call, each call on fresh streams."""
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+    return _run_main_on(argv, io.StringIO())
+
+
+def _run_main_on(argv, stdout):
+    """(rc, stdout, stderr) of one main() call on the given stdout."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(err):
         try:
             rc = main(argv)
         except SystemExit as exc:
             rc = exc.code
-    return rc, out.getvalue(), err.getvalue()
+    return rc, stdout.getvalue(), err.getvalue()
 
 
 def test_one_parser_serves_every_call_of_a_process():
@@ -628,6 +635,131 @@ def test_write_csv_equals_csv_writer(table):
                 None) is None
 
 
+JSON_RESIDUALS = st.one_of(
+    st.none(), st.sampled_from([0.0, -0.0, 5e-324, -5e-324, math.nan,
+                                math.inf, -math.inf]), st.floats())
+JSON_ENERGIES = st.floats(allow_nan=False, allow_infinity=False)
+# quotes, backslashes, control characters, non-ASCII (also outside the
+# basic plane) and everything else
+JSON_TEXT = st.one_of(
+    st.text(alphabet=st.sampled_from('"\\/\x00\x01\x1f\x7f\b\f\n\r\t'
+                                     'a \u00e9\u2028\ufffd\U0001f600')),
+    st.text())
+LINES = ["lower", "upper"]
+STATUSES = ["converged", "absent", "failed"]
+
+
+@st.composite
+def json_sweeps(draw):
+    """Tables of one layout, as the points of a sweep: their entries agree
+    in every field but the energy and the residual, drawn per table.
+    Each entry of the layout differs from one base entry in at most one
+    field, and each cell from one base cell in n or in l, so that the
+    text of an entry reused for one it does not equal shows."""
+    base = (draw(st.sampled_from(LINES)), draw(st.sampled_from(STATUSES)),
+            draw(st.integers(0, 10 ** 20)), draw(JSON_TEXT))
+    variants = [base] + [
+        base[:k] + (draw(field),) + base[k + 1:]
+        for k, field in enumerate((st.sampled_from(LINES),
+                                   st.sampled_from(STATUSES),
+                                   st.integers(0, 10 ** 20), JSON_TEXT))]
+    n, l = draw(st.integers(0, 10 ** 6)), draw(st.integers(0, 10 ** 6))
+    layout = [(cell_n, cell_l, draw(st.lists(st.sampled_from(variants),
+                                             min_size=2, max_size=4)))
+              for cell_n, cell_l in draw(st.lists(st.sampled_from(
+                  [(n, l), (n + 1, l), (n, l + 1)]), max_size=4))]
+    tables = []
+    for _ in range(draw(st.integers(1, 3))):
+        cells = []
+        for n, l, fields in layout:
+            # an absent line holds no float, as the solver makes it
+            entries = [SpectrumEntry(
+                n=n, l=l, line=line,
+                energy=(draw(JSON_ENERGIES) if status == "converged"
+                        else None if status == "absent"
+                        else draw(st.one_of(st.none(), JSON_ENERGIES))),
+                residual_at_root=(None if status == "absent"
+                                  else draw(JSON_RESIDUALS)),
+                iterations=iterations, status=status, detail=detail)
+                for line, status, iterations, detail in fields]
+            cells.append(CellResult(n=n, l=l, lower=entries[0],
+                                    upper=entries[1],
+                                    extras=tuple(entries[2:])))
+        tables.append(SpectrumTable(cells=tuple(cells)))
+    return tables
+
+
+@settings(deadline=None)
+@given(tables=json_sweeps(), picks=st.lists(st.integers(0, 2), max_size=5),
+       manifest=st.dictionaries(JSON_TEXT, st.one_of(
+           st.none(), st.booleans(), st.integers(), JSON_RESIDUALS,
+           JSON_TEXT), max_size=4))
+def test_write_json_equals_json_dumps_of_the_payload(tables, picks,
+                                                     manifest):
+    points = [(k * 0.5, tables[k % len(tables)]) for k in picks]
+    document = {"manifest": manifest, "axis": "delta",
+                "table": {"cells": tables[0].cells},
+                "points": [{"value": v, "table": {"cells": t.cells}}
+                           for v, t in points],
+                "tables": [{"delta": v, "cells": t.cells}
+                           for v, t in points]}
+    want = json.dumps({
+        "manifest": manifest, "axis": "delta",
+        "table": tables[0].to_payload(),
+        "points": [{"value": v, "table": t.to_payload()} for v, t in points],
+        "tables": [{"delta": v, **t.to_payload()} for v, t in points]})
+    got = io.StringIO()
+    cli.write_json(got, document)
+    assert got.getvalue() == want + "\n"
+
+
+def _json_tables_through_main(capsys):
+    """(stdout, payload) of a solve, a paper-grid and a sweep with failed
+    entries, the payload built from the library's own tables."""
+    constants = PhysicalConstants()
+    particle = ParticleSpec.with_compton_lambda(NEUTRAL_PION_M0C2, constants)
+
+    def pot(mode, delta, lambda_b):
+        return PotentialSpec(A=cli.DEFAULT_A, delta=delta, lambda_b=lambda_b,
+                             mode=CouplingMode.parse(mode))
+
+    assert main(["solve", "--mode", "emos", "--delta=0.002", "--branch",
+                 "minus", "--nmax=4", "--format", "json"]) == 0
+    table = solve_spectrum(constants, particle, pot("emos", 0.002, 0.0),
+                           n_max=4, branch="minus")
+    yield capsys.readouterr().out, {"table": table.to_payload()}
+
+    assert main(["solve", "--mode", "ps", "--paper-grid",
+                 "--format", "json"]) == 0
+    yield capsys.readouterr().out, {"tables": [
+        {"delta": d, "lambda_b": b,
+         **solve_spectrum(constants, particle, pot("ps", d, b),
+                          n_max=3).to_payload()}
+        for d in GRID_VALUES for b in GRID_VALUES]}
+
+    assert main(["sweep", "--mode", "ps", "--axis", "delta", "--start=0",
+                 "--stop=0.002", "--step=0.001", "--nmax=2", "--max-iter=8",
+                 "--tol-energy=1e-300", "--tol-residual=1e-300",
+                 "--format", "json"]) == 0
+    values = [0.0, 0.001, 0.002]
+    config = SolverConfig(max_iter=8, tol_energy=1e-300, tol_residual=1e-300)
+    tables = solve_spectra(constants, particle,
+                           [pot("ps", v, 0.0) for v in values], n_max=2,
+                           config=config)
+    yield capsys.readouterr().out, {"axis": "delta", "points": [
+        {"value": v, "table": t.to_payload()}
+        for v, t in zip(values, tables)]}
+
+
+def test_json_tables_equal_json_dumps_of_their_payload(capsys):
+    failed = 0
+    for out, payload in _json_tables_through_main(capsys):
+        manifest = json.loads(out)["manifest"]
+        assert out == json.dumps({"manifest": manifest, **payload}) + "\n"
+        failed += out.count('"status": "failed"')
+    assert failed > 0
+
+
 def _bits(value):
     return None if value is None else float(value).hex()
 
@@ -1135,6 +1267,54 @@ def test_stdout_closed_by_its_reader_exits_1_in_a_real_process():
     proc.stderr.close()
     assert proc.wait(timeout=60) == 1
     assert err == b""
+
+
+class _RaisingStdout(io.StringIO):
+    """A stdout whose every write raises error."""
+
+    def __init__(self, error):
+        super().__init__()
+        self.error = error
+
+    def write(self, text):
+        raise self.error
+
+
+# argparse prints these itself, inside parse_args, and drops the OSError
+# of its own write
+PARSER_STDOUT_COMMANDS = [["--version"], ["--help"], ["solve", "--help"]]
+
+
+@pytest.mark.parametrize("argv", PARSER_STDOUT_COMMANDS)
+def test_parser_output_to_a_full_stdout_is_usage_error(argv):
+    full = OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+    rc, _, err = _run_main_on(argv, _RaisingStdout(full))
+    assert rc == 1
+    assert err == f"kgbound: error: cannot write stdout: {full}\n"
+
+
+@pytest.mark.parametrize("argv", PARSER_STDOUT_COMMANDS)
+def test_parser_output_to_a_closed_pipe_exits_1_silently(argv):
+    rc, _, err = _run_main_on(argv, _RaisingStdout(BrokenPipeError()))
+    assert (rc, err) == (1, "")
+
+
+@pytest.mark.parametrize("argv", PARSER_STDOUT_COMMANDS)
+def test_parser_output_is_printed_with_exit_0(argv):
+    rc, out, err = _run_main(argv)
+    assert (rc, err) == (0, "")
+    assert out.startswith("kgbound " if argv == ["--version"] else "usage:")
+
+
+@needs_dev_full
+@pytest.mark.parametrize("argv", PARSER_STDOUT_COMMANDS)
+def test_parser_output_to_dev_full_exits_1_in_a_real_process(argv):
+    with open("/dev/full", "w") as full:
+        proc = _run_cli(argv, full)
+        _, err = proc.communicate(timeout=60)
+    assert proc.returncode == 1
+    assert err.decode() == ("kgbound: error: cannot write stdout: "
+                            "[Errno 28] No space left on device\n")
 
 
 @pytest.mark.parametrize("tol", ["nan", "inf", "-1", "-1e-300"])

@@ -10,8 +10,11 @@ from kgbound import (BranchError, CouplingMode, DomainError, ParticleSpec,
                      build_residual_spec, case_parameters, residual,
                      sign_validity)
 from kgbound import _kernels
-from kgbound.quantization import (DEFAULT_WINDOW_MARGIN, evaluate,
-                                  physical_window)
+from kgbound.model import mode_coefficients
+from kgbound.quantization import (DEFAULT_WINDOW_MARGIN, _real_eta_window,
+                                  evaluate, physical_window)
+
+from conftest import ref_real_eta_window
 
 
 def make_spec(constants, pion, mode, n=0, l=0, delta=0.0, lambda_b=0.0,
@@ -184,6 +187,47 @@ def test_residual_grid_masks_invalid_energies(constants, pion):
                             _kernels.STATUS_WINDOW]
     assert math.isnan(res[0]) and math.isnan(res[2])
     assert math.isfinite(res[1]) and math.isfinite(rhs[1]) and den[1] > 0.0
+
+
+# Mostly small, with zeros, subnormals and values up to 1e300.
+EXTREME = st.one_of(st.floats(-0.01, 0.01), st.floats(-1e300, 1e300),
+                    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-300,
+                                     -1e-300, 1e300, -1e300]))
+
+
+@example(mode=CouplingMode.EMES, branch="plus", A=174.23, delta=-0.00539,
+         lambda_b=-0.00575, l=0)  # cut at the low end
+@example(mode=CouplingMode.EMOS, branch="minus", A=376.15, delta=0.00418,
+         lambda_b=0.00381, l=2)  # cut at the high end
+@example(mode=CouplingMode.PURE_VECTOR, branch="plus", A=400.0,
+         delta=5e-324, lambda_b=0.0, l=0)  # g - 1 rounds to 0 in the window
+@example(mode=CouplingMode.PURE_VECTOR, branch="minus", A=1e4, delta=-1e300,
+         lambda_b=1e-300, l=9)
+@settings(max_examples=400, deadline=None)
+@given(mode=st.sampled_from(list(CouplingMode)),
+       branch=st.sampled_from(["plus", "minus"]), A=st.floats(1e-3, 1e4),
+       delta=EXTREME, lambda_b=EXTREME, l=st.integers(0, 12))
+def test_real_eta_window_equals_the_bisection(constants, pion, mode, branch,
+                                              A, delta, lambda_b, l):
+    # the search from the closed-form edge must end on the double the
+    # bisection ends on, bit for bit
+    m0c2 = pion.m0c2
+    _, _, k2 = mode_coefficients(mode, m0c2, lambda_b * m0c2,
+                                 A / constants.hbar_c)
+    try:
+        window = physical_window(m0c2, delta)
+    except DomainError:
+        return
+    ll1 = float(l * (l + 1))
+    want = ref_real_eta_window(window, m0c2, delta, k2, ll1)
+    got = _real_eta_window(window, m0c2, delta, k2, ll1)
+    assert [e.hex() for e in got] == [e.hex() for e in want]
+    try:
+        spec = make_spec(constants, pion, mode, l=l, delta=delta,
+                         lambda_b=lambda_b, A=A, branch=branch)
+    except DomainError:  # coefficients that overflow
+        return
+    assert [e.hex() for e in spec.window] == [e.hex() for e in want]
 
 
 def test_lhs_rhs_agree_at_converged_roots(solve_block, constants, pion):
