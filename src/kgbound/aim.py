@@ -24,9 +24,15 @@ Both seeds are polynomials in w = 1/z,
 and d/dz = -w^2 d/dw maps polynomials in w to polynomials in w, so every
 lambda_n, s_n and delta_n is a polynomial in w as well.  Each one is held
 as integer numerators over one positive denominator, reduced so that the
-denominator and the numerators share no factor: a sum or product is
-integer arithmetic followed by a single gcd, and "vanishes identically" is
-the exact statement "every numerator is 0".  No step divides polynomials.
+denominator and the numerators share no factor, and "vanishes identically"
+is the exact statement "every numerator is 0".  seed, iterate and
+termination_delta form each new polynomial in one integer pass: every
+term of its right-hand side is scaled to one common denominator and
+summed into one list of numerators, which is then reduced by a single
+gcd.  No intermediate polynomial is built and no step divides
+polynomials.  Poly's own arithmetic (one gcd per sum or product) gives
+the same canonical results; it stays for callers and as the tests'
+reference.
 """
 
 from __future__ import annotations
@@ -38,12 +44,15 @@ from math import gcd, lcm
 from .errors import DomainError
 
 
-def _coeff(value) -> Fraction:
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, int):
-        return Fraction(value)
+def _ratio(value) -> tuple:
+    """(numerator, denominator) of an int or Fraction, in lowest terms."""
+    if isinstance(value, (int, Fraction)):
+        return value.numerator, value.denominator
     raise DomainError(f"exact arithmetic needs int or Fraction, got {type(value).__name__}")
+
+
+def _coeff(value) -> Fraction:
+    return value if isinstance(value, Fraction) else Fraction(*_ratio(value))
 
 
 class Poly:
@@ -125,9 +134,7 @@ class Poly:
             if not a or not b:
                 return Poly.zero()
             out = [0] * (len(a) + len(b) - 1)
-            for i, x in enumerate(a):
-                for j, y in enumerate(b):
-                    out[i + j] += x * y
+            _add_product(out, a, b, 1)
             return _poly(out, self.den * other.den)
         f = _coeff(other)
         return _poly([c * f.numerator for c in self.nums],
@@ -240,20 +247,59 @@ class AimState:
 
 def seed(tau, eta, beta_sq) -> AimState:
     """Level-0 state for exact rational inputs."""
-    tau = _coeff(tau)
-    eta = _coeff(eta)
-    beta_sq = _coeff(beta_sq)
-    lam0 = Poly((2 * tau, -2 * (eta + 1)))
-    s0 = Poly((0, 2 * tau * (eta + 1) - beta_sq))
+    tn, td = _ratio(tau)
+    en, ed = _ratio(eta)
+    bn, bd = _ratio(beta_sq)
+    en += ed                    # eta + 1 = en / ed
+    # lambda_0 = 2 tau - 2 (eta + 1) w over td ed, and
+    # s_0 = (2 tau (eta + 1) - beta^2) w over td ed bd
+    lam0 = _poly([2 * tn * ed, -2 * en * td], td * ed)
+    s0 = _poly([0, 2 * tn * en * bd - bn * td * ed], td * ed * bd)
     return AimState(n=0, lam0=lam0, s0=s0, lam=lam0, s=s0)
+
+
+# The fused steps below sum each new polynomial's numerators over one
+# common denominator D: every term's numerators are scaled by D over that
+# term's own denominator, and _poly normalizes the sum once.
+
+def _add_d_dz(out: list, p: tuple, m: int) -> None:
+    """out += m times the numerators of -w^2 p'(w)."""
+    for k in range(1, len(p)):
+        out[k + 1] -= k * m * p[k]
+
+
+def _add_product(out: list, a: tuple, b: tuple, m: int) -> None:
+    """out += m times the numerators of a(w) b(w)."""
+    for i, x in enumerate(a):
+        if x:
+            x *= m
+            for k, y in enumerate(b, i):
+                out[k] += x * y
 
 
 def iterate(state: AimState) -> AimState:
     """One step of the recurrence, n -> n + 1."""
-    lam_next = d_dz(state.lam) + state.lam0 * state.lam + state.s
-    s_next = d_dz(state.s) + state.s0 * state.lam
-    return AimState(n=state.n + 1, lam0=state.lam0, s0=state.s0,
-                    lam=lam_next, s=s_next)
+    lam0, s0, lam, s = state.lam0, state.s0, state.lam, state.s
+    L, S = lam.nums, s.nums
+    # lambda_{n+1} = -w^2 lambda_n' + lambda_0 lambda_n + s_n over
+    # D = lcm(d(lambda_0) d(lambda_n), d(s_n)), a multiple of d(lambda_n)
+    prod = lam0.den * lam.den
+    g = gcd(prod, s.den)
+    m = s.den // g              # D / (d(lambda_0) d(lambda_n))
+    size = max(len(S), len(L) + 1, len(lam0.nums) + len(L) - 1)
+    out = [c * (prod // g) for c in S] + [0] * (size - len(S))
+    _add_d_dz(out, L, lam0.den * m)
+    _add_product(out, lam0.nums, L, m)
+    lam_next = _poly(out, prod * m)
+    # s_{n+1} = -w^2 s_n' + s_0 lambda_n over D = lcm(d(s_n), d(s_0) d(lambda_n))
+    prod = s0.den * lam.den
+    g = gcd(prod, s.den)
+    m = s.den // g              # D / (d(s_0) d(lambda_n))
+    out = [0] * max(len(S) + 1, len(s0.nums) + len(L) - 1)
+    _add_d_dz(out, S, prod // g)
+    _add_product(out, s0.nums, L, m)
+    s_next = _poly(out, prod * m)
+    return AimState(n=state.n + 1, lam0=lam0, s0=s0, lam=lam_next, s=s_next)
 
 
 def termination_delta(state: AimState, previous: AimState) -> Poly:
@@ -261,7 +307,15 @@ def termination_delta(state: AimState, previous: AimState) -> Poly:
     if state.n != previous.n + 1:
         raise DomainError(f"states must be consecutive, got n={state.n} "
                           f"after n={previous.n}")
-    return state.s * previous.lam - previous.s * state.lam
+    s, lam_prev, s_prev, lam = state.s, previous.lam, previous.s, state.lam
+    # over D = lcm(a, b), a and b the two products' denominators
+    a, b = s.den * lam_prev.den, s_prev.den * lam.den
+    g = gcd(a, b)
+    out = [0] * (max(len(s.nums) + len(lam_prev.nums),
+                     len(s_prev.nums) + len(lam.nums)) - 1)
+    _add_product(out, s.nums, lam_prev.nums, b // g)
+    _add_product(out, s_prev.nums, lam.nums, -(a // g))
+    return _poly(out, a * (b // g))
 
 
 def exact_tau(eta, beta_sq, n: int) -> Fraction:

@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 import struct
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional, Union
 
 from . import _kernels
 from .errors import DomainError
@@ -44,6 +44,25 @@ class ResidualSpec:
     k2: float
     ll1: float
     n_plus_half: float
+    window: tuple
+    # True where build_residual_spec found eta complex at every energy of
+    # the window, so the cell has nothing to scan.  A spec built by hand
+    # may leave it False: its scan then reads the same.
+    eta_complex: bool = False
+
+
+class SpectrumTerms(NamedTuple):
+    """What every cell of one spectrum (one potential on one branch)
+    shares: the branch sign, the coefficients, and physical_window before
+    it is cut where eta turns complex."""
+
+    branch_sign: float
+    m0c2: float
+    delta: float
+    alpha: float
+    c0: float
+    c1: float
+    k2: float
     window: tuple
 
 
@@ -103,11 +122,12 @@ def _unrank(k: int) -> float:
 
 def _real_eta_window(window: tuple, m0c2: float, delta: float, k2: float,
                      ll1: float) -> tuple:
-    """window cut at the last double with real eta.  1/4 + K(E) is
-    monotone in E, rounding included, so eta is complex on at most one
-    end; a window with real eta at both ends, or complex eta at both,
-    stays whole.  So eta is complex over the window returned exactly
-    when it is complex at its first energy.
+    """window cut at the last double with real eta, and whether eta is
+    complex over all of it.  1/4 + K(E) is monotone in E, rounding
+    included, so eta is complex on at most one end; a window with real
+    eta at both ends, or complex eta at both, stays whole.  So eta is
+    complex over the window returned exactly when it is complex at its
+    first energy, and that is when it is complex at both ends of window.
 
     With complex eta on one end, k2 < 0 and delta != 0, and eta turns
     complex where g = 1 + delta E passes sqrt(-(1/4 + l(l+1))/k2), that
@@ -119,7 +139,7 @@ def _real_eta_window(window: tuple, m0c2: float, delta: float, k2: float,
     lo, hi = window
     cut_lo = complex_eta(lo, m0c2, delta, k2, ll1)
     if cut_lo == complex_eta(hi, m0c2, delta, k2, ll1):
-        return window
+        return window, cut_lo
     g = math.sqrt(-(0.25 + ll1) / k2)
     start = (g - 1.0) / delta
     real, edge = (_rank(hi), _rank(lo)) if cut_lo else (_rank(lo), _rank(hi))
@@ -134,47 +154,59 @@ def _real_eta_window(window: tuple, m0c2: float, delta: float, k2: float,
         else:
             real, k = k, k + toward * step
         step *= 2
-    return (_unrank(real), hi) if cut_lo else (lo, _unrank(real))
+    return ((_unrank(real), hi) if cut_lo else (lo, _unrank(real))), False
 
 
-def build_residual_spec(constants: PhysicalConstants, particle: ParticleSpec,
-                        pot: PotentialSpec, qn: QuantumNumbers,
-                        branch="plus",
-                        window_margin: float = DEFAULT_WINDOW_MARGIN,
-                        like: Optional[ResidualSpec] = None) -> ResidualSpec:
+def spectrum_terms(constants: PhysicalConstants, particle: ParticleSpec,
+                   pot: PotentialSpec, branch="plus",
+                   window_margin: float = DEFAULT_WINDOW_MARGIN) -> SpectrumTerms:
+    """The SpectrumTerms of one potential on one branch.  Coefficients
+    that overflow to inf or NaN are refused: no residual built on them is
+    a number."""
+    sgn = parse_branch(branch)
+    m0c2 = particle.m0c2
+    alpha = pot.A / constants.hbar_c
+    c0, c1, k2 = mode_coefficients(pot.mode, m0c2, pot.lambda_b * m0c2, alpha)
+    window = physical_window(m0c2, pot.delta, window_margin)
+    if not all(map(math.isfinite, (alpha, c0, c1, k2))):
+        raise DomainError(f"coefficients alpha={alpha}, c0={c0}, c1={c1}, "
+                          f"k2={k2}: an input overflows double precision")
+    return SpectrumTerms(sgn, m0c2, pot.delta, alpha, c0, c1, k2, window)
+
+
+def build_residual_spec(
+        constants: PhysicalConstants, particle: ParticleSpec,
+        pot: PotentialSpec, qn: QuantumNumbers, branch="plus",
+        window_margin: float = DEFAULT_WINDOW_MARGIN,
+        like: Union[ResidualSpec, SpectrumTerms, None] = None) -> ResidualSpec:
     """Coefficients of one (n, l) cell on one branch.  The window is
     physical_window ending at the last energy with real eta, or all of
     physical_window where eta is complex at both of its ends.
 
-    Every field but n depends only on (potential, branch, l), so like, if
-    given, must be another cell of the same (spectrum, l): the new cell
-    copies all its other fields instead of computing them again, and every
-    argument but qn.n is then ignored.  A like of another l is refused.
-
-    Coefficients that overflow to inf or NaN are refused: no residual
-    built on them is a number."""
-    if like is not None:
+    like, if given, saves work already done for another cell, and every
+    argument but qn is then ignored:
+    - a ResidualSpec must be another cell of the same (spectrum, l).
+      Every field but n depends only on (potential, branch, l), so the new
+      cell copies all its other fields.  A like of another l is refused.
+    - SpectrumTerms must be spectrum_terms of this potential, branch and
+      window_margin; only l(l + 1) and the window's cut are computed.
+    Without like, the spectrum_terms are computed here."""
+    if isinstance(like, ResidualSpec):
         if like.l != qn.l:
             raise ValueError(f"like has l={like.l}, the cell l={qn.l}")
         spec = object.__new__(ResidualSpec)
         vars(spec).update(vars(like), n=qn.n, n_plus_half=qn.n + 0.5)
         return spec
-    sgn = parse_branch(branch)
-    m0c2 = particle.m0c2
-    w = pot.lambda_b * m0c2
-    alpha = pot.A / constants.hbar_c
-    c0, c1, k2 = mode_coefficients(pot.mode, m0c2, w, alpha)
+    t = like if like is not None else spectrum_terms(
+        constants, particle, pot, branch, window_margin)
     ll1 = float(qn.l * (qn.l + 1))
-    window = _real_eta_window(
-        physical_window(m0c2, pot.delta, window_margin), m0c2, pot.delta, k2,
-        ll1)
-    if not all(map(math.isfinite, (alpha, c0, c1, k2))):
-        raise DomainError(f"coefficients alpha={alpha}, c0={c0}, c1={c1}, "
-                          f"k2={k2}: an input overflows double precision")
+    window, eta_complex = _real_eta_window(t.window, t.m0c2, t.delta, t.k2,
+                                           ll1)
     return new_frozen(
-        ResidualSpec, n=qn.n, l=qn.l, branch_sign=sgn, m0c2=m0c2,
-        delta=pot.delta, alpha=alpha, c0=c0, c1=c1, k2=k2, ll1=ll1,
-        n_plus_half=qn.n + 0.5, window=window)
+        ResidualSpec, n=qn.n, l=qn.l, branch_sign=t.branch_sign,
+        m0c2=t.m0c2, delta=t.delta, alpha=t.alpha, c0=t.c0, c1=t.c1,
+        k2=t.k2, ll1=ll1, n_plus_half=qn.n + 0.5, window=window,
+        eta_complex=eta_complex)
 
 
 def evaluate(spec: ResidualSpec, E: float):

@@ -42,7 +42,7 @@ from .errors import BranchError, ConvergenceError, DomainError
 from .model import (ParticleSpec, PhysicalConstants, PotentialSpec,
                     QuantumNumbers)
 from .quantization import (ResidualSpec, SpectrumEntry, build_residual_spec,
-                           new_frozen)
+                           new_frozen, spectrum_terms)
 
 # Points in one kernel call, cells times grid points: each scan array
 # costs 8 bytes per point, so this keeps one under 8 MB.
@@ -467,11 +467,11 @@ def _scan_and_refine(spectra: Iterable[List[List[ResidualSpec]]],
     (spectrum, l) groups: each cell's CellScan, in that order.  Every
     spectrum has the cells of the first.
 
-    A group whose window has complex eta at its first energy has it
-    throughout: its cells read _ETA_COMPLEX unscanned.  Each other group
-    is scanned by kernel calls of at most MAX_GRID_POINTS points (a larger
-    group is split) into one block of scan arrays, and each call's rows
-    are searched as soon as it returns.  A group whose window, m0c2 and
+    A group whose spec says eta is complex over its whole window reads
+    _ETA_COMPLEX unscanned.  Each other group is scanned by kernel calls
+    of at most MAX_GRID_POINTS points (a larger group is split) into one
+    block of scan arrays, and each call's rows are searched as soon as it
+    returns.  A group whose window, m0c2 and
     delta equal the last scanned group's reuses its grid and
     _kernels.grid_terms, and one whose alpha, c0 and c1 are the same too
     reuses its RHS numerator.  spectra may raise DomainError as it is
@@ -494,8 +494,7 @@ def _scan_and_refine(spectra: Iterable[List[List[ResidualSpec]]],
                         np.empty((rows, points), dtype=np.int32))
             for group in spectrum:
                 spec = group[0]
-                if quantization.complex_eta(spec.window[0], spec.m0c2,
-                                            spec.delta, spec.k2, spec.ll1):
+                if spec.eta_complex:
                     cells.extend((cell, _ETA_COMPLEX, ()) for cell in group)
                     continue
                 if (spec.window, spec.m0c2, spec.delta) != grid_key:
@@ -610,8 +609,9 @@ def solve_spectra(constants: PhysicalConstants, particle: ParticleSpec,
 
     All cells of all potentials are scanned first, one (spectrum, l) per
     kernel call, then all their brackets are refined together, then each
-    cell is classified.  The coefficients and window of each (spectrum, l)
-    are found once, by its first cell, and copied to the others.
+    cell is classified.  The coefficients and the physical window of each
+    spectrum are found once; each (spectrum, l) cuts that window once, by
+    its first cell, and the others copy it.
     """
     table = spectrum_cells(n_max, l_max)
     by_l: dict = {}
@@ -620,14 +620,15 @@ def solve_spectra(constants: PhysicalConstants, particle: ParticleSpec,
 
     def spectra():
         for pot in pots:
+            terms = spectrum_terms(constants, particle, pot, branch,
+                                   config.window_margin)
             groups = []
             for qns in by_l.values():
                 group = []
                 for qn in qns:
                     group.append(build_residual_spec(
-                        constants, particle, pot, qn, branch=branch,
-                        window_margin=config.window_margin,
-                        like=group[0] if group else None))
+                        constants, particle, pot, qn,
+                        like=group[0] if group else terms))
                 groups.append(group)
             yield groups
 

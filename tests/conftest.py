@@ -8,6 +8,7 @@ import pytest
 
 from kgbound import CouplingMode, ParticleSpec, PhysicalConstants, PotentialSpec
 from kgbound._kernels import residual_grid
+from kgbound.aim import Poly, d_dz
 from kgbound.quantization import complex_eta
 from kgbound.rootfind import SolverConfig, bracket_scan, solve_spectrum
 from kgbound.special import grid_report, kummer_1f1
@@ -127,6 +128,25 @@ def ref_terminates_at(n, tau, eta, beta_sq):
         prev, (lam, s) = (lam, s), (lam.d_dz() + lam0 * lam + s,
                                     s.d_dz() + s0 * lam)
     return not (s * prev[0] - prev[1] * lam).coeffs
+
+
+def composed_seed(tau, eta, beta_sq):
+    """(lambda_0, s_0) of kgbound.aim.seed, composed from Poly's own
+    arithmetic on Fraction coefficients."""
+    tau, eta, beta_sq = Fraction(tau), Fraction(eta), Fraction(beta_sq)
+    return (Poly((2 * tau, -2 * (eta + 1))),
+            Poly((0, 2 * tau * (eta + 1) - beta_sq)))
+
+
+def composed_iterate(lam0, s0, lam, s):
+    """(lambda_{n+1}, s_{n+1}) of kgbound.aim.iterate, one Poly operation
+    at a time."""
+    return d_dz(lam) + lam0 * lam + s, d_dz(s) + s0 * lam
+
+
+def composed_delta(lam_prev, s_prev, lam, s):
+    """kgbound.aim.termination_delta, one Poly operation at a time."""
+    return s * lam_prev - s_prev * lam
 
 
 def fixture_path(mode_name):

@@ -11,7 +11,8 @@ from kgbound import DomainError
 from kgbound.aim import (Poly, d_dz, exact_tau, iterate, poly_gcd, seed,
                          terminates_at, termination_delta, verify_level)
 
-from conftest import RefPoly, ref_terminates_at
+from conftest import (RefPoly, composed_delta, composed_iterate,
+                      composed_seed, ref_terminates_at)
 
 
 def test_poly_strips_trailing_zeros():
@@ -321,3 +322,43 @@ def test_terminates_at_matches_the_fraction_reference(n, eta, beta_sq):
             ref_terminates_at(n, tau, eta, beta_sq)
     if eta == -1 and beta_sq == 0:
         assert all(terminates_at(n, tau, eta, beta_sq) for tau in taus)
+
+
+# ---------------------------------------- fused steps against composed Poly
+
+# Zero, negative values, ints, and denominators up to 10^12, whose
+# products overflow any fixed width.
+_exact = st.one_of(
+    st.just(0), st.integers(-50, 50),
+    st.builds(Fraction, st.integers(-10 ** 6, 10 ** 6),
+              st.integers(1, 10 ** 12)),
+    st.builds(Fraction, st.integers(-30, 30), st.integers(1, 12)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(tau=_exact, eta=st.one_of(st.just(-1), _exact), beta_sq=_exact,
+       degenerate=st.booleans(), levels=st.integers(1, 6))
+@example(tau=0, eta=-1, beta_sq=0, degenerate=False, levels=3)
+@example(tau=Fraction(3, 7), eta=-1, beta_sq=5, degenerate=False, levels=3)
+@example(tau=Fraction(-3, 10 ** 12), eta=Fraction(5, 999_999_999_989),
+         beta_sq=0, degenerate=True, levels=4)
+def test_fused_steps_equal_the_composed_poly_forms(tau, eta, beta_sq,
+                                                   degenerate, levels):
+    # the degenerate seed beta^2 = 2 tau (eta + 1) has s_0 = 0; eta = -1
+    # makes lambda_0 a constant
+    if degenerate:
+        beta_sq = 2 * Fraction(tau) * (eta + 1)
+    state = seed(tau, eta, beta_sq)
+    lam0, s0 = composed_seed(tau, eta, beta_sq)
+    assert _canonical(state.lam0) == lam0 and _canonical(state.s0) == s0
+    assert state.lam is state.lam0 and state.s is state.s0
+    lam, s = lam0, s0
+    for n in range(1, levels + 1):
+        previous, state = state, iterate(state)
+        prev_lam, prev_s = lam, s
+        lam, s = composed_iterate(lam0, s0, lam, s)
+        assert state.n == n
+        assert _canonical(state.lam) == lam
+        assert _canonical(state.s) == s
+        assert _canonical(termination_delta(state, previous)) == \
+            composed_delta(prev_lam, prev_s, lam, s)
