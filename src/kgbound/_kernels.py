@@ -113,7 +113,7 @@ def residual_point(spec, E):
 # The ResidualSpec fields that the cells of one residual_grid call share:
 # all but n and n_plus_half.
 GROUP_FIELDS = ("l", "branch_sign", "m0c2", "delta", "alpha", "c0", "c1",
-                "k2", "ll1", "window", "eta_complex")
+                "k2", "ll1", "window")
 _group_key = operator.attrgetter(*GROUP_FIELDS)
 
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 import struct
 from dataclasses import dataclass
-from typing import NamedTuple, Optional, Union
+from typing import NamedTuple, Optional
 
 from . import _kernels
 from .errors import DomainError
@@ -45,10 +45,6 @@ class ResidualSpec:
     ll1: float
     n_plus_half: float
     window: tuple
-    # True where build_residual_spec found eta complex at every energy of
-    # the window, so the cell has nothing to scan.  A spec built by hand
-    # may leave it False: its scan then reads the same.
-    eta_complex: bool = False
 
 
 class SpectrumTerms(NamedTuple):
@@ -122,12 +118,11 @@ def _unrank(k: int) -> float:
 
 def _real_eta_window(window: tuple, m0c2: float, delta: float, k2: float,
                      ll1: float) -> tuple:
-    """window cut at the last double with real eta, and whether eta is
-    complex over all of it.  1/4 + K(E) is monotone in E, rounding
-    included, so eta is complex on at most one end; a window with real
-    eta at both ends, or complex eta at both, stays whole.  So eta is
-    complex over the window returned exactly when it is complex at its
-    first energy, and that is when it is complex at both ends of window.
+    """window cut at the last double with real eta.  1/4 + K(E) is
+    monotone in E, rounding included, so eta is complex on at most one
+    end; a window with real eta at both ends, or complex eta at both,
+    stays whole.  So eta is complex over the window returned exactly
+    when it is complex at its first energy.
 
     With complex eta on one end, k2 < 0 and delta != 0, and eta turns
     complex where g = 1 + delta E passes sqrt(-(1/4 + l(l+1))/k2), that
@@ -139,7 +134,7 @@ def _real_eta_window(window: tuple, m0c2: float, delta: float, k2: float,
     lo, hi = window
     cut_lo = complex_eta(lo, m0c2, delta, k2, ll1)
     if cut_lo == complex_eta(hi, m0c2, delta, k2, ll1):
-        return window, cut_lo
+        return window
     g = math.sqrt(-(0.25 + ll1) / k2)
     start = (g - 1.0) / delta
     real, edge = (_rank(hi), _rank(lo)) if cut_lo else (_rank(lo), _rank(hi))
@@ -154,7 +149,7 @@ def _real_eta_window(window: tuple, m0c2: float, delta: float, k2: float,
         else:
             real, k = k, k + toward * step
         step *= 2
-    return ((_unrank(real), hi) if cut_lo else (lo, _unrank(real))), False
+    return (_unrank(real), hi) if cut_lo else (lo, _unrank(real))
 
 
 def spectrum_terms(constants: PhysicalConstants, particle: ParticleSpec,
@@ -174,39 +169,36 @@ def spectrum_terms(constants: PhysicalConstants, particle: ParticleSpec,
     return SpectrumTerms(sgn, m0c2, pot.delta, alpha, c0, c1, k2, window)
 
 
-def build_residual_spec(
-        constants: PhysicalConstants, particle: ParticleSpec,
-        pot: PotentialSpec, qn: QuantumNumbers, branch="plus",
-        window_margin: float = DEFAULT_WINDOW_MARGIN,
-        like: Union[ResidualSpec, SpectrumTerms, None] = None) -> ResidualSpec:
+def build_residual_spec(constants: PhysicalConstants, particle: ParticleSpec,
+                        pot: PotentialSpec, qn: QuantumNumbers,
+                        branch="plus",
+                        window_margin: float = DEFAULT_WINDOW_MARGIN,
+                        like: Optional[ResidualSpec] = None,
+                        terms: Optional[SpectrumTerms] = None) -> ResidualSpec:
     """Coefficients of one (n, l) cell on one branch.  The window is
     physical_window ending at the last energy with real eta, or all of
     physical_window where eta is complex at both of its ends.
 
-    like, if given, saves work already done for another cell, and every
-    argument but qn is then ignored:
-    - a ResidualSpec must be another cell of the same (spectrum, l).
-      Every field but n depends only on (potential, branch, l), so the new
-      cell copies all its other fields.  A like of another l is refused.
-    - SpectrumTerms must be spectrum_terms of this potential, branch and
-      window_margin; only l(l + 1) and the window's cut are computed.
-    Without like, the spectrum_terms are computed here."""
-    if isinstance(like, ResidualSpec):
+    Every field but n depends only on (potential, branch, l), so like, if
+    given, must be another cell of the same (spectrum, l): the new cell
+    copies all its other fields.  A like of another l is refused.  terms,
+    if given, must be spectrum_terms of this potential, branch and
+    window_margin: only l(l + 1) and the window's cut are computed.  With
+    either, every argument but qn is ignored."""
+    if like is not None:
         if like.l != qn.l:
             raise ValueError(f"like has l={like.l}, the cell l={qn.l}")
         spec = object.__new__(ResidualSpec)
         vars(spec).update(vars(like), n=qn.n, n_plus_half=qn.n + 0.5)
         return spec
-    t = like if like is not None else spectrum_terms(
+    t = terms if terms is not None else spectrum_terms(
         constants, particle, pot, branch, window_margin)
     ll1 = float(qn.l * (qn.l + 1))
-    window, eta_complex = _real_eta_window(t.window, t.m0c2, t.delta, t.k2,
-                                           ll1)
     return new_frozen(
         ResidualSpec, n=qn.n, l=qn.l, branch_sign=t.branch_sign,
         m0c2=t.m0c2, delta=t.delta, alpha=t.alpha, c0=t.c0, c1=t.c1,
-        k2=t.k2, ll1=ll1, n_plus_half=qn.n + 0.5, window=window,
-        eta_complex=eta_complex)
+        k2=t.k2, ll1=ll1, n_plus_half=qn.n + 0.5,
+        window=_real_eta_window(t.window, t.m0c2, t.delta, t.k2, ll1))
 
 
 def evaluate(spec: ResidualSpec, E: float):

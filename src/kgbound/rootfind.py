@@ -467,11 +467,11 @@ def _scan_and_refine(spectra: Iterable[List[List[ResidualSpec]]],
     (spectrum, l) groups: each cell's CellScan, in that order.  Every
     spectrum has the cells of the first.
 
-    A group whose spec says eta is complex over its whole window reads
-    _ETA_COMPLEX unscanned.  Each other group is scanned by kernel calls
-    of at most MAX_GRID_POINTS points (a larger group is split) into one
-    block of scan arrays, and each call's rows are searched as soon as it
-    returns.  A group whose window, m0c2 and
+    A group whose window has complex eta at its first energy has it
+    throughout: its cells read _ETA_COMPLEX unscanned.  Each other group
+    is scanned by kernel calls of at most MAX_GRID_POINTS points (a larger
+    group is split) into one block of scan arrays, and each call's rows
+    are searched as soon as it returns.  A group whose window, m0c2 and
     delta equal the last scanned group's reuses its grid and
     _kernels.grid_terms, and one whose alpha, c0 and c1 are the same too
     reuses its RHS numerator.  spectra may raise DomainError as it is
@@ -494,7 +494,8 @@ def _scan_and_refine(spectra: Iterable[List[List[ResidualSpec]]],
                         np.empty((rows, points), dtype=np.int32))
             for group in spectrum:
                 spec = group[0]
-                if spec.eta_complex:
+                if quantization.complex_eta(spec.window[0], spec.m0c2,
+                                            spec.delta, spec.k2, spec.ll1):
                     cells.extend((cell, _ETA_COMPLEX, ()) for cell in group)
                     continue
                 if (spec.window, spec.m0c2, spec.delta) != grid_key:
@@ -628,7 +629,7 @@ def solve_spectra(constants: PhysicalConstants, particle: ParticleSpec,
                 for qn in qns:
                     group.append(build_residual_spec(
                         constants, particle, pot, qn,
-                        like=group[0] if group else terms))
+                        like=group[0] if group else None, terms=terms))
                 groups.append(group)
             yield groups
 
