@@ -444,24 +444,6 @@ def _entry_json(e) -> str:
             f'"detail": {_encode_str(e.detail)}}}')
 
 
-def _entry_texts():
-    """A function from a SpectrumEntry to its JSON text.  An entry that
-    holds no float (an absent line) recurs at every point of a sweep, so
-    its text is formatted once and reused."""
-    made = {}
-
-    def text(e) -> str:
-        if e.energy is not None or e.residual_at_root is not None:
-            return _entry_json(e)
-        key = (e.n, e.l, e.line, e.iterations, e.status, e.detail)
-        found = made.get(key)
-        if found is None:
-            found = made[key] = _entry_json(e)
-        return found
-
-    return text
-
-
 def _nested(value) -> bool:
     """True for a list or tuple of dicts or CellResults, whose items are
     formatted one by one; any other list goes to json.dumps whole."""
@@ -469,19 +451,17 @@ def _nested(value) -> bool:
             and isinstance(value[0], (dict, CellResult)))
 
 
-def _json_text(value, entry_text) -> str:
+def _json_text(value) -> str:
     """json.dumps(value), where a CellResult stands for its cell in
     SpectrumTable.to_payload(): {"n", "l", "entries"}."""
     if isinstance(value, CellResult):
         return (f'{{"n": {value.n}, "l": {value.l}, "entries": ['
-                + ", ".join(map(entry_text, value.entries)) + "]}")
+                + ", ".join(map(_entry_json, value.entries)) + "]}")
     if isinstance(value, dict):
-        return "{" + ", ".join(f"{_encode_str(key)}: "
-                               f"{_json_text(item, entry_text)}"
+        return "{" + ", ".join(f"{_encode_str(key)}: {_json_text(item)}"
                                for key, item in value.items()) + "}"
     if _nested(value):
-        return "[" + ", ".join(_json_text(item, entry_text)
-                               for item in value) + "]"
+        return "[" + ", ".join(map(_json_text, value)) + "]"
     return _json_scalar(value)
 
 
@@ -492,17 +472,16 @@ def write_json(fh, document: dict):
     each item of a list of dicts in document is formatted and written on
     its own, so a sweep's text is never all held at once.  document's
     keys are strings."""
-    entry_text = _entry_texts()
     fh.write("{")
     for i, (key, value) in enumerate(document.items()):
         fh.write(f'{", " if i else ""}{_encode_str(key)}: ')
         if _nested(value):
             fh.write("[")
             for j, item in enumerate(value):
-                fh.write((", " if j else "") + _json_text(item, entry_text))
+                fh.write((", " if j else "") + _json_text(item))
             fh.write("]")
         else:
-            fh.write(_json_text(value, entry_text))
+            fh.write(_json_text(value))
     fh.write("}\n")
 
 

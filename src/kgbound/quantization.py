@@ -8,14 +8,16 @@ A bound state at quantum numbers (n, l) satisfies
 with eta = -1/2 + s sqrt(1/4 + K(E)) and the mode-dependent coefficients
 from model.mode_coefficients.  residual(E) is LHS - RHS; its roots inside
 the window (-m0c2, m0c2), cut where eta turns complex, are the candidate
-energies.  Roots where the RHS is negative violate the sign convention of
-the condition and are rejected (sign_validity).
+energies.  The LHS, a square root over a positive factor, is never
+negative, so a root where the RHS is negative is rejected (sign_validity).
+The residual is LHS - RHS, never squared: a near-root with RHS < 0 can
+pass |residual| <= tol_residual only where the LHS is below tol_residual,
+and that is the case the check guards.
 """
 
 from __future__ import annotations
 
 import math
-import struct
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
@@ -100,56 +102,24 @@ def complex_eta(E: float, m0c2: float, delta: float, k2: float,
             == _kernels.STATUS_COMPLEX_ETA)
 
 
-_DOUBLE = struct.Struct("<d")
-_BITS = struct.Struct("<Q")
-_SIGN = 1 << 63
-
-
-def _rank(x: float) -> int:
-    """x's place among the doubles: adjacent doubles differ by 1 and
-    both zeros are 0."""
-    bits, = _BITS.unpack(_DOUBLE.pack(x))
-    return bits if bits < _SIGN else _SIGN - bits
-
-
-def _unrank(k: int) -> float:
-    return _DOUBLE.unpack(_BITS.pack(k if k >= 0 else _SIGN - k))[0]
-
-
 def _real_eta_window(window: tuple, m0c2: float, delta: float, k2: float,
                      ll1: float) -> tuple:
-    """window cut at the last double with real eta.  1/4 + K(E) is
-    monotone in E, rounding included, so eta is complex on at most one
-    end; a window with real eta at both ends, or complex eta at both,
-    stays whole.  So eta is complex over the window returned exactly
-    when it is complex at its first energy.
-
-    With complex eta on one end, k2 < 0 and delta != 0, and eta turns
-    complex where g = 1 + delta E passes sqrt(-(1/4 + l(l+1))/k2), that
-    is at E = (g - 1)/delta.  The search starts there, takes steps of 1,
-    2, 4, ... doubles toward the side the predicate points to, then
-    halves the bracket left.  A start k doubles off costs about
-    2 log2(k) + 2 evaluations.  The rounding of 1/4 + K moves the edge by
-    up to about a double of g, which is about 1/|g - 1| doubles of E."""
+    """window cut at the last double with real eta, found by bisection.
+    1/4 + K(E) is monotone in E, rounding included, so eta is complex on
+    at most one end; a window with real eta at both ends, or complex eta
+    at both, stays whole.  So eta is complex over the window returned
+    exactly when it is complex at its first energy."""
     lo, hi = window
     cut_lo = complex_eta(lo, m0c2, delta, k2, ll1)
     if cut_lo == complex_eta(hi, m0c2, delta, k2, ll1):
         return window
-    g = math.sqrt(-(0.25 + ll1) / k2)
-    start = (g - 1.0) / delta
-    real, edge = (_rank(hi), _rank(lo)) if cut_lo else (_rank(lo), _rank(hi))
-    toward = 1 if edge > real else -1
-    k = _rank(start) if math.isfinite(start) else real
-    step = 1
-    while abs(edge - real) > 1:
-        if not (real < k < edge or edge < k < real):
-            k = (real + edge) // 2
-        if complex_eta(_unrank(k), m0c2, delta, k2, ll1):
-            edge, k = k, k - toward * step
+    real, edge = (hi, lo) if cut_lo else (lo, hi)
+    while (mid := 0.5 * (real + edge)) not in (real, edge):
+        if complex_eta(mid, m0c2, delta, k2, ll1):
+            edge = mid
         else:
-            real, k = k, k + toward * step
-        step *= 2
-    return (_unrank(real), hi) if cut_lo else (lo, _unrank(real))
+            real = mid
+    return (real, hi) if cut_lo else (lo, real)
 
 
 def spectrum_terms(constants: PhysicalConstants, particle: ParticleSpec,
@@ -173,24 +143,14 @@ def build_residual_spec(constants: PhysicalConstants, particle: ParticleSpec,
                         pot: PotentialSpec, qn: QuantumNumbers,
                         branch="plus",
                         window_margin: float = DEFAULT_WINDOW_MARGIN,
-                        like: Optional[ResidualSpec] = None,
                         terms: Optional[SpectrumTerms] = None) -> ResidualSpec:
     """Coefficients of one (n, l) cell on one branch.  The window is
     physical_window ending at the last energy with real eta, or all of
     physical_window where eta is complex at both of its ends.
 
-    Every field but n depends only on (potential, branch, l), so like, if
-    given, must be another cell of the same (spectrum, l): the new cell
-    copies all its other fields.  A like of another l is refused.  terms,
-    if given, must be spectrum_terms of this potential, branch and
-    window_margin: only l(l + 1) and the window's cut are computed.  With
-    either, every argument but qn is ignored."""
-    if like is not None:
-        if like.l != qn.l:
-            raise ValueError(f"like has l={like.l}, the cell l={qn.l}")
-        spec = object.__new__(ResidualSpec)
-        vars(spec).update(vars(like), n=qn.n, n_plus_half=qn.n + 0.5)
-        return spec
+    terms, if given, must be spectrum_terms of this potential, branch and
+    window_margin: only l(l + 1) and the window's cut are computed, and
+    every argument but qn is ignored."""
     t = terms if terms is not None else spectrum_terms(
         constants, particle, pot, branch, window_margin)
     ll1 = float(qn.l * (qn.l + 1))
@@ -215,7 +175,9 @@ def residual(spec: ResidualSpec, E: float) -> float:
 
 def sign_validity(spec: ResidualSpec, E: float) -> bool:
     """True when the RHS is non-negative at E, as the square root on the
-    LHS demands.  Roots failing this are artifacts of squaring."""
+    LHS demands.  RHS = LHS - residual, so where |residual| <=
+    tol_residual the RHS is negative only if the LHS is below
+    tol_residual."""
     _, rhs, _, status = evaluate(spec, E)
     return status == _kernels.STATUS_OK and rhs >= 0.0
 

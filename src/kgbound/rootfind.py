@@ -108,7 +108,11 @@ def secant_refine(f: Callable[[float], float], bracket: Tuple[float, float],
 
     Secant steps are used while they stay inside the current bracket and
     keep making progress; otherwise the step is a bisection.  Convergence
-    requires both the energy and the residual tolerance.
+    requires both the energy and the residual tolerance, or, where the
+    root is so steep that no double brings the residual within
+    tol_residual, a bracket of two adjacent doubles that a step of 0 no
+    longer moves: the best iterate is then returned with its residual
+    above tol_residual (the residual floor).
     """
     a, b = bracket
     if a > b:
@@ -153,6 +157,8 @@ def secant_refine(f: Callable[[float], float], bracket: Tuple[float, float],
         if abs(fx) <= config.tol_residual and (step <= config.tol_energy
                                                or width <= config.tol_energy):
             return RefineResult(energy=x, residual=fx, iterations=it)
+        if step == 0.0 and math.nextafter(a, b) == b:
+            return RefineResult(energy=best_x, residual=best_f, iterations=it)
         # A stalled secant (tiny step, residual still too large) must not
         # spin in place; take a bisection next.
         force_bisect = step <= config.tol_energy
@@ -274,10 +280,15 @@ def lockstep_refine(specs: Sequence[ResidualSpec],
                                           | (b - a <= tol_e))))
         if done.any():
             converge(idx[done], x[done], fx[done], rhs_x[done], it)
+        # the residual floor, as in secant_refine
+        floor = ~(bad | done) & (step == 0.0) & (np.nextafter(a, b) == b)
+        if floor.any():
+            _, rhs_best, _ = _residual_at(coeffs[:, floor], best_x[floor])
+            converge(idx[floor], best_x[floor], best_f[floor], rhs_best, it)
         # A stalled secant (tiny step, residual still too large) must not
         # spin in place; take a bisection next.
         force_bisect = step <= tol_e
-        keep = ~(bad | done)
+        keep = ~(bad | done | floor)
         if not keep.all():
             idx, a, b, fa, x0, f0, x1, f1, best_x, best_f, force_bisect = (
                 v[keep] for v in (idx, a, b, fa, x0, f0, x1, f1, best_x,
@@ -321,8 +332,15 @@ def _absent(spec: ResidualSpec, line: str, detail: str) -> SpectrumEntry:
     return _entry(spec, line, None, None, 0, "absent", detail)
 
 
+# The detail of a root refined to the residual floor (secant_refine).
+_RESIDUAL_FLOOR = ("residual floor: no double brings the residual within "
+                   "tol_residual")
+
+
 def _converged(spec: ResidualSpec, line: str, r: RefineResult,
-               detail: str = "") -> SpectrumEntry:
+               config: SolverConfig, detail: str = "") -> SpectrumEntry:
+    if abs(r.residual) > config.tol_residual:
+        detail = f"{detail}; {_RESIDUAL_FLOOR}" if detail else _RESIDUAL_FLOOR
     return _entry(spec, line, r.energy, r.residual, r.iterations,
                   "converged", detail)
 
@@ -361,22 +379,15 @@ def absence_reason(reading: int, brackets: int) -> str:
     return "no sign change of the residual on the scan grid"
 
 
-@dataclass(frozen=True)
-class CellScan:
-    """What the scan and refine passes found for one cell: its scan's
-    reading for absence_reason and, per bracket in ascending order, a
-    (RefineResult, sign verdict) pair or the ConvergenceError."""
-
-    reading: int
-    outcomes: tuple
-
-
 def solve_cell(spec: ResidualSpec, config: SolverConfig = SolverConfig(),
-               scan: Optional[CellScan] = None) -> CellResult:
+               scan: Optional[tuple] = None) -> CellResult:
     """Classify the roots of one cell.
 
     scan is what solve_spectra's scan and refine passes found for the
-    cell; without it the cell is scanned and refined on its own first.
+    cell: its scan's reading for absence_reason and, per bracket in
+    ascending order, a (RefineResult, sign verdict) pair or the
+    ConvergenceError.  Without it the cell is scanned and refined on its
+    own first.
 
     Classification: two or more roots put the smallest on the lower line
     and the largest on the upper line; a single root goes to the lower
@@ -384,9 +395,10 @@ def solve_cell(spec: ResidualSpec, config: SolverConfig = SolverConfig(),
     """
     if scan is None:
         (_, scan), = _scan_and_refine([[[spec]]], config)
+    reading, outcomes = scan
     roots: List[RefineResult] = []
     failures: List[ConvergenceError] = []
-    for outcome in scan.outcomes:
+    for outcome in outcomes:
         if isinstance(outcome, ConvergenceError):
             failures.append(outcome)
         elif outcome[1]:
@@ -395,23 +407,24 @@ def solve_cell(spec: ResidualSpec, config: SolverConfig = SolverConfig(),
 
     extras: List[SpectrumEntry] = []
     if not roots:
-        reason = absence_reason(scan.reading, len(scan.outcomes))
+        reason = absence_reason(reading, len(outcomes))
         lower = _absent(spec, "lower", reason)
         upper = _absent(spec, "upper", reason)
     elif len(roots) == 1:
         r = roots[0]
         if r.energy < 0.0:
-            lower = _converged(spec, "lower", r)
+            lower = _converged(spec, "lower", r, config)
             upper = _absent(spec, "upper", "single root, negative")
         else:
             lower = _absent(spec, "lower", "single root, non-negative")
-            upper = _converged(spec, "upper", r)
+            upper = _converged(spec, "upper", r, config)
     else:
-        lower = _converged(spec, "lower", roots[0])
-        upper = _converged(spec, "upper", roots[-1])
+        lower = _converged(spec, "lower", roots[0], config)
+        upper = _converged(spec, "upper", roots[-1], config)
         for r in roots[1:-1]:
             line = "lower" if r.energy < 0.0 else "upper"
-            extras.append(_converged(spec, line, r, "unclassified extra root"))
+            extras.append(_converged(spec, line, r, config,
+                                     "unclassified extra root"))
     for err in failures:
         line = "lower" if (err.best_energy is not None
                            and err.best_energy < 0.0) else "upper"
@@ -462,10 +475,11 @@ def _scan_rows(grids: list, res: np.ndarray, rhs: np.ndarray,
 
 
 def _scan_and_refine(spectra: Iterable[List[List[ResidualSpec]]],
-                     config: SolverConfig) -> List[Tuple[ResidualSpec, CellScan]]:
+                     config: SolverConfig) -> List[Tuple[ResidualSpec, tuple]]:
     """Scan and refine the cells of each spectrum, given as its
-    (spectrum, l) groups: each cell's CellScan, in that order.  Every
-    spectrum has the cells of the first.
+    (spectrum, l) groups: each cell and its (scan reading, refine
+    outcomes) pair for solve_cell, in that order.  Every spectrum has the
+    cells of the first.
 
     A group whose window has complex eta at its first energy has it
     throughout: its cells read _ETA_COMPLEX unscanned.  Each other group
@@ -529,8 +543,7 @@ def _scan_and_refine(spectra: Iterable[List[List[ResidualSpec]]],
     end = 0
     for spec, reading, found in cells:
         start, end = end, end + len(found)
-        scans.append((spec, new_frozen(CellScan, reading=reading,
-                                       outcomes=tuple(outcomes[start:end]))))
+        scans.append((spec, (reading, outcomes[start:end])))
     return scans
 
 
@@ -611,8 +624,7 @@ def solve_spectra(constants: PhysicalConstants, particle: ParticleSpec,
     All cells of all potentials are scanned first, one (spectrum, l) per
     kernel call, then all their brackets are refined together, then each
     cell is classified.  The coefficients and the physical window of each
-    spectrum are found once; each (spectrum, l) cuts that window once, by
-    its first cell, and the others copy it.
+    spectrum are found once, and each cell is built on them.
     """
     table = spectrum_cells(n_max, l_max)
     by_l: dict = {}
@@ -623,15 +635,9 @@ def solve_spectra(constants: PhysicalConstants, particle: ParticleSpec,
         for pot in pots:
             terms = spectrum_terms(constants, particle, pot, branch,
                                    config.window_margin)
-            groups = []
-            for qns in by_l.values():
-                group = []
-                for qn in qns:
-                    group.append(build_residual_spec(
-                        constants, particle, pot, qn,
-                        like=group[0] if group else None, terms=terms))
-                groups.append(group)
-            yield groups
+            yield [[build_residual_spec(constants, particle, pot, qn,
+                                        terms=terms) for qn in qns]
+                   for qns in by_l.values()]
 
     solved = [solve_cell(spec, config, scan)
               for spec, scan in _scan_and_refine(spectra(), config)]

@@ -9,7 +9,6 @@ import pytest
 from kgbound import CouplingMode, ParticleSpec, PhysicalConstants, PotentialSpec
 from kgbound._kernels import residual_grid
 from kgbound.aim import Poly, d_dz
-from kgbound.quantization import complex_eta
 from kgbound.rootfind import SolverConfig, bracket_scan, solve_spectrum
 from kgbound.special import grid_report, kummer_1f1
 
@@ -43,22 +42,6 @@ def scan_brackets(spec, config):
     E = scan_grid(spec, config)
     res, _, den, status = (a[0] for a in residual_grid([spec], E))
     return bracket_scan(E, res, den, status)
-
-
-def ref_real_eta_window(window, m0c2, delta, k2, ll1):
-    """window cut at the last double with real eta, found by bisection:
-    the oracle of quantization._real_eta_window."""
-    lo, hi = window
-    cut_lo = complex_eta(lo, m0c2, delta, k2, ll1)
-    if cut_lo == complex_eta(hi, m0c2, delta, k2, ll1):
-        return window
-    real, edge = (hi, lo) if cut_lo else (lo, hi)
-    while (mid := 0.5 * (real + edge)) not in (real, edge):
-        if complex_eta(mid, m0c2, delta, k2, ll1):
-            edge = mid
-        else:
-            real = mid
-    return (real, hi) if cut_lo else (lo, real)
 
 
 def series_report(sol, r_max, points=2000):

@@ -266,7 +266,9 @@ def test_solve_cell_absence_diagnostics(constants, pion):
 
 def test_solve_cell_absence_names_brackets_that_failed_to_refine(constants,
                                                                  pion):
-    spec = make_spec(constants, pion, CouplingMode.PURE_SCALAR)
+    # both brackets are still wider than two adjacent doubles after 8 steps
+    spec = make_spec(constants, pion, CouplingMode.EMES, n=2, l=1,
+                     lambda_b=0.003, A=50.0)
     config = SolverConfig(max_iter=8, tol_energy=1e-15, tol_residual=1e-15)
     cell = solve_cell(spec, config)
     assert cell.lower.status == cell.upper.status == "absent"
