@@ -149,8 +149,10 @@ def build_residual_spec(constants: PhysicalConstants, particle: ParticleSpec,
     physical_window where eta is complex at both of its ends.
 
     terms, if given, must be spectrum_terms of this potential, branch and
-    window_margin: only l(l + 1) and the window's cut are computed, and
-    every argument but qn is ignored."""
+    window_margin, or those terms with the window of a cell of the same l
+    built on them: only l(l + 1) and the window's cut are computed, and
+    every argument but qn is ignored.  A window already cut has real eta
+    at both ends (or complex eta at both) and is kept as it is."""
     t = terms if terms is not None else spectrum_terms(
         constants, particle, pot, branch, window_margin)
     ll1 = float(qn.l * (qn.l + 1))

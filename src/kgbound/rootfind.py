@@ -6,12 +6,13 @@ Scan.  The residual is evaluated on a uniform energy grid over each cell's
 window, which ends at the last energy with real eta; where eta is complex
 at the window's first energy it is complex throughout, and the cell is
 not scanned.  The window depends on l but not on n, so one kernel call
-evaluates every cell of one (spectrum, l), into scan arrays the command
-owns, and the brackets of all its rows are searched as soon as it
-returns.  Sign changes between adjacent valid nodes become brackets,
-except where the denominator changes sign inside the pair (a pole, not a
-root); a node where the residual is exactly 0 yields a degenerate (E, E)
-bracket.  The same scan gives each cell's absence diagnosis.
+evaluates every cell of one (spectrum, l), into scan arrays its thread
+keeps from one command to the next, and the brackets of all its rows
+are searched as soon as it returns.  Sign changes between adjacent
+valid nodes become brackets, except where the denominator changes sign
+inside the pair (a pole, not a root); a node where the residual is
+exactly 0 yields a degenerate (E, E) bracket.  The same scan gives each
+cell's absence diagnosis.
 
 Refine.  Every bracket of the command is refined by secant steps that
 fall back to bisection when a step leaves the bracket or stalls.  From
@@ -31,6 +32,7 @@ from __future__ import annotations
 
 import math
 import operator
+import threading
 from collections import namedtuple
 from dataclasses import dataclass
 from typing import Callable, Iterable, List, Optional, Sequence, Tuple
@@ -44,9 +46,13 @@ from .model import (ParticleSpec, PhysicalConstants, PotentialSpec,
 from .quantization import (ResidualSpec, SpectrumEntry, build_residual_spec,
                            new_frozen, spectrum_terms)
 
-# Points in one kernel call, cells times grid points: each scan array
-# costs 8 bytes per point, so this keeps one under 8 MB.
+# Points in one kernel call, cells times grid points: the scan arrays
+# cost _SCAN_BYTES per point, so this keeps a thread's block of them
+# under 28 MB.
 MAX_GRID_POINTS = 1_000_000
+
+# Bytes of scan arrays per point: res, rhs and den (float64), status (int32).
+_SCAN_BYTES = 3 * 8 + 4
 
 # Fewest brackets of one command refined in lock step; fewer are refined
 # one at a time, which costs less than the lock step's fixed cost per
@@ -474,6 +480,28 @@ def _scan_rows(grids: list, res: np.ndarray, rhs: np.ndarray,
     return brackets, readings, None
 
 
+# Each thread's block of scan arrays, kept from one command to the next
+# (arrays of this size allocated and freed per command are often handed
+# back to the system by the allocator and faulted in again at the next)
+# and never shared, so solves in two threads cannot write over each other.
+_scan_block = threading.local()
+
+
+def _scan_arrays(rows: int, points: int) -> tuple:
+    """(res, rhs, den, status) arrays of shape (rows, points), views of
+    this thread's block of scan arrays, which grows to fit them where it
+    is smaller and never shrinks."""
+    size = rows * points
+    block = getattr(_scan_block, "block", None)
+    if block is None or len(block) < _SCAN_BYTES * size:
+        block = _scan_block.block = np.empty(_SCAN_BYTES * size,
+                                             dtype=np.uint8)
+    cut = 3 * 8 * size
+    floats = block[:cut].view(np.float64).reshape(3, rows, points)
+    status = block[cut:_SCAN_BYTES * size].view(np.int32)
+    return (*floats, status.reshape(rows, points))
+
+
 def _scan_and_refine(spectra: Iterable[List[List[ResidualSpec]]],
                      config: SolverConfig) -> List[Tuple[ResidualSpec, tuple]]:
     """Scan and refine the cells of each spectrum, given as its
@@ -484,28 +512,24 @@ def _scan_and_refine(spectra: Iterable[List[List[ResidualSpec]]],
     A group whose window has complex eta at its first energy has it
     throughout: its cells read _ETA_COMPLEX unscanned.  Each other group
     is scanned by kernel calls of at most MAX_GRID_POINTS points (a larger
-    group is split) into one block of scan arrays, and each call's rows
-    are searched as soon as it returns.  A group whose window, m0c2 and
-    delta equal the last scanned group's reuses its grid and
-    _kernels.grid_terms, and one whose alpha, c0 and c1 are the same too
-    reuses its RHS numerator.  spectra may raise DomainError as it is
+    group is split) into this thread's block of scan arrays
+    (_scan_arrays), and each call's rows are searched as soon as it
+    returns.  A group whose window, m0c2 and delta equal the last scanned
+    group's reuses its grid and _kernels.grid_terms, and one whose alpha,
+    c0 and c1 are the same too reuses its RHS numerator.  spectra may raise DomainError as it is
     iterated; that error, a scan's overflow error and the refine errors
     are raised in the order solving the cells one by one would meet them.
     """
     points = config.grid_points
     rows_per_call = MAX_GRID_POINTS // points
-    # One block of scan arrays serves the whole command: arrays of this
-    # size allocated and freed per call are often handed back to the
-    # system by the allocator and faulted in again at the next call.
     work = None
     cells: list = []      # (spec, scan reading, brackets) of each cell
     grid_key = numerator_key = None
     try:
         for spectrum in spectra:
             if work is None:
-                rows = min(max(map(len, spectrum)), rows_per_call)
-                work = (*np.empty((3, rows, points)),
-                        np.empty((rows, points), dtype=np.int32))
+                work = _scan_arrays(
+                    min(max(map(len, spectrum)), rows_per_call), points)
             for group in spectrum:
                 spec = group[0]
                 if quantization.complex_eta(spec.window[0], spec.m0c2,
@@ -624,20 +648,28 @@ def solve_spectra(constants: PhysicalConstants, particle: ParticleSpec,
     All cells of all potentials are scanned first, one (spectrum, l) per
     kernel call, then all their brackets are refined together, then each
     cell is classified.  The coefficients and the physical window of each
-    spectrum are found once, and each cell is built on them.
+    spectrum are found once, and each cell is built on them; the window
+    is cut where eta turns complex once per (spectrum, l), by its first
+    cell, and the group's other cells are built on that cut, which they
+    keep as it is.
     """
     table = spectrum_cells(n_max, l_max)
     by_l: dict = {}
     for n, l in table:
         by_l.setdefault(l, []).append(QuantumNumbers(n=n, l=l))
 
+    def group(pot, terms, qns):
+        first = build_residual_spec(constants, particle, pot, qns[0],
+                                    terms=terms)
+        cut = terms._replace(window=first.window)
+        return [first, *(build_residual_spec(constants, particle, pot, qn,
+                                             terms=cut) for qn in qns[1:])]
+
     def spectra():
         for pot in pots:
             terms = spectrum_terms(constants, particle, pot, branch,
                                    config.window_margin)
-            yield [[build_residual_spec(constants, particle, pot, qn,
-                                        terms=terms) for qn in qns]
-                   for qns in by_l.values()]
+            yield [group(pot, terms, qns) for qns in by_l.values()]
 
     solved = [solve_cell(spec, config, scan)
               for spec, scan in _scan_and_refine(spectra(), config)]

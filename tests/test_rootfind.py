@@ -1,6 +1,9 @@
+import collections
 import dataclasses
 import math
 import random
+import sys
+import threading
 from unittest import mock
 
 import numpy as np
@@ -618,6 +621,103 @@ def test_solve_spectrum_is_deterministic(constants, pion):
     for c1, c2 in zip(first.cells, second.cells):
         for e1, e2 in zip(c1.entries, c2.entries):
             assert e1.energy == e2.energy
+
+
+def test_each_group_cuts_its_window_once(constants, pion, monkeypatch):
+    # eta turns complex inside the l = 0 and l = 1 windows of this spectrum
+    pot = PotentialSpec.from_lambda_b(A=327.74, delta=-0.00585,
+                                      lambda_b=0.00542, particle=pion,
+                                      mode=CouplingMode.PURE_VECTOR)
+    calls = collections.Counter()
+    original = quantization.complex_eta
+
+    def counting(E, m0c2, delta, k2, ll1):
+        calls[ll1] += 1
+        return original(E, m0c2, delta, k2, ll1)
+
+    monkeypatch.setattr(quantization, "complex_eta", counting)
+    cut = {}
+    for l in (0, 1):
+        calls.clear()
+        spec = build_residual_spec(constants, pion, pot,
+                                   QuantumNumbers(n=l, l=l), branch="minus")
+        assert spec.window[0] > -spec.m0c2 + 1.0
+        cut[l] = calls[spec.ll1]
+    calls.clear()
+    solve_spectrum(constants, pion, pot, n_max=5, branch="minus")
+    for l in (0, 1):
+        # one cut by the group's first cell, two end checks by each of its
+        # other cells, one check by the scan
+        assert calls[l * (l + 1)] == cut[l] + 2 * (5 - l) + 1
+
+
+@pytest.fixture
+def fresh_scan_block(monkeypatch):
+    """A scan block for this thread that no other test has grown."""
+    monkeypatch.setattr(rootfind, "_scan_block", threading.local())
+
+
+def test_the_scan_block_is_reused_and_grows(constants, pion,
+                                            fresh_scan_block):
+    pot = PotentialSpec(A=A_DEFAULT, delta=0.003, lambda_b=0.003,
+                        mode=CouplingMode.EMES)
+    solve_spectrum(constants, pion, pot, n_max=3)
+    block = rootfind._scan_block.block
+    # four rows of 4 000 points: res, rhs and den of 8 bytes, status of 4
+    assert block.nbytes == 4 * 4000 * 28
+    solve_spectrum(constants, pion, pot, n_max=2)
+    solve_spectrum(constants, pion, pot, n_max=3)
+    assert rootfind._scan_block.block is block
+    solve_spectrum(constants, pion, pot, n_max=3,
+                   config=SolverConfig(grid_points=4001))
+    assert rootfind._scan_block.block.nbytes == 4 * 4001 * 28
+
+
+def test_a_solve_after_an_overflowing_scan_equals_a_fresh_one(
+        constants, pion, fresh_scan_block):
+    good = PotentialSpec(A=A_DEFAULT, delta=0.003, lambda_b=0.003,
+                         mode=CouplingMode.EMES)
+    fresh = repr(solve_spectrum(constants, pion, good, n_max=3))
+    # the scan stops at the overflow, leaving its arrays part written
+    overflow = PotentialSpec(A=A_DEFAULT, delta=1e300, lambda_b=0.0,
+                             mode=CouplingMode.EMES)
+    with pytest.raises(DomainError, match="overflows double precision"):
+        solve_spectra(constants, pion, [good, overflow], n_max=3)
+    assert repr(solve_spectrum(constants, pion, good, n_max=3)) == fresh
+
+
+def test_threads_solving_at_once_equal_solving_in_turn(constants, pion):
+    pots = [PotentialSpec.from_lambda_b(A=A_DEFAULT, delta=delta,
+                                        lambda_b=lambda_b, particle=pion,
+                                        mode=mode)
+            for mode, delta, lambda_b in [
+                (CouplingMode.EMES, 0.003, 0.003),
+                (CouplingMode.EMOS, -0.003, 0.0),
+                (CouplingMode.PURE_VECTOR, 0.0, -0.003),
+                (CouplingMode.PURE_SCALAR, -0.003, 0.003)]]
+    in_turn = [repr(solve_spectrum(constants, pion, pot, n_max=3))
+               for pot in pots]
+    rounds = 5
+    at_once: dict = {i: [] for i in range(len(pots))}
+
+    def solve(i):
+        for _ in range(rounds):
+            at_once[i].append(repr(solve_spectrum(constants, pion, pots[i],
+                                                  n_max=3)))
+
+    threads = [threading.Thread(target=solve, args=(i,))
+               for i in range(len(pots))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert at_once == {i: [table] * rounds for i, table in enumerate(in_turn)}
 
 
 def test_spectrum_cells_layout():
