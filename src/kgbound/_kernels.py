@@ -16,6 +16,13 @@ A scan computes each term once, at the level it depends on:
     cell (n)         den = n + 1/2 + s sqrt(1/4 + K), rhs and res, one row
                      each
 
+Every such term is written, one ufunc step at a time in residual_point's
+order, into arrays the caller may pass: grid_terms' and rhs_numerator's
+out, residual_grid's out and scratch (1/4 + K and s sqrt(1/4 + K)).
+rootfind's scan passes views of the scan arrays its thread keeps, so a
+spectrum's scan allocates no float array the size of its grid; terms
+given no array, as in the lock-step secant, are allocated.
+
 Fast path: on a regular grid (ascending energies, all inside the window
 with g > 0) where 1/4 + K >= 0 and every row's den lies beyond POLE_EPS
 on one side of zero at both ends of the grid, every status is OK and the
@@ -129,30 +136,43 @@ class GridTerms(NamedTuple):
     regular: bool
 
 
-def _energy_arrays(m0c2, delta, E):
+def _energy_arrays(m0c2, delta, E, out=(None, None, None)):
+    """g, g^2 and the LHS of the energies E, into out = (g, gg, lhs) where
+    those are arrays (a None is allocated)."""
+    g, gg, lhs = out
     with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
-        g = 1.0 + delta * E
-        gg = g * g
-        lhs = np.sqrt((m0c2 - E) * (m0c2 + E)) / g
+        g = np.multiply(delta, E, out=g)
+        np.add(1.0, g, out=g)
+        lhs = np.subtract(m0c2, E, out=lhs)
+        gg = np.add(m0c2, E, out=gg)    # m0c2 + E until g^2 is due
+        np.multiply(lhs, gg, out=lhs)
+        np.sqrt(lhs, out=lhs)
+        np.divide(lhs, g, out=lhs)
+        np.multiply(g, g, out=gg)
     return g, gg, lhs
 
 
-def grid_terms(m0c2, delta, E) -> GridTerms:
-    """GridTerms of the energies E, shared by every cell scanned on them."""
-    g, gg, lhs = _energy_arrays(m0c2, delta, E)
+def grid_terms(m0c2, delta, E, out=(None, None, None)) -> GridTerms:
+    """GridTerms of the energies E, shared by every cell scanned on them;
+    g, g^2 and the LHS are written into out's arrays where given."""
+    g, gg, lhs = _energy_arrays(m0c2, delta, E, out)
     regular = bool(E.size and (E[1:] >= E[:-1]).all()
                    and ((E > -m0c2) & (E < m0c2) & (g > 0.0)).all())
     return GridTerms(g, gg, lhs, regular)
 
 
-def rhs_numerator(c, E):
-    """alpha (c0 + c1 E), the RHS numerator; it depends on the spectrum
-    (c holds alpha, c0 and c1 as attributes) and the energies."""
+def rhs_numerator(c, E, out=None):
+    """alpha (c0 + c1 E), the RHS numerator, into out where given; it
+    depends on the spectrum (c holds alpha, c0 and c1 as attributes) and
+    the energies."""
     with np.errstate(invalid="ignore", over="ignore"):
-        return c.alpha * (c.c0 + c.c1 * E)
+        numerator = np.multiply(c.c1, E, out=out)
+        np.add(c.c0, numerator, out=numerator)
+        return np.multiply(c.alpha, numerator, out=numerator)
 
 
-def residual_grid(specs, E, out=None, grid=None, numerator=None):
+def residual_grid(specs, E, out=None, grid=None, numerator=None,
+                  scratch=(None, None)):
     """residual_point of every cell in specs over a 1-D energy array.
 
     specs are the cells of one (spectrum, l): ResidualSpecs equal in every
@@ -163,7 +183,7 @@ def residual_grid(specs, E, out=None, grid=None, numerator=None):
     tuple of arrays, filled and returned in place of new ones.  grid and
     numerator, if given, are grid_terms(m0c2, delta, E) and
     rhs_numerator(spec, E) of these cells, computed once by a caller that
-    scans other cells on the same energies.
+    scans other cells on the same energies.  scratch is residual_arrays'.
     """
     spec = specs[0]
     shared = _group_key(spec)
@@ -177,7 +197,8 @@ def residual_grid(specs, E, out=None, grid=None, numerator=None):
     if grid is None:
         grid = grid_terms(spec.m0c2, spec.delta, E)
     n_plus_half = np.array([[s.n_plus_half] for s in specs])
-    return residual_arrays(spec, n_plus_half, E, out, grid, numerator)
+    return residual_arrays(spec, n_plus_half, E, out, grid, numerator,
+                           scratch)
 
 
 def _pole_free(quarter, den):
@@ -197,7 +218,8 @@ def _pole_free(quarter, den):
     return True
 
 
-def residual_arrays(c, n_plus_half, E, out, grid=None, numerator=None):
+def residual_arrays(c, n_plus_half, E, out, grid=None, numerator=None,
+                    scratch=(None, None)):
     """residual_point over arrays, into out = (res, rhs, den, status).
 
     c holds the coefficients m0c2, delta, k2, ll1, branch_sign, alpha, c0
@@ -210,6 +232,8 @@ def residual_arrays(c, n_plus_half, E, out, grid=None, numerator=None):
     only with float coefficients, as residual_grid gives it: on a regular
     grid where 1/4 + K >= 0 throughout and no denominator is a pole
     (_pole_free), every status is OK and the mask passes are skipped.
+    scratch holds two arrays of E's shape for 1/4 + K and
+    s sqrt(1/4 + K), or Nones to allocate them.
     """
     res, rhs, den, status = out
     m0c2 = c.m0c2
@@ -219,8 +243,11 @@ def residual_arrays(c, n_plus_half, E, out, grid=None, numerator=None):
     if numerator is None:
         numerator = rhs_numerator(c, E)
     with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
-        quarter = 0.25 + (c.k2 * grid.gg + c.ll1)
-        signed_root = c.branch_sign * np.sqrt(quarter)
+        quarter = np.multiply(c.k2, grid.gg, out=scratch[0])
+        np.add(quarter, c.ll1, out=quarter)
+        np.add(0.25, quarter, out=quarter)
+        signed_root = np.sqrt(quarter, out=scratch[1])
+        np.multiply(c.branch_sign, signed_root, out=signed_root)
         np.add(n_plus_half, signed_root, out=den)
         np.divide(numerator, den, out=rhs)
         np.subtract(grid.lhs, rhs, out=res)

@@ -6,13 +6,16 @@ Scan.  The residual is evaluated on a uniform energy grid over each cell's
 window, which ends at the last energy with real eta; where eta is complex
 at the window's first energy it is complex throughout, and the cell is
 not scanned.  The window depends on l but not on n, so one kernel call
-evaluates every cell of one (spectrum, l), into scan arrays its thread
-keeps from one command to the next, and the brackets of all its rows
-are searched as soon as it returns.  Sign changes between adjacent
-valid nodes become brackets, except where the denominator changes sign
-inside the pair (a pole, not a root); a node where the residual is
-exactly 0 yields a degenerate (E, E) bracket.  The same scan gives each
-cell's absence diagnosis.
+evaluates every cell of one (spectrum, l), and the brackets of all its
+rows are searched as soon as it returns.  The float arrays the scan
+writes, the kernel's rows and the per-grid rows (the energies, their
+grid terms, the RHS numerator, 1/4 + K and s sqrt(1/4 + K)), are views
+of scan arrays its thread keeps from one command to the next: at most
+92 MB, 704 KB at the default grid and n_max 3.  Sign changes between
+adjacent valid nodes become brackets, except where the denominator
+changes sign inside the pair (a pole, not a root); a node where the
+residual is exactly 0 yields a degenerate (E, E) bracket.  The same scan
+gives each cell's absence diagnosis.
 
 Refine.  Every bracket of the command is refined by secant steps that
 fall back to bisection when a step leaves the bracket or stalls.  From
@@ -46,13 +49,19 @@ from .model import (ParticleSpec, PhysicalConstants, PotentialSpec,
 from .quantization import (ResidualSpec, SpectrumEntry, build_residual_spec,
                            new_frozen, spectrum_terms)
 
-# Points in one kernel call, cells times grid points: the scan arrays
-# cost _SCAN_BYTES per point, so this keeps a thread's block of them
-# under 28 MB.
+# Points in one kernel call, cells times grid points, and the most grid
+# points SolverConfig admits.  The scan block costs _SCAN_BYTES per point
+# of a call, so it stays under 28 MB; the per-grid rows and the arange
+# cost 8 bytes per grid point each, 64 MB at most.  A thread keeps at most
+# 92 MB of scan arrays.
 MAX_GRID_POINTS = 1_000_000
 
 # Bytes of scan arrays per point: res, rhs and den (float64), status (int32).
 _SCAN_BYTES = 3 * 8 + 4
+
+# Per-grid rows of a thread's scan arrays: the energies, g, g^2, the LHS,
+# the RHS numerator, 1/4 + K and s sqrt(1/4 + K).
+_GRID_ROWS = 7
 
 # Fewest brackets of one command refined in lock step; fewer are refined
 # one at a time, which costs less than the lock step's fixed cost per
@@ -480,26 +489,56 @@ def _scan_rows(grids: list, res: np.ndarray, rhs: np.ndarray,
     return brackets, readings, None
 
 
-# Each thread's block of scan arrays, kept from one command to the next
-# (arrays of this size allocated and freed per command are often handed
-# back to the system by the allocator and faulted in again at the next)
-# and never shared, so solves in two threads cannot write over each other.
+# Each thread's scan arrays, kept from one command to the next (arrays of
+# this size allocated and freed per spectrum are often handed back to the
+# system by the allocator and faulted in again at the next) and never
+# shared, so solves in two threads cannot write over each other:
+#   block   the scan block: res, rhs, den and status of every row of a
+#           kernel call, _SCAN_BYTES per point and row;
+#   grid    the per-grid rows, _GRID_ROWS float64 rows of one grid each:
+#           the energies, g, g^2, the LHS, the RHS numerator, 1/4 + K and
+#           s sqrt(1/4 + K);
+#   arange  0, 1, 2, ... as float64, one per grid point, the energies'
+#           source (_energy_grid).
+# Each grows to fit the largest scan the thread has run and never shrinks.
 _scan_block = threading.local()
 
 
 def _scan_arrays(rows: int, points: int) -> tuple:
-    """(res, rhs, den, status) arrays of shape (rows, points), views of
-    this thread's block of scan arrays, which grows to fit them where it
-    is smaller and never shrinks."""
+    """(res, rhs, den, status) arrays of shape (rows, points), the
+    _GRID_ROWS per-grid rows of points each and the arange of points,
+    views of this thread's scan arrays (_scan_block), which grow to fit
+    them where they are smaller."""
     size = rows * points
     block = getattr(_scan_block, "block", None)
     if block is None or len(block) < _SCAN_BYTES * size:
         block = _scan_block.block = np.empty(_SCAN_BYTES * size,
                                              dtype=np.uint8)
+    grid = getattr(_scan_block, "grid", None)
+    if grid is None or len(grid) < _GRID_ROWS * points:
+        grid = _scan_block.grid = np.empty(_GRID_ROWS * points)
+        _scan_block.arange = np.arange(points, dtype=np.float64)
     cut = 3 * 8 * size
     floats = block[:cut].view(np.float64).reshape(3, rows, points)
     status = block[cut:_SCAN_BYTES * size].view(np.int32)
-    return (*floats, status.reshape(rows, points))
+    return ((*floats, status.reshape(rows, points)),
+            grid[:_GRID_ROWS * points].reshape(_GRID_ROWS, points),
+            _scan_block.arange[:points])
+
+
+def _energy_grid(start: float, stop: float, arange: np.ndarray,
+                 out: np.ndarray) -> None:
+    """np.linspace(start, stop, len(out)) written into out, bit for bit:
+    linspace's own formula, arange * step + start with the last node set
+    to stop, on arange (0, 1, 2, ...); linspace itself where the step
+    rounds to 0, which it computes another way."""
+    step = np.subtract(stop, start, dtype=np.float64) / (len(out) - 1)
+    if step == 0:
+        out[:] = np.linspace(start, stop, len(out))
+        return
+    np.multiply(arange, step, out=out)
+    np.add(out, start, out=out)
+    out[-1] = stop
 
 
 def _scan_and_refine(spectra: Iterable[List[List[ResidualSpec]]],
@@ -512,13 +551,17 @@ def _scan_and_refine(spectra: Iterable[List[List[ResidualSpec]]],
     A group whose window has complex eta at its first energy has it
     throughout: its cells read _ETA_COMPLEX unscanned.  Each other group
     is scanned by kernel calls of at most MAX_GRID_POINTS points (a larger
-    group is split) into this thread's block of scan arrays
-    (_scan_arrays), and each call's rows are searched as soon as it
-    returns.  A group whose window, m0c2 and delta equal the last scanned
-    group's reuses its grid and _kernels.grid_terms, and one whose alpha,
-    c0 and c1 are the same too reuses its RHS numerator.  spectra may raise DomainError as it is
-    iterated; that error, a scan's overflow error and the refine errors
-    are raised in the order solving the cells one by one would meet them.
+    group is split) into this thread's scan arrays (_scan_arrays), and
+    each call's rows are searched as soon as it returns.  The energy grid,
+    its _kernels.grid_terms, the RHS numerator and the kernel's 1/4 + K
+    and s sqrt(1/4 + K) are written into the thread's per-grid rows, so a
+    spectrum's scan allocates no float array the size of its grid.  A
+    group whose window, m0c2 and delta equal the last scanned group's
+    reuses its grid and grid terms, and one whose alpha, c0 and c1 are
+    the same too reuses its RHS numerator.  spectra may raise DomainError
+    as it is iterated; that error, a scan's overflow error and the refine
+    errors are raised in the order solving the cells one by one would
+    meet them.
     """
     points = config.grid_points
     rows_per_call = MAX_GRID_POINTS // points
@@ -528,8 +571,9 @@ def _scan_and_refine(spectra: Iterable[List[List[ResidualSpec]]],
     try:
         for spectrum in spectra:
             if work is None:
-                work = _scan_arrays(
+                work, rows, arange = _scan_arrays(
                     min(max(map(len, spectrum)), rows_per_call), points)
+                E, g, gg, lhs, numerator, *scratch = rows
             for group in spectrum:
                 spec = group[0]
                 if quantization.complex_eta(spec.window[0], spec.m0c2,
@@ -538,17 +582,18 @@ def _scan_and_refine(spectra: Iterable[List[List[ResidualSpec]]],
                     continue
                 if (spec.window, spec.m0c2, spec.delta) != grid_key:
                     grid_key = (spec.window, spec.m0c2, spec.delta)
-                    E = np.linspace(*spec.window, points)
-                    grid = _kernels.grid_terms(spec.m0c2, spec.delta, E)
+                    _energy_grid(*spec.window, arange, E)
+                    grid = _kernels.grid_terms(spec.m0c2, spec.delta, E,
+                                               out=(g, gg, lhs))
                     numerator_key = None
                 if (spec.alpha, spec.c0, spec.c1) != numerator_key:
                     numerator_key = (spec.alpha, spec.c0, spec.c1)
-                    numerator = _kernels.rhs_numerator(spec, E)
+                    _kernels.rhs_numerator(spec, E, out=numerator)
                 for start in range(0, len(group), rows_per_call):
                     chunk = group[start:start + rows_per_call]
                     scan = _kernels.residual_grid(chunk, E, out=tuple(
                         a[:len(chunk)] for a in work), grid=grid,
-                        numerator=numerator)
+                        numerator=numerator, scratch=scratch)
                     found, readings, overflow = _scan_rows(
                         [E] * len(chunk), *scan)
                     cells.extend(zip(chunk, readings, found))

@@ -79,8 +79,12 @@ def assert_grid_matches_point(E, specs, **shared):
             assert p[3] == status[row, i]
     # filled in place over stale values, out comes back with the same
     # bytes, and so does a call that computes every term itself
+    # (with the kernel's 1/4 + K and s sqrt(1/4 + K) written over stale
+    # values too), and so does a call that computes every term itself
     out = (*np.full((3,) + res.shape, 7.0), np.full(res.shape, 9, np.int32))
-    filled = _kernels.residual_grid(specs, E, out=out, **shared)
+    scratch = tuple(np.full(len(E), 7.0) for _ in range(2))
+    filled = _kernels.residual_grid(specs, E, out=out, scratch=scratch,
+                                    **shared)
     fresh = _kernels.residual_grid(specs, E)
     for want, got, given, alone in zip((res, rhs, den, status), filled, out,
                                        fresh):
@@ -140,6 +144,54 @@ def test_grid_fast_path_matches_point_near_poles(constants, pion, case,
     shared = {"grid": _kernels.grid_terms(spec.m0c2, spec.delta, E),
               "numerator": _kernels.rhs_numerator(spec, E)}
     assert_grid_matches_point(E, group, **shared)
+
+
+# Energies the scan meets and energies it never does: inside and outside
+# the window, at g <= 0, overflowing and infinite; any order.
+energy_lists = st.lists(st.floats(allow_nan=False), min_size=1, max_size=40)
+any_float = st.floats(allow_nan=False)
+
+
+def stale(E):
+    return np.full(len(E), 7.0)
+
+
+@settings(deadline=None)
+@given(m0c2=st.floats(min_value=0.0, exclude_min=True) | st.just(139.57018),
+       delta=st.just(0.0) | any_float | st.floats(-0.01, 0.01),
+       E=energy_lists, ascending=st.booleans())
+def test_buffered_grid_terms_equal_the_plain_expressions(m0c2, delta, E,
+                                                         ascending):
+    E = np.sort(E) if ascending else np.array(E)
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+        g = 1.0 + delta * E
+        want = (g, g * g, np.sqrt((m0c2 - E) * (m0c2 + E)) / g)
+    regular = bool((E[1:] >= E[:-1]).all()
+                   and ((E > -m0c2) & (E < m0c2) & (g > 0.0)).all())
+    out = (stale(E), stale(E), stale(E))
+    got = _kernels.grid_terms(m0c2, delta, E, out=out)
+    alone = _kernels.grid_terms(m0c2, delta, E)
+    for plain, given, filled, allocated in zip(want, out, got, alone):
+        assert filled is given
+        assert filled.tobytes() == plain.tobytes() == allocated.tobytes()
+    assert got.regular is alone.regular is regular
+
+
+@settings(deadline=None)
+@given(alpha=any_float, c0=any_float, c1=st.just(0.0) | any_float,
+       E=energy_lists)
+def test_buffered_rhs_numerator_equals_the_plain_expression(alpha, c0, c1,
+                                                            E):
+    E = np.array(E)
+    c = ResidualSpec(n=0, l=0, branch_sign=1.0, m0c2=1.0, delta=0.0,
+                     alpha=alpha, c0=c0, c1=c1, k2=0.0, ll1=0.0,
+                     n_plus_half=0.5, window=(-1.0, 1.0))
+    with np.errstate(invalid="ignore", over="ignore"):
+        plain = alpha * (c0 + c1 * E)
+    out = stale(E)
+    assert _kernels.rhs_numerator(c, E, out=out) is out
+    assert out.tobytes() == plain.tobytes() == \
+        _kernels.rhs_numerator(c, E).tobytes()
 
 
 def test_grid_refuses_cells_that_differ_beyond_n(constants, pion):

@@ -4,11 +4,12 @@ import math
 import random
 import sys
 import threading
+import warnings
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from kgbound import (BranchError, ConvergenceError, CouplingMode,
@@ -684,6 +685,74 @@ def test_a_solve_after_an_overflowing_scan_equals_a_fresh_one(
     with pytest.raises(DomainError, match="overflows double precision"):
         solve_spectra(constants, pion, [good, overflow], n_max=3)
     assert repr(solve_spectrum(constants, pion, good, n_max=3)) == fresh
+
+
+@pytest.mark.parametrize("points_b", [2500, 6007])
+def test_a_solve_after_another_window_and_grid_equals_a_fresh_one(
+        constants, pion, fresh_scan_block, points_b):
+    a = PotentialSpec(A=A_DEFAULT, delta=0.003, lambda_b=0.003,
+                      mode=CouplingMode.EMES)
+    b = PotentialSpec(A=A_DEFAULT, delta=-0.004, lambda_b=0.002,
+                      mode=CouplingMode.PURE_SCALAR)
+    fresh = repr(solve_spectrum(constants, pion, a, n_max=3))
+    grid = rootfind._scan_block.grid
+    solve_spectrum(constants, pion, b, n_max=2,
+                   config=SolverConfig(grid_points=points_b))
+    # a smaller grid is written over the thread's per-grid rows; a larger
+    # one grows them
+    assert (rootfind._scan_block.grid is grid) == (points_b < 4000)
+    assert repr(solve_spectrum(constants, pion, a, n_max=3)) == fresh
+
+
+def test_a_thread_keeps_at_most_92_mb_of_scan_arrays(constants, pion,
+                                                    fresh_scan_block):
+    # MAX_GRID_POINTS' comment states the ceiling, reached at its grid size
+    pot = PotentialSpec(A=A_DEFAULT, delta=0.003, lambda_b=0.003,
+                        mode=CouplingMode.EMES)
+    solve_spectrum(constants, pion, pot, n_max=1,
+                   config=SolverConfig(grid_points=MAX_GRID_POINTS))
+    kept = sum(a.nbytes for a in vars(rootfind._scan_block).values())
+    # a scan block of one row, 7 per-grid rows and the arange
+    assert kept == MAX_GRID_POINTS * (28 + 7 * 8 + 8)
+    assert kept <= 92 * 10**6
+
+
+# window ends: any double, subnormal ones and ones at the scale of m0c2
+window_ends = (st.floats(allow_nan=False, allow_infinity=False)
+               | st.floats(-1e-300, 1e-300) | st.floats(-140.0, 140.0))
+
+
+def bytes_and_warnings(fill):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        E = fill()
+    return E.tobytes(), [str(w.message) for w in caught]
+
+
+@settings(deadline=None)
+@example(lo=0.0, hi=0.0, ulps=1, points=4000)       # 5e-324 wide
+@example(lo=-5e-324, hi=0.0, ulps=2, points=100)
+@example(lo=139.57018, hi=0.0, ulps=0, points=4000)  # lo == hi
+@example(lo=-2.2e-308, hi=1e-310, ulps=None, points=4000)
+@example(lo=-139.57018, hi=139.57018, ulps=None, points=4000)
+@example(lo=-1.7e308, hi=1.7e308, ulps=None, points=4000)  # hi - lo = inf
+@given(lo=window_ends, hi=window_ends, ulps=st.none() | st.integers(0, 4),
+       points=st.integers(100, 5000))
+def test_the_energy_grid_is_linspace_bit_for_bit(lo, hi, ulps, points):
+    # ulps, if given, puts hi that many doubles above lo
+    if ulps is not None:
+        hi = lo
+        for _ in range(ulps):
+            hi = math.nextafter(hi, math.inf)
+    arange = np.arange(points, dtype=np.float64)
+    out = np.full(points, 7.0)
+
+    def fill():
+        rootfind._energy_grid(lo, hi, arange, out)
+        return out
+
+    assert bytes_and_warnings(fill) == bytes_and_warnings(
+        lambda: np.linspace(lo, hi, points))
 
 
 def test_threads_solving_at_once_equal_solving_in_turn(constants, pion):
