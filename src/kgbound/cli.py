@@ -758,6 +758,8 @@ def _axis_values(start: float, stop: float, step: float):
 
 def _cmd_sweep(args) -> int:
     _resolve_inputs(args)
+    # the manifest records both flags, so the swept one must be valid too
+    _potential(args, args.delta, args.lambda_b)
     on_delta = args.axis == "delta"
     values = _axis_values(args.start, args.stop, args.step)
     pots = [_potential(args, v if on_delta else args.delta,

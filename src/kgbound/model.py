@@ -238,7 +238,12 @@ def case_parameters(constants: PhysicalConstants, particle: ParticleSpec,
     _kernels.raise_for_status(status, E)
     # Shared bound-state momentum scale: identical expression for every
     # mode so cross-mode comparisons are bit-for-bit reproducible.
-    tau_sq = (m0c2 - E) * (m0c2 + E) / (hc * hc * (g * g))
-    beta_sq = 2.0 * pot.A * (c0 + c1 * E) / (hc * hc)
+    hc_sq = hc * hc
+    den = hc_sq * (g * g)
+    if hc_sq == 0.0 or den == 0.0:
+        raise DomainError(f"hbar_c^2 g^2 = {den} at E={E}: an input "
+                          "underflows double precision")
+    tau_sq = (m0c2 - E) * (m0c2 + E) / den
+    beta_sq = 2.0 * pot.A * (c0 + c1 * E) / hc_sq
     return CaseParameters(tau_sq=tau_sq, beta_sq=beta_sq, K=K,
                           eta=-0.5 + sgn * root)

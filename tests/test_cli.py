@@ -483,6 +483,15 @@ def test_sweep_rejects_non_finite_axis(flag, capsys):
     assert "must be finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("axis,flag", [("lambda_b", "--lambda-b=nan"),
+                                       ("delta", "--delta=inf")])
+def test_sweep_rejects_non_finite_flag_of_swept_quantity(axis, flag, capsys):
+    # the axis overrides the flag, but the manifest records it
+    assert main(["sweep", "--mode", "ps", "--axis", axis, "--start=0.0",
+                 "--stop=0.0", "--step=0.001", "--nmax=0", flag]) == 1
+    assert "must be finite" in capsys.readouterr().err
+
+
 def test_sweep_rejects_axis_above_point_bound(capsys):
     # counted from (stop - start) / step, before any value exists
     assert main(SWEEP_PS + ["--start=-0.001", "--stop=0.001",
@@ -895,6 +904,15 @@ def test_unknown_mode_names_the_modes(capsys):
     assert out == ""
     assert err == ("kgbound: error: unknown coupling mode 'nope'; expected "
                    "one of emes, emos, pv, ps\n")
+
+
+def test_wavefunction_with_hbar_c_squared_underflowing_is_a_domain_error(
+        capsys):
+    assert main(["wavefunction", "--mode", "emes", "--n=0", "--l=0",
+                 "--A=1e-300", "--hbar-c=1e-300", "--points=16"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "underflows double precision" in err and "Traceback" not in err
 
 
 def test_wavefunction_requires_present_line(capsys):

@@ -193,6 +193,14 @@ def test_case_parameters_rejects_nonpositive_energy_factor(constants, pion):
         case_parameters(constants, pion, pot, QuantumNumbers(n=0, l=0), -110.0)
 
 
+def test_case_parameters_rejects_hbar_c_whose_square_underflows(pion):
+    # hbar_c^2 is 0 in double precision: a DomainError, not a ZeroDivisionError
+    pot = make_pot(CouplingMode.EMES, A=1e-300)
+    with pytest.raises(DomainError, match="underflows double precision"):
+        case_parameters(PhysicalConstants(hbar_c=1e-300), pion, pot,
+                        QuantumNumbers(n=0, l=0), 0.0)
+
+
 def test_case_parameters_complex_eta_raises_branch_error(constants, pion):
     # pure vector at l=0 drives 1/4 + K below zero everywhere
     pot = make_pot(CouplingMode.PURE_VECTOR)
