@@ -26,9 +26,13 @@ given no array, as in the lock-step secant, are allocated.
 Fast path: on a regular grid (ascending energies, all inside the window
 with g > 0) where 1/4 + K >= 0 and every row's den lies beyond POLE_EPS
 on one side of zero at both ends of the grid, every status is OK and the
-mask passes are skipped.  Along such a grid den is monotone, so its ends
-bound it; on the plus branch den >= 1/2 always.  Every other call sets
-the statuses by the masks.
+mask passes are skipped.  Along such a grid g, 1/4 + K, den and the RHS
+numerator are monotone, rounding included (each step is one correctly
+rounded operation on a monotone input), so their ends bound them; on the
+plus branch den >= 1/2 always.  Every other call sets the statuses by
+the masks.  rootfind's scan reads the same ends before it calls the
+kernel, and from them skips rows whose RHS is negative throughout and
+searches the others by their signs alone (rootfind._scan_group).
 
 Status codes:
     0  valid evaluation
@@ -201,6 +205,14 @@ def residual_grid(specs, E, out=None, grid=None, numerator=None,
                            scratch)
 
 
+def clear_of_pole(first, last):
+    """True when den at the first and at the last energy of a regular grid
+    lies beyond POLE_EPS on one side of zero, and so, den being monotone
+    there (_pole_free), does the whole row."""
+    return ((first > POLE_EPS and last > POLE_EPS)
+            or (first < -POLE_EPS and last < -POLE_EPS))
+
+
 def _pole_free(quarter, den):
     """True when 1/4 + K >= 0 at every energy of a regular grid and no
     row of den lies within POLE_EPS of zero.
@@ -211,11 +223,8 @@ def _pole_free(quarter, den):
     """
     if not (quarter[0] >= 0.0 and quarter[-1] >= 0.0):
         return False
-    for first, last in zip(den[..., 0].tolist(), den[..., -1].tolist()):
-        if not ((first > POLE_EPS and last > POLE_EPS)
-                or (first < -POLE_EPS and last < -POLE_EPS)):
-            return False
-    return True
+    return all(map(clear_of_pole, den[..., 0].tolist(),
+                   den[..., -1].tolist()))
 
 
 def residual_arrays(c, n_plus_half, E, out, grid=None, numerator=None,

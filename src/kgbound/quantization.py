@@ -52,7 +52,8 @@ class ResidualSpec:
 class SpectrumTerms(NamedTuple):
     """What every cell of one spectrum (one potential on one branch)
     shares: the branch sign, the coefficients, and physical_window before
-    it is cut where eta turns complex."""
+    it is cut where eta turns complex.  window_cut is True in the terms of
+    one l whose window a cell of that l has already cut."""
 
     branch_sign: float
     m0c2: float
@@ -62,6 +63,7 @@ class SpectrumTerms(NamedTuple):
     c1: float
     k2: float
     window: tuple
+    window_cut: bool = False
 
 
 def new_frozen(cls, **fields):
@@ -150,17 +152,19 @@ def build_residual_spec(constants: PhysicalConstants, particle: ParticleSpec,
 
     terms, if given, must be spectrum_terms of this potential, branch and
     window_margin, or those terms with the window of a cell of the same l
-    built on them: only l(l + 1) and the window's cut are computed, and
-    every argument but qn is ignored.  A window already cut has real eta
-    at both ends (or complex eta at both) and is kept as it is."""
+    built on them and window_cut set: only l(l + 1) and the window's cut
+    are computed, and every argument but qn is ignored.  A window already
+    cut has real eta at both ends (or complex eta at both), so where
+    window_cut is set it is taken as it is, unchecked."""
     t = terms if terms is not None else spectrum_terms(
         constants, particle, pot, branch, window_margin)
     ll1 = float(qn.l * (qn.l + 1))
+    window = t.window if t.window_cut else _real_eta_window(
+        t.window, t.m0c2, t.delta, t.k2, ll1)
     return new_frozen(
         ResidualSpec, n=qn.n, l=qn.l, branch_sign=t.branch_sign,
         m0c2=t.m0c2, delta=t.delta, alpha=t.alpha, c0=t.c0, c1=t.c1,
-        k2=t.k2, ll1=ll1, n_plus_half=qn.n + 0.5,
-        window=_real_eta_window(t.window, t.m0c2, t.delta, t.k2, ll1))
+        k2=t.k2, ll1=ll1, n_plus_half=qn.n + 0.5, window=window)
 
 
 def evaluate(spec: ResidualSpec, E: float):

@@ -17,6 +17,20 @@ changes sign inside the pair (a pole, not a root); a node where the
 residual is exactly 0 yields a degenerate (E, E) bracket.  The same scan
 gives each cell's absence diagnosis.
 
+Most rows are decided at their two ends.  Along a regular grid
+(ascending, inside the window, g > 0), g, 1/4 + K, each row's
+denominator and the RHS numerator alpha (c0 + c1 E) are monotone,
+rounding included, so their values at the window's ends bound them
+everywhere.  Where those ends keep the numerator and the LHS small
+enough that no residual can overflow (_end_terms), each row's own ends
+say what its scan needs (_end_verdict).  A row whose RHS they prove
+negative throughout has a positive residual at every node, hence no
+bracket; it reads "RHS negative" and is not evaluated.  A kernel call
+whose rows they prove finite and pole-free needs no validity, pole or
+finiteness check per node: only the signs and the exact zeros are read
+(_search_proved).  Any other call goes through _scan_rows, which checks
+every node.
+
 Refine.  Every bracket of the command is refined by secant steps that
 fall back to bisection when a step leaves the bracket or stalls.  From
 LOCKSTEP_MIN_BRACKETS brackets on, lockstep_refine takes those steps for
@@ -457,7 +471,11 @@ def _scan_rows(grids: list, res: np.ndarray, rhs: np.ndarray,
     _scan_reading, up to the first row holding a non-finite residual at a
     valid node, and that row and node (or None).  Rows whose nodes are all
     valid and whose residual never vanishes are searched together by sign
-    bits; the others go through bracket_scan one by one.
+    bits; the others go through bracket_scan one by one.  It reads every
+    node of every row, so the scan takes it only for kernel calls whose
+    rows' ends prove nothing (_scan_group): on a grid that is not regular,
+    with a numerator or an LHS too large to bound, or with a den end
+    within POLE_EPS of zero.
     """
     # res is NaN at every invalid node, so a finite row sum says the row is
     # valid and finite throughout.
@@ -486,6 +504,134 @@ def _scan_rows(grids: list, res: np.ndarray, rhs: np.ndarray,
             return brackets[:r], readings[:r], (r, np.flatnonzero(bad)[0])
         brackets[r] = bracket_scan(grids[r], res[r], den[r], status[r])
         readings[r] = _scan_reading(rhs[r], status[r])
+    return brackets, readings, None
+
+
+# What the ends of a row prove besides a reading (_end_verdict): nothing,
+# so the row goes through _scan_rows; or that it is finite and pole-free,
+# but its rhs may underflow to -0, so its reading needs the row.
+_UNPROVED, _RHS_MAY_UNDERFLOW = -1, -2
+
+
+def _end_terms(spec: ResidualSpec, first: tuple, grid,
+               numerator) -> Optional[tuple]:
+    """s sqrt(1/4 + K) at the first and at the last energy of a scan over
+    spec's window, then the RHS numerator there, where these ends bound
+    every node of every row of the (spectrum, l); else None.
+
+    first is energy_terms at the window's first energy; the grid's ends
+    are the window's ends, so these are the grid's terms there, bit for
+    bit.  Along a regular grid g, 1/4 + K, each row's den and the
+    numerator are monotone, rounding included, so their ends bound them.
+    The bound: the numerator is finite, |rhs| <= max|numerator| /
+    POLE_EPS wherever den is no pole, and LHS <= sqrt((2 m0c2)^2) / min g,
+    so the residual is finite at every such node when their sum is."""
+    if not grid.regular:
+        return None
+    last = _kernels.energy_terms(spec.window[1], spec.m0c2, spec.delta,
+                                 spec.k2, spec.ll1)
+    if not first[0] == last[0] == _kernels.STATUS_OK:
+        return None
+    num0, num1 = numerator.item(0), numerator.item(-1)
+    if not (math.isfinite(num0) and math.isfinite(num1)):
+        return None
+    two_m = 2.0 * spec.m0c2
+    lhs_bound = math.sqrt(two_m * two_m) / min(grid.g.item(0),
+                                                grid.g.item(-1))
+    if not math.isfinite(lhs_bound + max(abs(num0), abs(num1))
+                         / _kernels.POLE_EPS):
+        return None
+    s = spec.branch_sign
+    return s * first[3], s * last[3], num0, num1
+
+
+def _end_verdict(n_plus_half: float, root0: float, root1: float,
+                 num0: float, num1: float) -> int:
+    """What a row's ends prove, given _end_terms: _RHS_NEGATIVE where every
+    rhs is negative, so every residual is positive; _SCANNED where some
+    rhs is not; _RHS_MAY_UNDERFLOW; or _UNPROVED where den comes within
+    POLE_EPS of zero.
+
+    den keeps one sign beyond POLE_EPS where both ends lie beyond it on
+    that side (_kernels.clear_of_pole).  Every rhs is then negative
+    exactly when both numerator ends have the other sign and no quotient
+    underflows to -0, which min|numerator| / max|den| > 0 proves."""
+    den0, den1 = n_plus_half + root0, n_plus_half + root1
+    if not _kernels.clear_of_pole(den0, den1):
+        return _UNPROVED
+    side = 1.0 if den0 > 0.0 else -1.0
+    if not (side * num0 < 0.0 and side * num1 < 0.0):
+        return _SCANNED
+    if min(abs(num0), abs(num1)) / max(abs(den0), abs(den1)) == 0.0:
+        return _RHS_MAY_UNDERFLOW
+    return _RHS_NEGATIVE
+
+
+def _search_proved(E: np.ndarray, res: np.ndarray, rhs: np.ndarray,
+                   den: np.ndarray, status: np.ndarray, verdicts: list):
+    """_scan_rows' brackets and readings of rows whose ends proved them
+    finite and pole-free (verdicts, from _end_verdict): every status is
+    OK, den keeps its sign along a row and no residual overflows, so only
+    the signs and the exact zeros are read per node.  A row holding an
+    exact zero, where a sign change is no bracket, goes through
+    bracket_scan."""
+    negative = res < 0.0
+    crossing = negative[:, :-1] != negative[:, 1:]
+    row, i = np.divmod(crossing.ravel().nonzero()[0], res.shape[1] - 1)
+    brackets: List[list] = [[] for _ in verdicts]
+    for r, lo, hi in zip(row.tolist(), E[i].tolist(), E[1:][i].tolist()):
+        brackets[r].append((lo, hi))
+    zero = res == 0.0
+    if zero.any():
+        for r in np.flatnonzero(zero.any(axis=1)).tolist():
+            brackets[r] = bracket_scan(E, res[r], den[r], status[r])
+    if _RHS_MAY_UNDERFLOW not in verdicts:
+        return brackets, verdicts
+    return brackets, [verdict if verdict != _RHS_MAY_UNDERFLOW
+                      else _RHS_NEGATIVE if rhs[r].max() < 0.0 else _SCANNED
+                      for r, verdict in enumerate(verdicts)]
+
+
+def _scan_group(group: list, first: tuple, E: np.ndarray, grid, numerator,
+                work: tuple, scratch: list):
+    """Brackets and readings of the cells of one (spectrum, l) on E, with
+    overflow as (row, node, residual) where _scan_rows finds one.
+
+    grid and numerator are E's terms and first is energy_terms at E[0].
+    Where _end_terms bound the rows, each row's ends decide what it needs
+    (_end_verdict): a row proved RHS-negative reads _RHS_NEGATIVE with no
+    bracket and is not evaluated; a kernel call whose rows are all
+    proved finite and pole-free is searched by _search_proved; any other
+    call goes through _scan_rows.  The rows evaluated are split into
+    kernel calls of at most the rows of work, the scan block."""
+    ends = _end_terms(group[0], first, grid, numerator)
+    if ends is None:
+        verdicts = [_UNPROVED] * len(group)
+    else:
+        verdicts = [_end_verdict(cell.n_plus_half, *ends) for cell in group]
+    brackets: List[list] = [[] for _ in group]
+    readings = list(verdicts)
+    scanned = [r for r, v in enumerate(verdicts) if v != _RHS_NEGATIVE]
+    size = len(work[0])
+    for start in range(0, len(scanned), size):
+        rows = scanned[start:start + size]
+        res, rhs, den, status = _kernels.residual_grid(
+            [group[r] for r in rows], E,
+            out=tuple(a[:len(rows)] for a in work), grid=grid,
+            numerator=numerator, scratch=scratch)
+        chunk = [verdicts[r] for r in rows]
+        if _UNPROVED in chunk:
+            found, got, overflow = _scan_rows([E] * len(rows), res, rhs, den,
+                                              status)
+        else:
+            found, got = _search_proved(E, res, rhs, den, status, chunk)
+            overflow = None
+        for r, row_brackets, reading in zip(rows, found, got):
+            brackets[r], readings[r] = row_brackets, reading
+        if overflow is not None:
+            r, i = overflow
+            end = rows[r]
+            return brackets[:end], readings[:end], (end, i, res[r, i])
     return brackets, readings, None
 
 
@@ -549,10 +695,13 @@ def _scan_and_refine(spectra: Iterable[List[List[ResidualSpec]]],
     cells of the first.
 
     A group whose window has complex eta at its first energy has it
-    throughout: its cells read _ETA_COMPLEX unscanned.  Each other group
-    is scanned by kernel calls of at most MAX_GRID_POINTS points (a larger
-    group is split) into this thread's scan arrays (_scan_arrays), and
-    each call's rows are searched as soon as it returns.  The energy grid,
+    throughout: its cells read _ETA_COMPLEX unscanned.  The energy terms
+    found there also give the group's first end terms (_end_terms).  Each
+    other group is scanned by _scan_group: by kernel calls of at most
+    MAX_GRID_POINTS points (a larger group is split) into this thread's
+    scan arrays (_scan_arrays), each call's rows searched as soon as it
+    returns, where the ends of each row decide whether it is evaluated at
+    all and whether its search reads more than signs.  The energy grid,
     its _kernels.grid_terms, the RHS numerator and the kernel's 1/4 + K
     and s sqrt(1/4 + K) are written into the thread's per-grid rows, so a
     spectrum's scan allocates no float array the size of its grid.  A
@@ -576,8 +725,9 @@ def _scan_and_refine(spectra: Iterable[List[List[ResidualSpec]]],
                 E, g, gg, lhs, numerator, *scratch = rows
             for group in spectrum:
                 spec = group[0]
-                if quantization.complex_eta(spec.window[0], spec.m0c2,
-                                            spec.delta, spec.k2, spec.ll1):
+                first = _kernels.energy_terms(spec.window[0], spec.m0c2,
+                                              spec.delta, spec.k2, spec.ll1)
+                if first[0] == _kernels.STATUS_COMPLEX_ETA:
                     cells.extend((cell, _ETA_COMPLEX, ()) for cell in group)
                     continue
                 if (spec.window, spec.m0c2, spec.delta) != grid_key:
@@ -589,20 +739,15 @@ def _scan_and_refine(spectra: Iterable[List[List[ResidualSpec]]],
                 if (spec.alpha, spec.c0, spec.c1) != numerator_key:
                     numerator_key = (spec.alpha, spec.c0, spec.c1)
                     _kernels.rhs_numerator(spec, E, out=numerator)
-                for start in range(0, len(group), rows_per_call):
-                    chunk = group[start:start + rows_per_call]
-                    scan = _kernels.residual_grid(chunk, E, out=tuple(
-                        a[:len(chunk)] for a in work), grid=grid,
-                        numerator=numerator, scratch=scratch)
-                    found, readings, overflow = _scan_rows(
-                        [E] * len(chunk), *scan)
-                    cells.extend(zip(chunk, readings, found))
-                    if overflow is not None:
-                        r, i = overflow
-                        raise DomainError(
-                            f"residual {scan[0][r, i]} at E={E[i]} in cell "
-                            f"(n={chunk[r].n}, l={chunk[r].l}): an input "
-                            "overflows double precision")
+                found, readings, overflow = _scan_group(
+                    group, first, E, grid, numerator, work, scratch)
+                cells.extend(zip(group, readings, found))
+                if overflow is not None:
+                    r, i, value = overflow
+                    raise DomainError(
+                        f"residual {value} at E={E[i]} in cell "
+                        f"(n={group[r].n}, l={group[r].l}): an input "
+                        "overflows double precision")
     except (DomainError, BranchError):
         # a refine error in the cells scanned before comes first
         _refine(cells, config)
@@ -706,7 +851,7 @@ def solve_spectra(constants: PhysicalConstants, particle: ParticleSpec,
     def group(pot, terms, qns):
         first = build_residual_spec(constants, particle, pot, qns[0],
                                     terms=terms)
-        cut = terms._replace(window=first.window)
+        cut = terms._replace(window=first.window, window_cut=True)
         return [first, *(build_residual_spec(constants, particle, pot, qn,
                                              terms=cut) for qn in qns[1:])]
 

@@ -219,6 +219,209 @@ def test_block_search_equals_bracket_scan_row_by_row(rows, points, data):
         assert overflow is None and len(found) == rows
 
 
+def scan_group(group, capacity=None, points=4000):
+    """rootfind._scan_group of one (spectrum, l) group on its window's
+    grid, as _scan_and_refine runs it, with a scan block of capacity rows;
+    and the grid."""
+    spec = group[0]
+    E = np.linspace(*spec.window, points)
+    first = _kernels.energy_terms(spec.window[0], spec.m0c2, spec.delta,
+                                  spec.k2, spec.ll1)
+    rows = capacity or len(group)
+    work = (*np.full((3, rows, points), 7.0),
+            np.full((rows, points), 9, dtype=np.int32))
+    scratch = [np.full(points, 7.0), np.full(points, 7.0)]
+    found, readings, overflow = rootfind._scan_group(
+        group, first, E, _kernels.grid_terms(spec.m0c2, spec.delta, E),
+        _kernels.rhs_numerator(spec, E), work, scratch)
+    return E, found, readings, overflow
+
+
+def end_verdicts(group, points=4000):
+    """rootfind._end_verdict of each row of group, or None where the ends
+    bound nothing."""
+    spec = group[0]
+    E = np.linspace(*spec.window, points)
+    first = _kernels.energy_terms(spec.window[0], spec.m0c2, spec.delta,
+                                  spec.k2, spec.ll1)
+    ends = rootfind._end_terms(
+        spec, first, _kernels.grid_terms(spec.m0c2, spec.delta, E),
+        _kernels.rhs_numerator(spec, E))
+    if ends is None:
+        return None
+    return [rootfind._end_verdict(cell.n_plus_half, *ends) for cell in group]
+
+
+def assert_scan_group_is_the_full_scan(group, capacity=None, points=4000):
+    """Row by row, _scan_group gives what bracket_scan and _scan_reading
+    give on the kernel's full block, rows it never evaluates included."""
+    E, found, readings, overflow = scan_group(group, capacity, points)
+    assert overflow is None
+    res, rhs, den, status = _kernels.residual_grid(group, E)
+    assert len(found) == len(readings) == len(group)
+    for r in range(len(group)):
+        assert found[r] == bracket_scan(E, res[r], den[r], status[r])
+        assert readings[r] == rootfind._scan_reading(rhs[r], status[r])
+
+
+@settings(max_examples=150, deadline=None)
+@given(mode=st.sampled_from(list(CouplingMode)), A=st.floats(20.0, 400.0),
+       delta=st.floats(-0.006, 0.006), lambda_b=st.floats(-0.006, 0.006),
+       l=st.integers(0, 5), n_max=st.integers(0, 5),
+       branch=st.sampled_from(["plus", "minus"]), data=st.data())
+def test_end_decided_search_equals_bracket_scan_row_by_row(
+        constants, pion, mode, A, delta, lambda_b, l, n_max, branch, data):
+    # the cells of one (spectrum, l) built as solve_spectra builds them,
+    # scanned in kernel calls of 1 to all of its rows
+    assume(l <= n_max)
+    group = [make_spec(constants, pion, mode, n=n, l=l, delta=delta,
+                       lambda_b=lambda_b, branch=branch, A=A)
+             for n in range(l, n_max + 1)]
+    spec = group[0]
+    assume(not quantization.complex_eta(spec.window[0], spec.m0c2,
+                                        spec.delta, spec.k2, spec.ll1))
+    capacity = data.draw(st.integers(1, len(group)))
+    assert_scan_group_is_the_full_scan(group, capacity)
+
+
+def hand_spec(**fields):
+    """A hand-built cell: m0c2 = 5, delta = 0, k2 = l(l + 1) = 0, plus
+    branch, n = 0, unless fields say otherwise."""
+    base = dict(n=0, l=0, branch_sign=1.0, m0c2=5.0, delta=0.0, alpha=1.0,
+                c0=4.0, c1=0.0, k2=0.0, ll1=0.0, n_plus_half=0.5,
+                window=(-4.0, 4.0))
+    return quantization.ResidualSpec(**dict(base, **fields))
+
+
+def test_end_decided_search_keeps_an_exact_zero_node():
+    # den = 1/2 + sqrt(1/4) = 1 and RHS = 4; LHS = sqrt((5 - E)(5 + E)) is
+    # exactly 4 at E = +-3, nodes of the 9-node grid: two degenerate
+    # brackets and no sign change
+    spec = hand_spec()
+    assert end_verdicts([spec], points=9) == [rootfind._SCANNED]
+    _, found, readings, _ = scan_group([spec], points=9)
+    assert found == [[(-3.0, -3.0), (3.0, 3.0)]]
+    assert readings == [rootfind._SCANNED]
+    assert_scan_group_is_the_full_scan([spec], points=9)
+
+
+@pytest.mark.parametrize("fields, reading", [
+    # RHS = -1e-310 / 1e20 underflows to -0.0 at every node: not negative
+    (dict(alpha=1e-300, c0=-1e-10, n_plus_half=1e20), rootfind._SCANNED),
+    # min|numerator| / max|den| underflows, but each node's RHS, the
+    # numerator -1e-310 - E over den ~ 1e10 g with g = 1 + 1e10 E, does
+    # not: every RHS is negative
+    (dict(c0=-1e-310, c1=-1.0, delta=1e10, k2=1e20, window=(0.0, 4.0)),
+     rootfind._RHS_NEGATIVE),
+])
+def test_end_decided_reading_falls_back_where_the_quotient_underflows(
+        fields, reading):
+    spec = hand_spec(**fields)
+    assert end_verdicts([spec]) == [rootfind._RHS_MAY_UNDERFLOW]
+    _, _, readings, _ = scan_group([spec])
+    assert readings == [reading]
+    assert_scan_group_is_the_full_scan([spec])
+
+
+def near_pole_group(c0, ns_plus_half):
+    """Minus-branch cells of sqrt(1/4 + K) = 1.5 throughout (k2 = 2,
+    delta = 0), so den = n + 1/2 - 1.5, with numerator c0."""
+    return [hand_spec(n=n, branch_sign=-1.0, k2=2.0, c0=c0,
+                      n_plus_half=n_plus_half)
+            for n, n_plus_half in enumerate(ns_plus_half)]
+
+
+def test_near_overflow_numerator_keeps_the_overflow_error_in_cell_order():
+    # den = 2 in cell 0, about 1.05e-9 in cells 1 and 2, where RHS =
+    # 2e299 / den overflows: the ends bound nothing (2e299 / POLE_EPS
+    # overflows), and the scan refuses cell 1, as scanning it alone would
+    rows = (3.5, 1.5 + 1.05e-9, 1.5 + 1.05e-9)
+    group = near_pole_group(2e299, rows)
+    assert end_verdicts(group) is None
+    _, found, readings, overflow = scan_group(group)
+    assert len(found) == len(readings) == 1 and overflow[0] == 1
+    with pytest.raises(DomainError, match=r"in cell \(n=1, l=0\).*overflows"):
+        rootfind._scan_and_refine([[group]], SolverConfig())
+    # 1.7e299 / POLE_EPS does not overflow: the ends bound every row, and
+    # 1.7e299 / 1.05e-9 is finite
+    group = near_pole_group(1.7e299, rows)
+    assert rootfind._UNPROVED not in end_verdicts(group)
+    assert_scan_group_is_the_full_scan(group)
+
+
+@pytest.mark.parametrize("side", [1.0, -1.0])
+@pytest.mark.parametrize("c0", [4.0, -4.0])
+def test_den_ends_a_few_ulps_off_the_pole_band(side, c0):
+    # den = n + 1/2 - 1.5 is exact; n + 1/2 steps by ulps around
+    # 1.5 +- POLE_EPS, so den lies a few ulps inside or outside the band,
+    # on either side of 0 (den < 0 is the minus branch below its pole)
+    edge = 1.5 + side * _kernels.POLE_EPS
+    rows = [edge]
+    for _ in range(3):
+        rows = [math.nextafter(rows[0], 0.0)] + rows + [
+            math.nextafter(rows[-1], math.inf)]
+    group = near_pole_group(c0, rows)
+    verdicts = end_verdicts(group)
+    outside = [abs(n_plus_half - 1.5) > _kernels.POLE_EPS
+               for n_plus_half in rows]
+    assert [v != rootfind._UNPROVED for v in verdicts] == outside
+    assert 0 < sum(outside) < len(rows)
+    for cell in group:
+        assert_scan_group_is_the_full_scan([cell])
+    assert_scan_group_is_the_full_scan(group)
+    assert_scan_group_is_the_full_scan(group, capacity=3)
+
+
+@pytest.mark.parametrize("c0, verdict", [(4.0, rootfind._RHS_NEGATIVE),
+                                         (-4.0, rootfind._SCANNED)])
+def test_minus_branch_rows_with_negative_den(constants, pion, c0, verdict):
+    # den = n + 1/2 - sqrt(1/4 + K) < 0: a positive numerator makes every
+    # RHS negative, a row the scan never evaluates; a negative one does not
+    group = [hand_spec(n=n, branch_sign=-1.0, k2=20.0, c0=c0, delta=0.01,
+                       n_plus_half=n + 0.5) for n in range(3)]
+    assert end_verdicts(group) == [verdict] * 3
+    assert_scan_group_is_the_full_scan(group)
+    # a real spectrum's minus-branch rows, with den < 0 throughout
+    spec = make_spec(constants, pion, CouplingMode.PURE_SCALAR,
+                     branch="minus", A=300.0, delta=0.003)
+    den = _kernels.residual_grid([spec], scan_grid(spec, SolverConfig()))[2]
+    assert (den < 0.0).all()
+    assert_scan_group_is_the_full_scan([spec])
+
+
+def test_a_typical_spectrum_never_needs_the_general_search(constants, pion,
+                                                           monkeypatch):
+    # every mode at one of the paper's grid values: every kernel call's
+    # rows are decided by their ends, and the RHS-negative rows are not
+    # evaluated
+    rows = []
+    original = _kernels.residual_grid
+
+    def counting(specs, energies, **kwargs):
+        rows.extend((spec.n, spec.l) for spec in specs)
+        return original(specs, energies, **kwargs)
+
+    def general(*args):
+        raise AssertionError("_scan_rows called")
+
+    monkeypatch.setattr(_kernels, "residual_grid", counting)
+    monkeypatch.setattr(rootfind, "_scan_rows", general)
+    for mode in CouplingMode:
+        pot = PotentialSpec(A=A_DEFAULT, delta=0.003, lambda_b=0.003,
+                            mode=mode)
+        rows.clear()
+        table = solve_spectrum(constants, pion, pot, n_max=3)
+        negative = {(c.n, c.l) for c in table.cells
+                    if c.lower.detail == "quantization RHS negative over "
+                    "the window"}
+        complex_eta = {(c.n, c.l) for c in table.cells
+                       if c.lower.detail == "eta complex over the whole "
+                       "window"}
+        assert len(rows) == len(set(rows))
+        assert set(rows) == {(c.n, c.l) for c in table.cells} - negative \
+            - complex_eta
+
+
 def test_coarse_energy_tolerance_keeps_distinct_roots(constants, pion):
     # ps, lambda_b = 0.003, minus branch: the (3, 1) roots at -/+14.0566 MeV
     # come from two brackets, so a coarse tolerance must not merge them
@@ -292,20 +495,23 @@ def test_solve_cell_evaluates_the_grid_once(constants, pion, monkeypatch):
     monkeypatch.setattr(_kernels, "residual_grid", counting)
     config = SolverConfig()
     specs = [make_spec(constants, pion, CouplingMode.PURE_SCALAR),
-             make_spec(constants, pion, CouplingMode.EMOS),
              make_spec(constants, pion, CouplingMode.EMES, n=1, l=1,
                        branch="minus")]
     for spec in specs:
         calls.clear()
         solve_cell(spec, config)
         assert calls == [config.grid_points]
-    # eta is complex over the whole pv (0, 0) window: nothing to scan
-    calls.clear()
-    cell = solve_cell(make_spec(constants, pion, CouplingMode.PURE_VECTOR),
-                      config)
-    assert calls == []
-    assert cell.lower.detail == cell.upper.detail == (
-        "eta complex over the whole window")
+    # Nothing to scan where eta is complex over the whole pv (0, 0)
+    # window, nor where the ends of the emos (0, 0) window prove the RHS
+    # negative throughout.
+    for mode, reason in ((CouplingMode.PURE_VECTOR,
+                          "eta complex over the whole window"),
+                         (CouplingMode.EMOS,
+                          "quantization RHS negative over the window")):
+        calls.clear()
+        cell = solve_cell(make_spec(constants, pion, mode), config)
+        assert calls == []
+        assert cell.lower.detail == cell.upper.detail == reason
 
 
 @pytest.mark.parametrize("grid_points, rows", [
@@ -357,6 +563,23 @@ def test_grouped_spectrum_equals_cell_by_cell(constants, pion, mode, A,
                                        QuantumNumbers(n=n, l=l),
                                        branch=branch))
         for n, l in spectrum_cells(n_max, None))
+
+
+@settings(max_examples=40, deadline=None)
+@given(mode=st.sampled_from(list(CouplingMode)), A=st.floats(20.0, 400.0),
+       params=st.lists(PARAMS, min_size=1, max_size=3),
+       branch=st.sampled_from(["plus", "minus"]), n_max=st.integers(0, 5))
+def test_spectra_solved_without_the_ends_are_the_same(constants, pion, mode,
+                                                      A, params, branch,
+                                                      n_max):
+    # with _end_terms bounding nothing, every row is evaluated and goes
+    # through _scan_rows, as before the ends decided anything
+    pots = [PotentialSpec(A=A, delta=delta, lambda_b=lambda_b, mode=mode)
+            for delta, lambda_b in params]
+    tables = solve_spectra(constants, pion, pots, n_max=n_max, branch=branch)
+    with mock.patch.object(rootfind, "_end_terms", lambda *args: None):
+        assert tables == solve_spectra(constants, pion, pots, n_max=n_max,
+                                       branch=branch)
 
 
 def refined_alone(spec, bracket, config):
@@ -647,9 +870,10 @@ def test_each_group_cuts_its_window_once(constants, pion, monkeypatch):
     calls.clear()
     solve_spectrum(constants, pion, pot, n_max=5, branch="minus")
     for l in (0, 1):
-        # one cut by the group's first cell, two end checks by each of its
-        # other cells, one check by the scan
-        assert calls[l * (l + 1)] == cut[l] + 2 * (5 - l) + 1
+        # one cut by the group's first cell; its other cells are built on
+        # that cut, which they take unchecked, and the scan reads the
+        # window's first energy through its own end terms
+        assert calls[l * (l + 1)] == cut[l]
 
 
 @pytest.fixture
