@@ -4,9 +4,13 @@ in-process through cli.main.
 
 The corpus holds every sweep (mode, axis, branch) on a five-point axis at
 nmax 5, solves on both branches with hostile inputs (A = 1e308,
-delta = 1e300, tolerances of 1e-300, 100 grid points), and the
-residual-floor and line-label commands of CHANGES.md.  Wave-function
-bytes go through libm's exp and log, so they are not pinned here.
+delta = 1e300, tolerances of 1e-300, 100 grid points), the residual-floor
+and line-label commands of CHANGES.md, the paper-grid --check runs of
+every mode (emes failing, and passing with --allow-extra-roots), an
+overflowing A / hbar_c and a window margin that leaves no window.  The
+commands run from the repository root, where their fixture paths point.
+Wave-function bytes go through libm's exp and log, so they are not
+pinned here.
 
 A change that moves bytes on purpose rewrites the digests with
 
@@ -19,12 +23,14 @@ import contextlib
 import hashlib
 import io
 import json
+import os
 import pathlib
 import sys
 
 from kgbound.cli import main
 
 CORPUS = pathlib.Path(__file__).parent / "fixtures" / "corpus.json"
+ROOT = CORPUS.parents[2]
 
 
 def outcome(argv):
@@ -40,7 +46,8 @@ def entry_outcome(entry):
     return entry["rc"], entry["stdout_sha256"], entry["stderr_sha256"]
 
 
-def test_corpus_outputs_are_pinned():
+def test_corpus_outputs_are_pinned(monkeypatch):
+    monkeypatch.chdir(ROOT)
     entries = json.loads(CORPUS.read_text(encoding="utf-8"))
     moved = [" ".join(entry["argv"]) for entry in entries
              if outcome(entry["argv"]) != entry_outcome(entry)]
@@ -50,6 +57,7 @@ def test_corpus_outputs_are_pinned():
 if __name__ == "__main__":
     if sys.argv[1:] != ["--write"]:
         sys.exit("usage: PYTHONPATH=src python tests/test_corpus.py --write")
+    os.chdir(ROOT)
     entries = json.loads(CORPUS.read_text(encoding="utf-8"))
     for entry in entries:
         entry["rc"], entry["stdout_sha256"], entry["stderr_sha256"] = \
