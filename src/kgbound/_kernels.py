@@ -32,7 +32,8 @@ rounded operation on a monotone input), so their ends bound them; on the
 plus branch den >= 1/2 always.  Every other call sets the statuses by
 the masks.  rootfind's scan reads the same ends before it calls the
 kernel, and from them skips rows whose RHS is negative throughout and
-searches the others by their signs alone (rootfind._scan_group).
+searches the rows they prove finite and pole-free by their signs alone
+(rootfind._search_block).
 
 Status codes:
     0  valid evaluation

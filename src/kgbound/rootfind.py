@@ -25,11 +25,11 @@ everywhere.  Where those ends keep the numerator and the LHS small
 enough that no residual can overflow (_end_terms), each row's own ends
 say what its scan needs (_end_verdict).  A row whose RHS they prove
 negative throughout has a positive residual at every node, hence no
-bracket; it reads "RHS negative" and is not evaluated.  A kernel call
-whose rows they prove finite and pole-free needs no validity, pole or
-finiteness check per node: only the signs and the exact zeros are read
-(_search_proved).  Any other call goes through _scan_rows, which checks
-every node.
+bracket; it reads "RHS negative" and is not evaluated.  One search reads
+the rows of every kernel call (_search_block): a row they prove finite
+and pole-free needs no validity, pole or finiteness check per node, so
+only its signs and exact zeros are read; a row they prove nothing of is
+checked node by node.
 
 Refine.  Every bracket of the command is refined by secant steps that
 fall back to bisection when a step leaves the bracket or stalls.  From
@@ -69,6 +69,12 @@ from .quantization import (ResidualSpec, SpectrumEntry, build_residual_spec,
 # cost 8 bytes per grid point each, 64 MB at most.  A thread keeps at most
 # 92 MB of scan arrays.
 MAX_GRID_POINTS = 1_000_000
+
+# Cells of one solve_spectra call, spectra times cells per spectrum.  A
+# solved cell's objects and output take about 3 KB (peak RSS grew by 2.8
+# to 2.9 KB per cell in solves and sweeps of 23 000 to 87 000 cells), so a
+# command stays under about 0.75 GB.
+MAX_CELLS = 250_000
 
 # Bytes of scan arrays per point: res, rhs and den (float64), status (int32).
 _SCAN_BYTES = 3 * 8 + 4
@@ -462,55 +468,9 @@ def solve_cell(spec: ResidualSpec, config: SolverConfig = SolverConfig(),
                       upper=upper, extras=tuple(extras))
 
 
-def _scan_rows(grids: list, res: np.ndarray, rhs: np.ndarray,
-               den: np.ndarray, status: np.ndarray):
-    """Brackets and scan reading of every row of a block of scans; row r
-    holds a scan over the energies grids[r].
-
-    Returns (brackets, readings, overflow): per row its bracket list and
-    _scan_reading, up to the first row holding a non-finite residual at a
-    valid node, and that row and node (or None).  Rows whose nodes are all
-    valid and whose residual never vanishes are searched together by sign
-    bits; the others go through bracket_scan one by one.  It reads every
-    node of every row, so the scan takes it only for kernel calls whose
-    rows' ends prove nothing (_scan_group): on a grid that is not regular,
-    with a numerator or an LHS too large to bound, or with a den end
-    within POLE_EPS of zero.
-    """
-    # res is NaN at every invalid node, so a finite row sum says the row is
-    # valid and finite throughout.
-    with np.errstate(invalid="ignore", over="ignore"):
-        clean = np.isfinite(res.sum(axis=1))
-    plain = clean & (res != 0.0).all(axis=1)
-    negative = np.signbit(res)
-    crossing = negative[:, :-1] != negative[:, 1:]
-    below = np.signbit(den)
-    if below.any():
-        crossing &= below[:, :-1] == below[:, 1:]
-    brackets: List[list] = [[] for _ in grids]
-    pairs = res.shape[1] - 1
-    for k in np.flatnonzero(crossing).tolist():
-        r, i = divmod(k, pairs)
-        E = grids[r]
-        brackets[r].append((E.item(i), E.item(i + 1)))
-    readings = [_RHS_NEGATIVE if top < 0.0 else _SCANNED
-                for top in rhs.max(axis=1).tolist()]
-    if plain.all():
-        return brackets, readings, None
-    for r in np.flatnonzero(~plain).tolist():
-        ok = status[r] == _kernels.STATUS_OK
-        bad = ok & ~np.isfinite(res[r])
-        if bad.any():
-            return brackets[:r], readings[:r], (r, np.flatnonzero(bad)[0])
-        brackets[r] = bracket_scan(grids[r], res[r], den[r], status[r])
-        readings[r] = _scan_reading(rhs[r], status[r])
-    return brackets, readings, None
-
-
 # What the ends of a row prove besides a reading (_end_verdict): nothing,
-# so the row goes through _scan_rows; or that it is finite and pole-free,
-# but its rhs may underflow to -0, so its reading needs the row.
-_UNPROVED, _RHS_MAY_UNDERFLOW = -1, -2
+# so the row is read node by node (_search_block).
+_UNPROVED = -1
 
 
 def _end_terms(spec: ResidualSpec, first: tuple, grid,
@@ -548,9 +508,11 @@ def _end_terms(spec: ResidualSpec, first: tuple, grid,
 def _end_verdict(n_plus_half: float, root0: float, root1: float,
                  num0: float, num1: float) -> int:
     """What a row's ends prove, given _end_terms: _RHS_NEGATIVE where every
-    rhs is negative, so every residual is positive; _SCANNED where some
-    rhs is not; _RHS_MAY_UNDERFLOW; or _UNPROVED where den comes within
-    POLE_EPS of zero.
+    rhs is negative, so every residual is positive; _SCANNED where the
+    row is finite and pole-free and some rhs is not negative; or
+    _UNPROVED where den comes within POLE_EPS of zero, or where a
+    quotient may underflow to -0, so that only the row says whether its
+    rhs is negative throughout.
 
     den keeps one sign beyond POLE_EPS where both ends lie beyond it on
     that side (_kernels.clear_of_pole).  Every rhs is then negative
@@ -563,20 +525,39 @@ def _end_verdict(n_plus_half: float, root0: float, root1: float,
     if not (side * num0 < 0.0 and side * num1 < 0.0):
         return _SCANNED
     if min(abs(num0), abs(num1)) / max(abs(den0), abs(den1)) == 0.0:
-        return _RHS_MAY_UNDERFLOW
+        return _UNPROVED
     return _RHS_NEGATIVE
 
 
-def _search_proved(E: np.ndarray, res: np.ndarray, rhs: np.ndarray,
-                   den: np.ndarray, status: np.ndarray, verdicts: list):
-    """_scan_rows' brackets and readings of rows whose ends proved them
-    finite and pole-free (verdicts, from _end_verdict): every status is
-    OK, den keeps its sign along a row and no residual overflows, so only
-    the signs and the exact zeros are read per node.  A row holding an
-    exact zero, where a sign change is no bracket, goes through
-    bracket_scan."""
+def _search_block(E: np.ndarray, res: np.ndarray, rhs: np.ndarray,
+                  den: np.ndarray, status: np.ndarray, verdicts: list):
+    """Brackets and readings of the rows of one kernel call over the
+    energies E, each row's verdict from _end_verdict.
+
+    Returns (brackets, readings, overflow): per row its bracket list and
+    _scan_reading, up to the first _UNPROVED row holding a non-finite
+    residual at a valid node, and that row and node (or None).  A row
+    proved finite and pole-free has every status OK and den of one sign,
+    so its sign changes are its brackets and its verdict is its reading.
+    An _UNPROVED row loses the pairs bracket_scan drops, those with an
+    invalid node or a den that changes sign, and is read by
+    _scan_reading.  A row holding an exact zero, where a sign change is
+    no bracket, goes through bracket_scan."""
     negative = res < 0.0
     crossing = negative[:, :-1] != negative[:, 1:]
+    readings = list(verdicts)
+    end, overflow = len(verdicts), None
+    for r, verdict in enumerate(verdicts):
+        if verdict != _UNPROVED:
+            continue
+        ok = status[r] == _kernels.STATUS_OK
+        bad = ok & ~np.isfinite(res[r])
+        if bad.any():
+            end, overflow = r, (r, bad.argmax())
+            break
+        up = den[r] > 0.0
+        crossing[r] &= ok[:-1] & ok[1:] & (up[:-1] == up[1:])
+        readings[r] = _scan_reading(rhs[r], status[r])
     row, i = np.divmod(crossing.ravel().nonzero()[0], res.shape[1] - 1)
     brackets: List[list] = [[] for _ in verdicts]
     for r, lo, hi in zip(row.tolist(), E[i].tolist(), E[1:][i].tolist()):
@@ -585,25 +566,22 @@ def _search_proved(E: np.ndarray, res: np.ndarray, rhs: np.ndarray,
     if zero.any():
         for r in np.flatnonzero(zero.any(axis=1)).tolist():
             brackets[r] = bracket_scan(E, res[r], den[r], status[r])
-    if _RHS_MAY_UNDERFLOW not in verdicts:
-        return brackets, verdicts
-    return brackets, [verdict if verdict != _RHS_MAY_UNDERFLOW
-                      else _RHS_NEGATIVE if rhs[r].max() < 0.0 else _SCANNED
-                      for r, verdict in enumerate(verdicts)]
+    return brackets[:end], readings[:end], overflow
 
 
 def _scan_group(group: list, first: tuple, E: np.ndarray, grid, numerator,
                 work: tuple, scratch: list):
     """Brackets and readings of the cells of one (spectrum, l) on E, with
-    overflow as (row, node, residual) where _scan_rows finds one.
+    overflow as (row, node, residual) where _search_block finds one.
 
     grid and numerator are E's terms and first is energy_terms at E[0].
     Where _end_terms bound the rows, each row's ends decide what it needs
     (_end_verdict): a row proved RHS-negative reads _RHS_NEGATIVE with no
-    bracket and is not evaluated; a kernel call whose rows are all
-    proved finite and pole-free is searched by _search_proved; any other
-    call goes through _scan_rows.  The rows evaluated are split into
-    kernel calls of at most the rows of work, the scan block."""
+    bracket and is not evaluated; where they bound nothing, every row is
+    _UNPROVED.  The rows evaluated are split into kernel calls of at most
+    the rows of work, the scan block, and each call's rows are searched
+    by _search_block, which reads only the signs of the rows proved
+    finite and pole-free."""
     ends = _end_terms(group[0], first, grid, numerator)
     if ends is None:
         verdicts = [_UNPROVED] * len(group)
@@ -619,13 +597,8 @@ def _scan_group(group: list, first: tuple, E: np.ndarray, grid, numerator,
             [group[r] for r in rows], E,
             out=tuple(a[:len(rows)] for a in work), grid=grid,
             numerator=numerator, scratch=scratch)
-        chunk = [verdicts[r] for r in rows]
-        if _UNPROVED in chunk:
-            found, got, overflow = _scan_rows([E] * len(rows), res, rhs, den,
-                                              status)
-        else:
-            found, got = _search_proved(E, res, rhs, den, status, chunk)
-            overflow = None
+        found, got, overflow = _search_block(E, res, rhs, den, status,
+                                             [verdicts[r] for r in rows])
         for r, row_brackets, reading in zip(rows, found, got):
             brackets[r], readings[r] = row_brackets, reading
         if overflow is not None:
@@ -815,12 +788,20 @@ class SpectrumTable:
                           for c in self.cells]}
 
 
-def spectrum_cells(n_max: int, l_max: Optional[int]) -> List[Tuple[int, int]]:
-    """Triangular cell list l <= min(n, l_max), the tabulated layout."""
+def _cell_count(n_max: int, l_max: Optional[int]) -> int:
+    """How many cells spectrum_cells(n_max, l_max) lists, checking both."""
     if not (isinstance(n_max, int) and n_max >= 0):
         raise DomainError(f"n_max must be a non-negative integer, got {n_max!r}")
     if l_max is not None and not (isinstance(l_max, int) and l_max >= 0):
         raise DomainError(f"l_max must be a non-negative integer, got {l_max!r}")
+    top = n_max if l_max is None else min(n_max, l_max)
+    # n <= top lists n + 1 cells, each n above it top + 1
+    return (top + 1) * (top + 2) // 2 + (n_max - top) * (top + 1)
+
+
+def spectrum_cells(n_max: int, l_max: Optional[int]) -> List[Tuple[int, int]]:
+    """Triangular cell list l <= min(n, l_max), the tabulated layout."""
+    _cell_count(n_max, l_max)
     cells = []
     for n in range(n_max + 1):
         top = n if l_max is None else min(n, l_max)
@@ -841,8 +822,14 @@ def solve_spectra(constants: PhysicalConstants, particle: ParticleSpec,
     spectrum are found once, and each cell is built on them; the window
     is cut where eta turns complex once per (spectrum, l), by its first
     cell, and the group's other cells are built on that cut, which they
-    keep as it is.
+    keep as it is.  More than MAX_CELLS cells in all are refused before
+    any is built.
     """
+    cells = len(pots) * _cell_count(n_max, l_max)
+    if cells > MAX_CELLS:
+        raise DomainError(f"n_max={n_max}, l_max={l_max} over {len(pots)} "
+                          f"spectrum(s) is {cells} cells, more than the "
+                          f"{MAX_CELLS} one command solves")
     table = spectrum_cells(n_max, l_max)
     by_l: dict = {}
     for n, l in table:

@@ -68,22 +68,24 @@ def kummer_1f1(params: KummerParams, x: float) -> float:
     1 in size, so the terms can no longer grow: a tiny a or a tiny a + n
     makes the early terms small, but the later ones grow back like e^x.
     At an exact a = -n the terms are zero after the degree-n one and the
-    sum ends there.  Exceeding TERM_CAP raises EvaluationError.
+    sum ends there.  The terms after the leading 1 are summed first and
+    the 1 added last, so terms below half an ulp of 1 still count where
+    they add up (a tiny a).  Exceeding TERM_CAP raises EvaluationError.
     """
     if not (x >= 0.0 and math.isfinite(x)):
         raise DomainError(f"x must be finite and non-negative, got {x}")
     a, c = params.a, params.c
     past_growth = abs(a) + abs(c) + x
     term = 1.0
-    total = 1.0
+    tail = 0.0
     small_streak = 0
     for k in range(TERM_CAP):
         term *= (a + k) / (c + k) * x / (k + 1.0)
-        total += term
-        if abs(term) <= RATIO_TOL * abs(total):
+        tail += term
+        if abs(term) <= RATIO_TOL * abs(1.0 + tail):
             small_streak += 1
             if small_streak >= 2 and (term == 0.0 or k > past_growth):
-                return total
+                return 1.0 + tail
         else:
             small_streak = 0
     raise EvaluationError(f"1F1({params.a}; {params.c}; {x}) did not "

@@ -23,7 +23,7 @@ from hypothesis import strategies as st
 from kgbound import (NEUTRAL_PION_M0C2, ParticleSpec, PhysicalConstants,
                      PotentialSpec, SolverConfig, solve_spectrum)
 from kgbound.rootfind import CellResult, SpectrumTable, solve_spectra
-from kgbound import cli
+from kgbound import cli, rootfind
 from kgbound.cli import (CSV_CHUNK_ROWS, DEFAULT_AIM_CAP, GRID_VALUES,
                          MAX_AXIS_POINTS, PaddedColumn, main, write_csv)
 from kgbound.special import MAX_RADIAL_POINTS
@@ -170,6 +170,27 @@ def test_sweep_json_bytes_are_pinned(argv, digest, tmp_path):
     assert main(["sweep"] + argv + ["--format", "json", "--output",
                                     str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("argv, spectra", [
+    (["solve", "--mode", "ps", "--nmax=100000"], 1),
+    (["sweep", "--mode", "ps", "--axis", "delta", "--start=0",
+      "--stop=0.002", "--step=0.001", "--nmax=100000"], 3),
+])
+def test_too_many_cells_are_refused_before_any_is_built(argv, spectra,
+                                                        capsys, monkeypatch):
+    # 5e9 cells per spectrum: without the bound the test fails here, before
+    # the cell list is built
+    def listed(*args):
+        raise AssertionError("the cell list was built")
+
+    monkeypatch.setattr(rootfind, "spectrum_cells", listed)
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (f"kgbound: error: n_max=100000, l_max=None over {spectra} "
+                   f"spectrum(s) is {spectra * 5000150001} cells, more than "
+                   f"the {rootfind.MAX_CELLS} one command solves\n")
 
 
 def test_sweep_reports_the_first_error_in_point_order(capsys):

@@ -18,6 +18,7 @@ from kgbound import (BranchError, ConvergenceError, CouplingMode,
                      build_residual_spec, secant_refine, sign_validity,
                      solve_cell, solve_spectra, solve_spectrum)
 from kgbound import _kernels, quantization, rootfind
+from kgbound.cli import main
 from kgbound.quantization import residual
 from kgbound.rootfind import (MAX_GRID_POINTS, bracket_scan, lockstep_refine,
                               spectrum_cells)
@@ -180,32 +181,37 @@ STATUS = st.sampled_from([OK] * 6 + [_kernels.STATUS_WINDOW,
 NODE = st.tuples(RES, st.sampled_from([-1.0, 0.0, 1.0]), DEN, STATUS)
 
 
-@settings(max_examples=300, deadline=None)
-@given(rows=st.integers(1, 4), points=st.integers(2, 9), data=st.data())
-def test_block_search_equals_bracket_scan_row_by_row(rows, points, data):
-    # a block as the kernel leaves it: res and rhs NaN off the valid
-    # nodes, den NaN off them too except at a pole; an infinite res at a
-    # valid node is an overflow
-    nodes = data.draw(st.lists(st.lists(NODE, min_size=points,
-                                        max_size=points),
-                               min_size=rows, max_size=rows))
+def kernel_block(nodes):
+    """(res, rhs, den, status) of rows of (res, rhs, den, status) nodes as
+    the kernel leaves them: res and rhs NaN off the valid nodes, den NaN
+    off them too except at a pole."""
     res, rhs, den, status = (np.array(a, dtype=float)
                              for a in np.moveaxis(np.array(nodes), 2, 0))
     status = status.astype(np.int32)
     invalid = status != OK
     res[invalid] = rhs[invalid] = math.nan
     den[invalid & (status != POLE)] = math.nan
-    grids = [np.linspace(-1.0, 1.0, points) * (r + 1) for r in range(rows)]
-    found, readings, overflow = rootfind._scan_rows(grids, res, rhs, den,
-                                                    status)
+    return res, rhs, den, status
+
+
+def assert_block_search(res, rhs, den, status, verdicts):
+    """Row by row, rootfind._search_block gives what bracket_scan and
+    _scan_reading give, up to the first row holding an infinite residual
+    at a valid node, an overflow, which it names."""
+    rows, points = res.shape
+    E = np.linspace(-1.0, 1.0, points)
+    found, readings, overflow = rootfind._search_block(E, res, rhs, den,
+                                                       status, verdicts)
     for r in range(rows):
         ok = status[r] == OK
         bad = np.flatnonzero(ok & ~np.isfinite(res[r]))
         if bad.size:
-            assert overflow == (r, bad[0]) and len(found) == r
+            assert overflow == (r, bad[0])
+            assert len(found) == len(readings) == r
             break
-        want = bracket_scan(grids[r], res[r], den[r], status[r])
+        want = bracket_scan(E, res[r], den[r], status[r])
         assert found[r] == want
+        assert readings[r] == rootfind._scan_reading(rhs[r], status[r])
         if not ok.any():
             reason = ("eta complex over the whole window"
                       if (status[r] == _kernels.STATUS_COMPLEX_ETA).all()
@@ -216,7 +222,48 @@ def test_block_search_equals_bracket_scan_row_by_row(rows, points, data):
             reason = rootfind.absence_reason(rootfind._SCANNED, len(want))
         assert rootfind.absence_reason(readings[r], len(want)) == reason
     else:
-        assert overflow is None and len(found) == rows
+        assert overflow is None and len(found) == len(readings) == rows
+
+
+@settings(max_examples=300, deadline=None)
+@given(rows=st.integers(1, 4), points=st.integers(2, 9), data=st.data())
+def test_block_search_equals_bracket_scan_row_by_row(rows, points, data):
+    # rows whose ends prove nothing; an infinite res at a valid node is an
+    # overflow
+    nodes = data.draw(st.lists(st.lists(NODE, min_size=points,
+                                        max_size=points),
+                               min_size=rows, max_size=rows))
+    assert_block_search(*kernel_block(nodes), [rootfind._UNPROVED] * rows)
+
+
+# A node of a row whose ends prove it finite and pole-free: valid, finite,
+# |den| > POLE_EPS (its sign is the row's), exact zeros included.
+PROVED_NODE = st.tuples(
+    st.sampled_from([-2.0, -1e-300, -0.0, 0.0, 1e-300, 2.0]),
+    st.sampled_from([-1.0, -0.0, 0.0, 1.0]),
+    st.sampled_from([2e-9, 1.0, 1e300]), st.just(OK))
+
+
+@settings(max_examples=300, deadline=None)
+@given(proved=st.lists(st.booleans(), min_size=1, max_size=5),
+       points=st.integers(2, 9), data=st.data())
+def test_block_search_mixes_proved_and_unproved_rows(proved, points, data):
+    # one kernel call holding proved rows (_SCANNED: some rhs is not
+    # negative, so the last one is made so), unproved rows, and rows of
+    # either kind holding an exact zero
+    nodes = []
+    for is_proved in proved:
+        row = data.draw(st.lists(PROVED_NODE if is_proved else NODE,
+                                 min_size=points, max_size=points))
+        if is_proved:
+            side = data.draw(st.sampled_from([-1.0, 1.0]))
+            row = [(res, rhs, side * den, s) for res, rhs, den, s in row]
+            res, rhs, den, s = row[-1]
+            row[-1] = (res, abs(rhs), den, s)
+        nodes.append(row)
+    assert_block_search(*kernel_block(nodes),
+                        [rootfind._SCANNED if is_proved else rootfind._UNPROVED
+                         for is_proved in proved])
 
 
 def scan_group(group, capacity=None, points=4000):
@@ -317,7 +364,7 @@ def test_end_decided_search_keeps_an_exact_zero_node():
 def test_end_decided_reading_falls_back_where_the_quotient_underflows(
         fields, reading):
     spec = hand_spec(**fields)
-    assert end_verdicts([spec]) == [rootfind._RHS_MAY_UNDERFLOW]
+    assert end_verdicts([spec]) == [rootfind._UNPROVED]
     _, _, readings, _ = scan_group([spec])
     assert readings == [reading]
     assert_scan_group_is_the_full_scan([spec])
@@ -401,11 +448,11 @@ def test_a_typical_spectrum_never_needs_the_general_search(constants, pion,
         rows.extend((spec.n, spec.l) for spec in specs)
         return original(specs, energies, **kwargs)
 
-    def general(*args):
-        raise AssertionError("_scan_rows called")
+    def node_by_node(*args):
+        raise AssertionError("a row was read node by node")
 
     monkeypatch.setattr(_kernels, "residual_grid", counting)
-    monkeypatch.setattr(rootfind, "_scan_rows", general)
+    monkeypatch.setattr(rootfind, "_scan_reading", node_by_node)
     for mode in CouplingMode:
         pot = PotentialSpec(A=A_DEFAULT, delta=0.003, lambda_b=0.003,
                             mode=mode)
@@ -572,8 +619,8 @@ def test_grouped_spectrum_equals_cell_by_cell(constants, pion, mode, A,
 def test_spectra_solved_without_the_ends_are_the_same(constants, pion, mode,
                                                       A, params, branch,
                                                       n_max):
-    # with _end_terms bounding nothing, every row is evaluated and goes
-    # through _scan_rows, as before the ends decided anything
+    # with _end_terms bounding nothing, every row is evaluated and read
+    # node by node, as before the ends decided anything
     pots = [PotentialSpec(A=A, delta=delta, lambda_b=lambda_b, mode=mode)
             for delta, lambda_b in params]
     tables = solve_spectra(constants, pion, pots, n_max=n_max, branch=branch)
@@ -928,6 +975,38 @@ def test_a_solve_after_another_window_and_grid_equals_a_fresh_one(
     assert repr(solve_spectrum(constants, pion, a, n_max=3)) == fresh
 
 
+@pytest.mark.parametrize("mode", ["ps", "pv", "emes", "emos"])
+def test_a_warm_paper_grid_solve_writes_only_into_the_kept_scan_arrays(
+        fresh_scan_block, monkeypatch, capsys, mode):
+    # The page-fault count cannot show arrays allocated per spectrum when
+    # the allocator keeps them in its heap; where they live can.  Every
+    # array the scan's kernels write into, and the energies, must be a
+    # view of the thread's scan arrays as the solve leaves them.
+    argv = ["solve", "--mode", mode, "--paper-grid"]
+    assert main(argv) == 0
+    written = []
+
+    def recording(name, out_of):
+        original = getattr(_kernels, name)
+
+        def record(*args, **kwargs):
+            written.extend(out_of(*args, **kwargs))
+            return original(*args, **kwargs)
+        monkeypatch.setattr(_kernels, name, record)
+
+    recording("grid_terms", lambda m0c2, delta, E, out: (E, *out))
+    recording("rhs_numerator", lambda c, E, out: (E, out))
+    recording("residual_grid",
+              lambda specs, E, out, grid, numerator, scratch: (
+                  E, *out, grid.g, grid.gg, grid.lhs, numerator, *scratch))
+    assert main(argv) == 0
+    capsys.readouterr()
+    kept = (rootfind._scan_block.block, rootfind._scan_block.grid)
+    assert written
+    for array in written:
+        assert any(np.shares_memory(array, k) for k in kept)
+
+
 def test_a_thread_keeps_at_most_92_mb_of_scan_arrays(constants, pion,
                                                     fresh_scan_block):
     # MAX_GRID_POINTS' comment states the ceiling, reached at its grid size
@@ -1023,6 +1102,28 @@ def test_spectrum_cells_layout():
         spectrum_cells(-1, None)
     with pytest.raises(DomainError):
         spectrum_cells(2, -1)
+    for n_max in range(8):
+        for l_max in (None, *range(10)):
+            assert rootfind._cell_count(n_max, l_max) == len(
+                spectrum_cells(n_max, l_max))
+
+
+@pytest.mark.parametrize("n_max, refused", [(rootfind.MAX_CELLS - 1, False),
+                                            (rootfind.MAX_CELLS, True)])
+def test_solve_spectra_refuses_more_than_max_cells(
+        constants, pion, monkeypatch, n_max, refused):
+    # l_max = 0 gives n_max + 1 cells; the list is never built here
+    class Listed(Exception):
+        pass
+
+    def listed(*args):
+        raise Listed
+
+    monkeypatch.setattr(rootfind, "spectrum_cells", listed)
+    pot = PotentialSpec(A=A_DEFAULT, delta=0.0, lambda_b=0.0,
+                        mode=CouplingMode.PURE_SCALAR)
+    with pytest.raises(DomainError if refused else Listed):
+        solve_spectra(constants, pion, [pot], n_max=n_max, l_max=0)
 
 
 def test_solve_spectrum_table_shape_and_lookup(constants, pion):

@@ -446,6 +446,8 @@ def series_term_sum(a, c, x):
 @example(a=6.752161044656324e-25, c=1.0, degree=None,
          x=28.0)  # early terms tiny, later ones grow back to 4e-14
 @example(a=-3.0 + 1e-12, c=2.5, degree=None, x=40.0)  # so near a = -n
+@example(a=8.607259938973481e-39, c=1.5, degree=None,
+         x=60.0)  # every term below half an ulp of 1, 1.9e-15 in all
 @settings(max_examples=150, deadline=None)
 @given(a=st.floats(-10.0, 10.0), c=st.floats(0.5, 12.0),
        degree=st.none() | st.integers(0, 12), x=st.floats(0.0, 60.0))
