@@ -5,7 +5,10 @@ in-process through cli.main.
 The corpus holds every sweep (mode, axis, branch) on a five-point axis at
 nmax 5, solves on both branches with hostile inputs (A = 1e308,
 delta = 1e300, tolerances of 1e-300, 100 grid points), the residual-floor
-and line-label commands of CHANGES.md, the paper-grid --check runs of
+and line-label commands of CHANGES.md, a ps sweep at tolerances of 1e-300
+and max-iter 8 (failed lines, residual-floor details and "none refined"
+absences) as JSON and as CSV, a sweep whose every point stops at the
+residual floor, the paper-grid --check runs of
 every mode (emes failing, and passing with --allow-extra-roots), an
 overflowing A / hbar_c and a window margin that leaves no window.  The
 commands run from the repository root, where their fixture paths point.
