@@ -25,6 +25,7 @@ import io
 import itertools
 import json
 import math
+import operator
 import os
 import random
 import re
@@ -40,8 +41,9 @@ from .model import (DEFAULT_HBAR_C, NEUTRAL_PION_M0C2, CouplingMode,
                     ParticleSpec, PhysicalConstants, PotentialSpec,
                     QuantumNumbers, mass_at, vector_potential)
 from .quantization import build_residual_spec
-from .rootfind import (CellResult, SolverConfig, solve_cell, solve_spectra,
-                       solve_spectrum, spectrum_cells)
+from .rootfind import (LINE_FIELDS, CellResult, SolverConfig, cell_records,
+                       solve_cell, solve_spectrum, spectrum_cells,
+                       spectrum_scans)
 from .special import (MAX_RADIAL_POINTS, build_wave_solution, default_r_max,
                       grid_report, normalize_on_grid, wavefunction_grid)
 
@@ -435,13 +437,32 @@ def _json_scalar(value) -> str:
     return json.dumps(value)
 
 
-def _entry_json(e) -> str:
-    """json.dumps of a SpectrumEntry's field dict, in field order."""
-    return (f'{{"n": {e.n}, "l": {e.l}, "line": {_encode_str(e.line)}, '
-            f'"energy": {_json_scalar(e.energy)}, "residual_at_root": '
-            f'{_json_scalar(e.residual_at_root)}, "iterations": '
-            f'{e.iterations}, "status": {_encode_str(e.status)}, '
-            f'"detail": {_encode_str(e.detail)}}}')
+def _entry_json(record) -> str:
+    """json.dumps of a line record's field dict (rootfind.LINE_FIELDS, the
+    fields of SpectrumEntry, in order)."""
+    n, l, line, energy, residual, iterations, status, detail = record
+    return (f'{{"n": {n}, "l": {l}, "line": {_encode_str(line)}, '
+            f'"energy": {_json_scalar(energy)}, "residual_at_root": '
+            f'{_json_scalar(residual)}, "iterations": {iterations}, '
+            f'"status": {_encode_str(status)}, '
+            f'"detail": {_encode_str(detail)}}}')
+
+
+# The line record of a SpectrumEntry.
+_record_of = operator.attrgetter(*LINE_FIELDS)
+
+
+def _cell_json(n: int, l: int, records) -> str:
+    """A cell as SpectrumTable.to_payload() holds it, {"n", "l", "entries"},
+    from the line records of its entries."""
+    return (f'{{"n": {n}, "l": {l}, "entries": ['
+            + ", ".join(map(_entry_json, records)) + "]}")
+
+
+class CellRecords(list):
+    """A table's cells, each the list of its line records
+    (rootfind.cell_records), which write_json writes as the cells of
+    SpectrumTable.to_payload()."""
 
 
 def _nested(value) -> bool:
@@ -453,10 +474,13 @@ def _nested(value) -> bool:
 
 def _json_text(value) -> str:
     """json.dumps(value), where a CellResult stands for its cell in
-    SpectrumTable.to_payload(): {"n", "l", "entries"}."""
+    SpectrumTable.to_payload(), {"n", "l", "entries"}, and CellRecords for
+    the list of its cells."""
     if isinstance(value, CellResult):
-        return (f'{{"n": {value.n}, "l": {value.l}, "entries": ['
-                + ", ".join(map(_entry_json, value.entries)) + "]}")
+        return _cell_json(value.n, value.l, map(_record_of, value.entries))
+    if isinstance(value, CellRecords):
+        return "[" + ", ".join(_cell_json(*records[0][:2], records)
+                               for records in value) + "]"
     if isinstance(value, dict):
         return "{" + ", ".join(f"{_encode_str(key)}: {_json_text(item)}"
                                for key, item in value.items()) + "}"
@@ -467,11 +491,12 @@ def _json_text(value) -> str:
 
 def write_json(fh, document: dict):
     """Write json.dumps(document) and a newline, where a CellResult stands
-    for its cell in SpectrumTable.to_payload().  A table's text is
-    formatted from its entries' fields, with no dict built per entry, and
-    each item of a list of dicts in document is formatted and written on
-    its own, so a sweep's text is never all held at once.  document's
-    keys are strings."""
+    for its cell in SpectrumTable.to_payload() and CellRecords for a
+    table's cells.  Each line's text is formatted from its line record by
+    one formatter (_entry_json), a CellResult's entries read as records,
+    with no dict built per line, and each item of a list of dicts in
+    document is formatted and written on its own, so a sweep's text is
+    never all held at once.  document's keys are strings."""
     fh.write("{")
     for i, (key, value) in enumerate(document.items()):
         fh.write(f'{", " if i else ""}{_encode_str(key)}: ')
@@ -764,24 +789,31 @@ def _cmd_sweep(args) -> int:
     values = _axis_values(args.start, args.stop, args.step)
     pots = [_potential(args, v if on_delta else args.delta,
                        args.lambda_b if on_delta else v) for v in values]
-    points = list(zip(values, solve_spectra(
-        args.constants, args.particle, pots, n_max=args.nmax, l_max=args.lmax,
-        branch=args.branch, config=args.solver)))
+    # each point's cells as line records, with no object per cell or line
+    points = [(v, CellRecords(cell_records(spec.n, spec.l, scan, args.solver)
+                              for spec, scan in pairs))
+              for v, pairs in zip(values, spectrum_scans(
+                  args.constants, args.particle, pots, n_max=args.nmax,
+                  l_max=args.lmax, branch=args.branch, config=args.solver))]
     manifest = _manifest("sweep", args, axis=args.axis, start=args.start,
                          stop=args.stop, step=args.step,
                          fixed_delta=args.delta,
                          fixed_lambda_b=args.lambda_b, nmax=args.nmax,
                          lmax=args.lmax)
     names = ["n", "l", "line", "energy", "status"]
+
+    def columns():
+        lines = [(v, record) for v, cells in points for records in cells
+                 for record in records]
+        return [[v for v, _ in lines]] + [
+            [record[k] for _, record in lines]
+            for k in map(LINE_FIELDS.index, names)]
+
     _write_table(args, manifest,
                  lambda: {"axis": args.axis,
-                          "points": [{"value": v,
-                                      "table": {"cells": t.cells}}
-                                     for v, t in points]},
-                 [args.axis] + names,
-                 lambda: [[v for v, t in points for _ in t.entries]]
-                 + _entry_columns([e for _, t in points for e in t.entries],
-                                  names))
+                          "points": [{"value": v, "table": {"cells": cells}}
+                                     for v, cells in points]},
+                 [args.axis] + names, columns)
     return 0
 
 

@@ -80,7 +80,12 @@ def physical_window(m0c2: float, delta: float,
                     margin: float = DEFAULT_WINDOW_MARGIN) -> tuple:
     """Open energy interval scanned for roots: (-m0c2, m0c2) shrunk by
     margin, or by one ulp where the margin rounds away, and clipped so the
-    energy factor 1 + delta E stays positive."""
+    energy factor 1 + delta E stays positive.
+
+    The window always holds 0: with 0 < margin < m0c2, -m0c2 + margin is
+    negative (a difference of two unequal doubles is never 0), and the clip
+    moves only the end on delta's side, to (1e-12 - 1) / delta, which has
+    that end's sign for every finite delta."""
     if not (0.0 < margin < m0c2):
         raise DomainError(f"window margin must lie in (0, m0c2), got {margin}")
     lo = max(-m0c2 + margin, math.nextafter(-m0c2, 0.0))
@@ -89,8 +94,6 @@ def physical_window(m0c2: float, delta: float,
         lo = max(lo, (_MIN_ENERGY_FACTOR - 1.0) / delta)
     elif delta < 0.0:
         hi = min(hi, (_MIN_ENERGY_FACTOR - 1.0) / delta)
-    if not (lo < hi):
-        raise DomainError(f"empty energy window ({lo}, {hi})")
     if not math.isfinite(hi - lo):
         raise DomainError(f"energy window ({lo}, {hi}) is wider than the "
                           "largest double")

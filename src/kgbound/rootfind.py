@@ -38,8 +38,14 @@ all brackets at once on arrays; below it secant_refine runs bracket by
 bracket.  Both give the same bits.
 
 Classify.  The brackets are disjoint and every secant iterate stays inside
-its bracket, so converged roots are distinct; solve_cell sorts each
-cell's roots into the lower/upper spectral lines of its (n, l) cell.
+its bracket, so converged roots are distinct; cell_records sorts each
+cell's roots and failures into the lower/upper spectral lines of its
+(n, l) cell, as plain per-line records, the one place the rules for
+lower, upper, extra, failed and absent lines live.  solve_cell builds the
+CellResult and SpectrumEntry view of those records for the library's
+tables; spectrum_scans gives each spectrum's scanned cells unclassified,
+so a command can write its lines from the records with no object per
+cell or line.
 
 An error is raised where solving the cells one by one, in the order
 (spectrum, l, n), would raise it first.
@@ -47,6 +53,7 @@ An error is raised where solving the cells one by one, in the order
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import operator
 import threading
@@ -352,37 +359,24 @@ class CellResult:
         return (self.lower, self.upper) + self.extras
 
 
-def _entry(spec: ResidualSpec, line: str, energy, residual, iterations: int,
-           status: str, detail: str = "") -> SpectrumEntry:
-    """A SpectrumEntry of spec's cell, made by new_frozen and then
-    checked by its __post_init__."""
-    e = new_frozen(SpectrumEntry, n=spec.n, l=spec.l, line=line,
-                   energy=energy, residual_at_root=residual,
-                   iterations=iterations, status=status, detail=detail)
-    e.__post_init__()
-    return e
-
-
-def _absent(spec: ResidualSpec, line: str, detail: str) -> SpectrumEntry:
-    return _entry(spec, line, None, None, 0, "absent", detail)
-
+# The fields of a line record (cell_records): those of SpectrumEntry.
+LINE_FIELDS = tuple(field.name for field in dataclasses.fields(SpectrumEntry))
 
 # The detail of a root refined to the residual floor (secant_refine).
 _RESIDUAL_FLOOR = ("residual floor: no double brings the residual within "
                    "tol_residual")
 
 
-def _converged(spec: ResidualSpec, line: str, r: RefineResult,
-               config: SolverConfig, detail: str = "") -> SpectrumEntry:
-    if abs(r.residual) > config.tol_residual:
+def _absent(n: int, l: int, line: str, detail: str) -> tuple:
+    return (n, l, line, None, None, 0, "absent", detail)
+
+
+def _converged(n: int, l: int, line: str, r: RefineResult,
+               tol_residual: float, detail: str = "") -> tuple:
+    if abs(r.residual) > tol_residual:
         detail = f"{detail}; {_RESIDUAL_FLOOR}" if detail else _RESIDUAL_FLOOR
-    return _entry(spec, line, r.energy, r.residual, r.iterations,
-                  "converged", detail)
-
-
-def _failed(spec: ResidualSpec, line: str, err: ConvergenceError) -> SpectrumEntry:
-    return _entry(spec, line, None, err.best_residual, err.iterations,
-                  "failed", str(err))
+    return (n, l, line, r.energy, r.residual, r.iterations, "converged",
+            detail)
 
 
 # What a cell's scan says when it yields no accepted root.
@@ -414,22 +408,24 @@ def absence_reason(reading: int, brackets: int) -> str:
     return "no sign change of the residual on the scan grid"
 
 
-def solve_cell(spec: ResidualSpec, config: SolverConfig = SolverConfig(),
-               scan: Optional[tuple] = None) -> CellResult:
-    """Classify the roots of one cell.
+def cell_records(n: int, l: int, scan: tuple, config: SolverConfig) -> list:
+    """The spectral lines of the (n, l) cell as plain line records, tuples
+    of LINE_FIELDS: the lower line, the upper line, then any extras.
 
-    scan is what solve_spectra's scan and refine passes found for the
-    cell: its scan's reading for absence_reason and, per bracket in
-    ascending order, a (RefineResult, sign verdict) pair or the
-    ConvergenceError.  Without it the cell is scanned and refined on its
-    own first.
+    scan is what the scan and refine passes found for the cell
+    (spectrum_scans): its scan's reading for absence_reason and, per
+    bracket in ascending order, a (RefineResult, sign verdict) pair or the
+    ConvergenceError.  A root whose verdict is False is rejected.
 
-    Classification: two or more roots put the smallest on the lower line
-    and the largest on the upper line; a single root goes to the lower
-    line when negative, the upper line otherwise.
+    Classification: two or more roots put the smallest on the lower line,
+    the largest on the upper line and each other one in an extra on the
+    line of its sign; a single root goes to the lower line when negative,
+    the upper line otherwise, and the other line is absent; with no root
+    both lines are absent, for absence_reason.  A root whose residual
+    exceeds tol_residual stopped at the residual floor, which its detail
+    names.  Each ConvergenceError is a failed extra, on the lower line
+    where its best energy is negative, else on the upper line.
     """
-    if scan is None:
-        (_, scan), = _scan_and_refine([[[spec]]], config)
     reading, outcomes = scan
     roots: List[RefineResult] = []
     failures: List[ConvergenceError] = []
@@ -439,31 +435,55 @@ def solve_cell(spec: ResidualSpec, config: SolverConfig = SolverConfig(),
         elif outcome[1]:
             roots.append(outcome[0])
     # The brackets ascend and are disjoint, so the roots ascend too.
-
-    extras: List[SpectrumEntry] = []
+    tol = config.tol_residual
     if not roots:
         reason = absence_reason(reading, len(outcomes))
-        lower = _absent(spec, "lower", reason)
-        upper = _absent(spec, "upper", reason)
+        records = [_absent(n, l, "lower", reason),
+                   _absent(n, l, "upper", reason)]
     elif len(roots) == 1:
         r = roots[0]
         if r.energy < 0.0:
-            lower = _converged(spec, "lower", r, config)
-            upper = _absent(spec, "upper", "single root, negative")
+            records = [_converged(n, l, "lower", r, tol),
+                       _absent(n, l, "upper", "single root, negative")]
         else:
-            lower = _absent(spec, "lower", "single root, non-negative")
-            upper = _converged(spec, "upper", r, config)
+            records = [_absent(n, l, "lower", "single root, non-negative"),
+                       _converged(n, l, "upper", r, tol)]
     else:
-        lower = _converged(spec, "lower", roots[0], config)
-        upper = _converged(spec, "upper", roots[-1], config)
+        records = [_converged(n, l, "lower", roots[0], tol),
+                   _converged(n, l, "upper", roots[-1], tol)]
         for r in roots[1:-1]:
             line = "lower" if r.energy < 0.0 else "upper"
-            extras.append(_converged(spec, line, r, config,
-                                     "unclassified extra root"))
+            records.append(_converged(n, l, line, r, tol,
+                                      "unclassified extra root"))
     for err in failures:
         line = "lower" if (err.best_energy is not None
                            and err.best_energy < 0.0) else "upper"
-        extras.append(_failed(spec, line, err))
+        records.append((n, l, line, None, err.best_residual, err.iterations,
+                        "failed", str(err)))
+    return records
+
+
+def _entry(record: tuple) -> SpectrumEntry:
+    """The SpectrumEntry of a line record, made by new_frozen and then
+    checked by its __post_init__."""
+    e = new_frozen(SpectrumEntry, **dict(zip(LINE_FIELDS, record)))
+    e.__post_init__()
+    return e
+
+
+def solve_cell(spec: ResidualSpec, config: SolverConfig = SolverConfig(),
+               scan: Optional[tuple] = None) -> CellResult:
+    """The lines of one cell as a CellResult: cell_records of scan, each
+    record made a SpectrumEntry.
+
+    scan is what the scan and refine passes found for the cell, as
+    cell_records takes it.  Without it the cell is scanned and refined on
+    its own first.
+    """
+    if scan is None:
+        (_, scan), = _scan_and_refine([[[spec]]], config)
+    lower, upper, *extras = map(_entry, cell_records(spec.n, spec.l, scan,
+                                                     config))
     return new_frozen(CellResult, n=spec.n, l=spec.l, lower=lower,
                       upper=upper, extras=tuple(extras))
 
@@ -664,7 +684,7 @@ def _scan_and_refine(spectra: Iterable[List[List[ResidualSpec]]],
                      config: SolverConfig) -> List[Tuple[ResidualSpec, tuple]]:
     """Scan and refine the cells of each spectrum, given as its
     (spectrum, l) groups: each cell and its (scan reading, refine
-    outcomes) pair for solve_cell, in that order.  Every spectrum has the
+    outcomes) pair for cell_records, in that order.  Every spectrum has the
     cells of the first.
 
     A group whose window has complex eta at its first energy has it
@@ -810,20 +830,21 @@ def spectrum_cells(n_max: int, l_max: Optional[int]) -> List[Tuple[int, int]]:
     return cells
 
 
-def solve_spectra(constants: PhysicalConstants, particle: ParticleSpec,
-                  pots: Sequence[PotentialSpec], n_max: int,
-                  l_max: Optional[int] = None, branch: str = "plus",
-                  config: SolverConfig = SolverConfig()) -> List[SpectrumTable]:
-    """Solve every (n, l) cell of each potential; one table per potential.
+def spectrum_scans(constants: PhysicalConstants, particle: ParticleSpec,
+                   pots: Sequence[PotentialSpec], n_max: int,
+                   l_max: Optional[int] = None, branch: str = "plus",
+                   config: SolverConfig = SolverConfig()) -> List[list]:
+    """Scan and refine every (n, l) cell of each potential: per potential,
+    the (ResidualSpec, scan) pair of each cell in spectrum_cells order,
+    where scan is what cell_records and solve_cell classify.
 
     All cells of all potentials are scanned first, one (spectrum, l) per
-    kernel call, then all their brackets are refined together, then each
-    cell is classified.  The coefficients and the physical window of each
-    spectrum are found once, and each cell is built on them; the window
-    is cut where eta turns complex once per (spectrum, l), by its first
-    cell, and the group's other cells are built on that cut, which they
-    keep as it is.  More than MAX_CELLS cells in all are refused before
-    any is built.
+    kernel call, then all their brackets are refined together.  The
+    coefficients and the physical window of each spectrum are found once,
+    and each cell is built on them; the window is cut where eta turns
+    complex once per (spectrum, l), by its first cell, and the group's
+    other cells are built on that cut, which they keep as it is.  More
+    than MAX_CELLS cells in all are refused before any is built.
     """
     cells = len(pots) * _cell_count(n_max, l_max)
     if cells > MAX_CELLS:
@@ -848,14 +869,25 @@ def solve_spectra(constants: PhysicalConstants, particle: ParticleSpec,
                                    config.window_margin)
             yield [group(pot, terms, qns) for qns in by_l.values()]
 
-    solved = [solve_cell(spec, config, scan)
-              for spec, scan in _scan_and_refine(spectra(), config)]
-    # each spectrum's cells come solved in by_l order
-    solved_at = {(qn.n, qn.l): i for i, qn in
-                 enumerate(qn for qns in by_l.values() for qn in qns)}
-    picks = [solved_at[nl] for nl in table]
-    return [SpectrumTable(cells=tuple(solved[start + i] for i in picks))
-            for start in range(0, len(solved), len(table))]
+    scans = _scan_and_refine(spectra(), config)
+    # each spectrum's cells come scanned in by_l order
+    scanned_at = {(qn.n, qn.l): i for i, qn in
+                  enumerate(qn for qns in by_l.values() for qn in qns)}
+    picks = [scanned_at[nl] for nl in table]
+    return [[scans[start + i] for i in picks]
+            for start in range(0, len(scans), len(table))]
+
+
+def solve_spectra(constants: PhysicalConstants, particle: ParticleSpec,
+                  pots: Sequence[PotentialSpec], n_max: int,
+                  l_max: Optional[int] = None, branch: str = "plus",
+                  config: SolverConfig = SolverConfig()) -> List[SpectrumTable]:
+    """Solve every (n, l) cell of each potential; one table per potential,
+    the cells of spectrum_scans each classified by solve_cell."""
+    return [SpectrumTable(cells=tuple(solve_cell(spec, config, scan)
+                                      for spec, scan in pairs))
+            for pairs in spectrum_scans(constants, particle, pots, n_max,
+                                        l_max, branch, config)]
 
 
 def solve_spectrum(constants: PhysicalConstants, particle: ParticleSpec,

@@ -23,12 +23,12 @@ from hypothesis import strategies as st
 from kgbound import (NEUTRAL_PION_M0C2, ParticleSpec, PhysicalConstants,
                      PotentialSpec, SolverConfig, solve_spectrum)
 from kgbound.rootfind import CellResult, SpectrumTable, solve_spectra
-from kgbound import cli, rootfind
+from kgbound import cli, quantization, rootfind
 from kgbound.cli import (CSV_CHUNK_ROWS, DEFAULT_AIM_CAP, GRID_VALUES,
                          MAX_AXIS_POINTS, PaddedColumn, main, write_csv)
 from kgbound.special import MAX_RADIAL_POINTS
 from kgbound.model import CouplingMode
-from kgbound.quantization import SpectrumEntry
+from kgbound.quantization import SpectrumEntry, new_frozen
 
 from conftest import fixture_path
 
@@ -469,6 +469,40 @@ def test_sweep_single_point_matches_solve(tmp_path):
     assert len(sweep["points"]) == 1
     assert sweep["points"][0]["value"] == 0.003
     assert sweep["points"][0]["table"] == solve["table"]
+
+
+def test_sweep_builds_no_cell_or_entry_object(capsys, monkeypatch):
+    # a sweep writes its lines from plain records: with every way of
+    # building a SpectrumEntry or a CellResult refused, it still writes
+    # both formats, failed and residual-floor lines included
+    argv = ["sweep", "--mode", "ps", "--axis", "delta", "--start=0",
+            "--stop=0.002", "--step=0.001", "--nmax=2", "--max-iter=8",
+            "--tol-energy=1e-300", "--tol-residual=1e-300", "--format"]
+    want = {}
+    for fmt in ("json", "csv"):
+        assert main(argv + [fmt]) == 0
+        want[fmt] = capsys.readouterr().out
+    assert '"status": "failed"' in want["json"]
+    assert "residual floor" in want["json"]
+
+    def refused(*args, **kwargs):
+        raise AssertionError("a SpectrumEntry or CellResult was built")
+
+    def guarded(cls, **fields):
+        if cls in (SpectrumEntry, CellResult):
+            refused()
+        return new_frozen(cls, **fields)
+
+    for cls in (SpectrumEntry, CellResult):
+        monkeypatch.setattr(cls, "__init__", refused)
+    monkeypatch.setattr(SpectrumEntry, "__post_init__", refused)
+    monkeypatch.setattr(rootfind, "new_frozen", guarded)
+    monkeypatch.setattr(quantization, "new_frozen", guarded)
+    for fmt in ("json", "csv"):
+        assert main(argv + [fmt]) == 0
+        assert capsys.readouterr() == (want[fmt], "")
+    with pytest.raises(AssertionError, match="was built"):
+        main(["solve", "--mode", "ps", "--nmax=0"])
 
 
 def test_sweep_rejects_bad_step(capsys):

@@ -19,7 +19,13 @@ A change that moves bytes on purpose rewrites the digests with
 
     PYTHONPATH=src python tests/test_corpus.py --write
 
-and CHANGES.md names each command that moved and why.
+and CHANGES.md names each command that moved and why.  To see what moved
+in a command's output against another checkout, entry by entry,
+
+    python tests/json_diff.py --tree OTHER_CHECKOUT --corpus INDEX
+
+prints each (point, cell, line, field) that differs (tests/json_diff.py
+also compares two JSON files).
 """
 
 import contextlib

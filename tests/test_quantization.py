@@ -42,18 +42,40 @@ def test_physical_window_clips_where_energy_factor_dies():
     assert lo == -134.977 + DEFAULT_WINDOW_MARGIN
 
 
-@example(m0c2=1e300, delta=(1.0, 0.0))  # the margin rounds away
-@example(m0c2=1e308, delta=(1.0, 0.0))  # the width overflows
+# A margin as a function of m0c2: the default, one ulp below m0c2, a
+# fraction of m0c2 (down to the least subnormal), or one that is refused.
+MARGINS = st.one_of(
+    st.just(lambda m0c2: DEFAULT_WINDOW_MARGIN),
+    st.just(lambda m0c2: math.nextafter(m0c2, 0.0)),
+    st.floats(-330.0, 0.0).map(lambda e: lambda m0c2: max(m0c2 * 10.0 ** e,
+                                                          5e-324)),
+    st.sampled_from([0.0, 1.0, 2.0]).map(lambda k: lambda m0c2: k * m0c2))
+
+
+@example(m0c2=1e300, delta=(1.0, 0.0),
+         margin=lambda m0c2: DEFAULT_WINDOW_MARGIN)  # the margin rounds away
+@example(m0c2=1e308, delta=(1.0, 0.0),
+         margin=lambda m0c2: DEFAULT_WINDOW_MARGIN)  # the width overflows
+@example(m0c2=5e-323, delta=(1.0, 1.7e308),
+         margin=lambda m0c2: math.nextafter(m0c2, 0.0))
+@example(m0c2=134.977, delta=(-1.0, 1.7e308),
+         margin=lambda m0c2: math.nextafter(m0c2, 0.0))
 @settings(max_examples=300, deadline=None)
-@given(m0c2=st.floats(-300.0, 308.0).map(lambda e: 10.0 ** e),
+@given(m0c2=st.floats(-323.0, 308.0).map(lambda e: 10.0 ** e),
        delta=st.tuples(st.sampled_from([-1.0, 0.0, 1.0]),
-                       st.floats(-300.0, 300.0).map(lambda e: 10.0 ** e)))
-def test_physical_window_lies_strictly_inside_or_is_refused(m0c2, delta):
+                       st.one_of(st.floats(-324.0, 308.0).map(
+                           lambda e: 10.0 ** e), st.just(1.7e308))),
+       margin=MARGINS)
+def test_physical_window_lies_strictly_inside_or_is_refused(m0c2, delta,
+                                                           margin):
+    # every window returned holds 0; a refusal names the margin or the width
     try:
-        lo, hi = physical_window(m0c2, delta[0] * delta[1])
-    except DomainError:
+        lo, hi = physical_window(m0c2, delta[0] * delta[1], margin(m0c2))
+    except DomainError as err:
+        assert ("window margin must lie in" in str(err)
+                or "wider than the largest double" in str(err))
         return
-    assert -m0c2 < lo < hi < m0c2
+    assert -m0c2 < lo < 0.0 < hi < m0c2
     assert math.isfinite(hi - lo)
 
 

@@ -531,6 +531,90 @@ def test_solve_cell_absence_names_brackets_that_failed_to_refine(constants,
     assert [e.status for e in cell.extras] == ["failed", "failed"]
 
 
+# A synthetic cell scan: its reading and, per bracket in ascending order,
+# a refined root with its sign verdict or a ConvergenceError, at energies
+# around a tol_residual of 1e-8 (a root above it is at the residual floor).
+SCAN_READINGS = st.sampled_from([rootfind._NO_VALID_NODE,
+                                 rootfind._ETA_COMPLEX,
+                                 rootfind._RHS_NEGATIVE, rootfind._SCANNED])
+SCAN_RESIDUALS = st.one_of(st.floats(-1e-8, 1e-8),
+                           st.sampled_from([3e-8, -1e-7, 0.0, -0.0]))
+
+
+@st.composite
+def synthetic_scans(draw):
+    energies = sorted(set(draw(st.lists(st.floats(-134.0, 134.0),
+                                        max_size=6))))
+    outcomes = []
+    for energy in energies:
+        residual = draw(SCAN_RESIDUALS)
+        iterations = draw(st.integers(0, 200))
+        kind = draw(st.sampled_from(["root", "rejected", "failed"]))
+        if kind == "failed":
+            best = draw(st.sampled_from([None, energy, -abs(energy) - 1.0,
+                                         abs(energy)]))
+            outcomes.append(ConvergenceError(
+                f"no convergence on [{energy}, {energy}]", best_energy=best,
+                best_residual=None if best is None else residual,
+                iterations=iterations))
+        else:
+            outcomes.append((rootfind.RefineResult(energy, residual,
+                                                   iterations),
+                             kind == "root"))
+    return draw(SCAN_READINGS), outcomes
+
+
+def _root(energy, residual=0.0, verdict=True):
+    return (rootfind.RefineResult(energy, residual, 3), verdict)
+
+
+def _failure(best):
+    return ConvergenceError("no convergence", best_energy=best,
+                            best_residual=None if best is None else 1.0,
+                            iterations=8)
+
+
+@example(scan=(rootfind._SCANNED, []))
+@example(scan=(rootfind._RHS_NEGATIVE, [_root(-1.0, verdict=False)]))
+@example(scan=(rootfind._SCANNED, [_root(-1.0)]))
+@example(scan=(rootfind._SCANNED, [_root(0.0, 3e-8)]))
+@example(scan=(rootfind._SCANNED, [_root(-2.0), _root(1.0, -1e-7)]))
+@example(scan=(rootfind._SCANNED, [_root(-3.0), _root(-2.0), _root(0.5),
+                                   _root(1.0, 3e-8), _root(2.0)]))
+@example(scan=(rootfind._SCANNED, [_failure(None), _failure(-1.0),
+                                   _failure(1.0)]))
+@example(scan=(rootfind._ETA_COMPLEX, [_failure(-0.0), _root(2.0)]))
+@settings(max_examples=300, deadline=None)
+@given(scan=synthetic_scans())
+def test_cell_records_are_the_fields_of_solve_cells_view(constants, pion,
+                                                         scan):
+    config = SolverConfig()
+    spec = make_spec(constants, pion, CouplingMode.PURE_SCALAR, n=2, l=1)
+    records = rootfind.cell_records(spec.n, spec.l, scan, config)
+    cell = solve_cell(spec, config, scan)
+    assert records == [tuple(getattr(e, field)
+                             for field in rootfind.LINE_FIELDS)
+                       for e in cell.entries]
+    assert (cell.n, cell.l) == (spec.n, spec.l)
+    reading, outcomes = scan
+    roots = [o[0] for o in outcomes
+             if not isinstance(o, ConvergenceError) and o[1]]
+    failures = [o for o in outcomes if isinstance(o, ConvergenceError)]
+    assert [r[3] for r in records if r[6] == "converged"] == (
+        [roots[0].energy, roots[-1].energy, *(r.energy for r in roots[1:-1])]
+        if len(roots) > 1 else [r.energy for r in roots])
+    assert [r[6] for r in records].count("failed") == len(failures)
+    assert [r[2] for r in records[:2]] == ["lower", "upper"]
+    for record in records:
+        status, detail = record[6], record[7]
+        if status == "converged":
+            floor = abs(record[4]) > config.tol_residual
+            assert detail.endswith(rootfind._RESIDUAL_FLOOR) == floor
+    if not roots:
+        assert records[0][7] == records[1][7] == rootfind.absence_reason(
+            reading, len(outcomes))
+
+
 def test_solve_cell_evaluates_the_grid_once(constants, pion, monkeypatch):
     calls = []
     original = _kernels.residual_grid
