@@ -789,7 +789,7 @@ def _cmd_sweep(args) -> int:
     values = _axis_values(args.start, args.stop, args.step)
     pots = [_potential(args, v if on_delta else args.delta,
                        args.lambda_b if on_delta else v) for v in values]
-    # each point's cells as line records, with no object per cell or line
+    # each point's cells as line records, not as CellResults
     points = [(v, CellRecords(cell_records(spec.n, spec.l, scan, args.solver)
                               for spec, scan in pairs))
               for v, pairs in zip(values, spectrum_scans(

@@ -38,14 +38,11 @@ all brackets at once on arrays; below it secant_refine runs bracket by
 bracket.  Both give the same bits.
 
 Classify.  The brackets are disjoint and every secant iterate stays inside
-its bracket, so converged roots are distinct; cell_records sorts each
-cell's roots and failures into the lower/upper spectral lines of its
-(n, l) cell, as plain per-line records, the one place the rules for
-lower, upper, extra, failed and absent lines live.  solve_cell builds the
-CellResult and SpectrumEntry view of those records for the library's
-tables; spectrum_scans gives each spectrum's scanned cells unclassified,
-so a command can write its lines from the records with no object per
-cell or line.
+its bracket, so converged roots are distinct; cell_records, the one
+classifier, sorts each cell's roots and failures into the lower/upper
+spectral lines of its (n, l) cell as plain line records.  solve_cell
+makes them the CellResult of a library table; a command can write the
+records of spectrum_scans' cells with no CellResult or SpectrumEntry.
 
 An error is raised where solving the cells one by one, in the order
 (spectrum, l, n), would raise it first.
@@ -464,9 +461,10 @@ def cell_records(n: int, l: int, scan: tuple, config: SolverConfig) -> list:
 
 
 def _entry(record: tuple) -> SpectrumEntry:
-    """The SpectrumEntry of a line record, made by new_frozen and then
-    checked by its __post_init__."""
-    e = new_frozen(SpectrumEntry, **dict(zip(LINE_FIELDS, record)))
+    """The SpectrumEntry of a line record, made by new_frozen, its field
+    dict filled from the record, and then checked by its __post_init__."""
+    e = new_frozen(SpectrumEntry)
+    e.__dict__.update(zip(LINE_FIELDS, record))
     e.__post_init__()
     return e
 

@@ -603,8 +603,18 @@ def test_cell_records_are_the_fields_of_solve_cells_view(constants, pion,
     assert [r[3] for r in records if r[6] == "converged"] == (
         [roots[0].energy, roots[-1].energy, *(r.energy for r in roots[1:-1])]
         if len(roots) > 1 else [r.energy for r in roots])
-    assert [r[6] for r in records].count("failed") == len(failures)
     assert [r[2] for r in records[:2]] == ["lower", "upper"]
+    if len(roots) == 1:
+        line = "lower" if roots[0].energy < 0.0 else "upper"
+        assert [r[2] for r in records if r[6] == "converged"] == [line]
+    for record in records[2:len(records) - len(failures)]:
+        assert record[6] == "converged"
+        assert record[2] == ("lower" if record[3] < 0.0 else "upper")
+        assert record[7].startswith("unclassified extra root")
+    assert [r[2:] for r in records[len(records) - len(failures):]] == [
+        ("lower" if err.best_energy is not None and err.best_energy < 0.0
+         else "upper", None, err.best_residual, err.iterations, "failed",
+         str(err)) for err in failures]
     for record in records:
         status, detail = record[6], record[7]
         if status == "converged":
