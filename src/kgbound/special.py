@@ -18,9 +18,12 @@ kummer_polynomial evaluates 1F1(-n; c; x) by the three-term recurrence in
 the degree (DLMF 13.3.1), which keeps its accuracy where the power series
 cancels.  Each step is scaled by an exact power of two, so the recurrence
 passes the largest double where u underflows.  It takes a float or an array
-and uses only +, -, *, / and that exact scaling, so wavefunction_u (one
+and uses only +, -, *, / and that exact scaling.  wavefunction_u (one
 radius, the reference that raises every error) and wavefunction_grid (the
-whole array) agree bit for bit.  kummer_1f1 sums
+whole array) then take the logarithms and the exponential from NumPy's
+ufuncs, on a float or on the array, so on one machine they agree bit for
+bit.  NumPy picks those loops by the CPU's SIMD support, so their last
+bits may differ from one machine to another, as libm's may.  kummer_1f1 sums
 the power series of 1F1(a; c; x) for any a: it is the mpmath-tested
 reference and the way to evaluate a function off an eigenvalue.
 """
@@ -150,7 +153,8 @@ def wavefunction_u(sol: WaveSolution, r: float) -> float:
 
     The three factors are combined in log magnitude so intermediate
     overflow in (g r)^(eta+1) or underflow in exp(-tau g r) cannot
-    poison a representable product.
+    poison a representable product.  The logarithms and the exponential
+    are NumPy's ufuncs, the ones wavefunction_grid applies to its arrays.
     """
     if r < 0.0:
         raise DomainError(f"r must be non-negative, got {r}")
@@ -165,21 +169,19 @@ def wavefunction_u(sol: WaveSolution, r: float) -> float:
         return 0.0
     if z == 0.0:
         raise DomainError(f"g r underflows to 0 at r={r}")
-    log_mag = (-sol.tau * z + (sol.eta + 1.0) * math.log(z)
-               + (math.log(abs(F)) + math.log(2.0) * e))
+    log_mag = (-sol.tau * z + (sol.eta + 1.0) * np.log(z)
+               + (np.log(abs(F)) + math.log(2.0) * e))
     if not log_mag <= _LOG_HUGE:
         raise EvaluationError(f"u({r}) overflows (log magnitude {log_mag:.1f})")
-    return math.copysign(math.exp(log_mag), F)
+    return math.copysign(float(np.exp(log_mag)), F)
 
 
 def wavefunction_grid(sol: WaveSolution, radii) -> np.ndarray:
     """u at every radius, bit-identical to wavefunction_u at each.
 
-    wavefunction_u's arithmetic runs on the whole array.  Every sample the
-    scalar call rejects is marked, and wavefunction_u runs on the first one
-    to raise its error.  The logarithms and exponentials map math.log and
-    math.exp, because NumPy's vectorised versions may differ from libm in
-    the last bit.
+    wavefunction_u's arithmetic, NumPy's log and exp included, runs on the
+    whole array.  Every sample the scalar call rejects is marked, and
+    wavefunction_u runs on the first one to raise its error.
     """
     r = np.asarray(radii, dtype=np.float64)
     with np.errstate(over="ignore"):  # inf, as in Python; marked below
@@ -193,13 +195,13 @@ def wavefunction_grid(sol: WaveSolution, radii) -> np.ndarray:
     bad[live[z == 0.0]] = True  # g r underflowed; wavefunction_u raises
     keep = z != 0.0
     live, F, e, z = live[keep], F[keep], e[keep], z[keep]
-    log_mag = (-sol.tau * z + (sol.eta + 1.0) * _map(math.log, z)
-               + (_map(math.log, np.abs(F)) + math.log(2.0) * e))
+    log_mag = (-sol.tau * z + (sol.eta + 1.0) * np.log(z)
+               + (np.log(np.abs(F)) + math.log(2.0) * e))
     bad[live[~(log_mag <= _LOG_HUGE)]] = True
     if bad.any():
         _raise_from(wavefunction_u, sol, float(r[bad.argmax()]))
     out = np.zeros(r.shape)
-    out[live] = np.copysign(_map(math.exp, log_mag), F)
+    out[live] = np.copysign(np.exp(log_mag), F)
     return out
 
 
@@ -209,11 +211,6 @@ def _raise_from(reference, *args):
     reference(*args)
     raise AssertionError(f"{reference.__name__}{args} accepted a sample "
                          "the array path marked")
-
-
-def _map(fn, values: np.ndarray) -> np.ndarray:
-    return np.fromiter(map(fn, values.tolist()), dtype=np.float64,
-                       count=values.size)
 
 
 def normalize_on_grid(u: np.ndarray, radii: np.ndarray) -> np.ndarray:

@@ -12,8 +12,8 @@ residual floor, the paper-grid --check runs of
 every mode (emes failing, and passing with --allow-extra-roots), an
 overflowing A / hbar_c and a window margin that leaves no window.  The
 commands run from the repository root, where their fixture paths point.
-Wave-function bytes go through libm's exp and log, so they are not
-pinned here.
+Wave-function bytes go through NumPy's exp and log, whose loops NumPy
+picks by the CPU's SIMD support, so they are not pinned here.
 
 A change that moves bytes on purpose rewrites the digests with
 

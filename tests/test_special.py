@@ -230,9 +230,9 @@ def test_wavefunction_without_energy_dependence_matches_plain_path(
         F = kummer_polynomial(sol.n, sol.params.c, 2.0 * sol.tau * r)
         if F == 0.0:
             return 0.0
-        log_mag = (-sol.tau * r + (sol.eta + 1.0) * math.log(r)
-                   + math.log(abs(F)))
-        return math.copysign(math.exp(log_mag), F)
+        log_mag = (-sol.tau * r + (sol.eta + 1.0) * np.log(r)
+                   + np.log(abs(F)))
+        return math.copysign(float(np.exp(log_mag)), F)
 
     for r in (0.05, 0.7, 3.3, 11.0, 26.5):
         assert wavefunction_u(sol, r) == plain_u(r)
@@ -264,17 +264,24 @@ wave_cases = st.fixed_dictionaries({
     "shift": st.floats(-3.0, -1e-3) | st.floats(1e-3, 3.0),
     "reach": st.floats(0.2, 40.0),
     "negative_at": st.none() | st.integers(0, 199),
+    "points": st.just(200),
 })
 
 
 @example(case={"mode": CouplingMode.PURE_SCALAR, "A": 200.0, "delta": 0.0,
                "lambda_b": 0.0, "n": 1, "l": 1, "branch": "plus",
                "shift": 0.5, "reach": 30.0,
-               "negative_at": None})  # -0.0 tail
+               "negative_at": None, "points": 200})  # -0.0 tail
 @example(case={"mode": CouplingMode.EMES, "A": 200.0, "delta": -0.003,
                "lambda_b": 0.003, "n": 3, "l": 0, "branch": "plus",
                "shift": 1.0, "reach": 1.0,
-               "negative_at": 150})  # negative r
+               "negative_at": 150, "points": 200})  # negative r
+# the wavefunction benchmark's shape: NumPy's SIMD loops take a long
+# array's body and its masked tail apart, and 200 radii barely have a body
+@example(case={"mode": CouplingMode.PURE_SCALAR, "A": 200.0, "delta": 0.003,
+               "lambda_b": -0.002, "n": 5, "l": 2, "branch": "plus",
+               "shift": 0.5, "reach": 1.0,
+               "negative_at": None, "points": 20_000})
 @settings(max_examples=100, deadline=None)
 @given(case=wave_cases)
 def test_wavefunction_grid_matches_pointwise(constants, pion, case):
@@ -300,7 +307,8 @@ def test_wavefunction_grid_matches_pointwise(constants, pion, case):
                                       branch=case["branch"])
         except (DomainError, BranchError):
             continue
-        radii = np.linspace(0.0, case["reach"] * default_r_max(sol), 200)
+        radii = np.linspace(0.0, case["reach"] * default_r_max(sol),
+                            case["points"])
         if case["negative_at"] is not None:
             radii[case["negative_at"]] = -radii[case["negative_at"]] - 1.0
         assert (outcome(wavefunction_grid, sol, radii)
@@ -315,6 +323,103 @@ def largest_term(n, c, x):
         prev, cur = cur, ((2 * k + c - x) * cur - k * prev) / (c + k)
         biggest = max(biggest, abs(cur))
     return biggest
+
+
+def test_wavefunction_grid_makes_no_call_per_sample(constants, pion,
+                                                     monkeypatch):
+    # the logarithms and the exponential run on whole arrays, so the
+    # Python-level math.log and math.exp calls do not grow with the radii
+    pot = make_pot(CouplingMode.PURE_SCALAR, pion=pion)
+    qn = QuantumNumbers(n=5, l=2)
+    cell = solve_cell(build_residual_spec(constants, pion, pot, qn))
+    assert cell.upper.status == "converged"
+    sol = build_wave_solution(constants, pion, pot, qn, cell.upper.energy)
+    calls = []
+
+    def counted(fn):
+        def call(*args):
+            calls.append(fn.__name__)
+            return fn(*args)
+        return call
+
+    monkeypatch.setattr(math, "log", counted(math.log))
+    monkeypatch.setattr(math, "exp", counted(math.exp))
+    counts = []
+    for points in (200, 20_000):
+        calls.clear()
+        u = wavefunction_grid(sol, np.linspace(0.0, default_r_max(sol),
+                                               points))
+        assert np.count_nonzero(u) == points - 1  # all but r = 0 evaluated
+        counts.append(sorted(calls))
+    assert counts[0] == counts[1]
+
+
+@settings(max_examples=40, deadline=None)
+@given(mode=st.sampled_from([CouplingMode.PURE_SCALAR, CouplingMode.EMES]),
+       A=st.floats(20.0, 400.0), delta=st.floats(-0.005, 0.005),
+       lambda_b=st.floats(-0.005, 0.005), n=st.integers(0, 8),
+       l=st.integers(0, 8), reach=st.floats(0.05, 30.0))
+def test_wavefunction_grid_matches_mpmath(constants, pion, mode, A, delta,
+                                          lambda_b, n, l, reach):
+    # u* = exp(-tau z) z^(eta+1) 1F1(-n; c; 2 tau z) at 40 digits, with
+    # z = g r exact and the solution's own float tau, g, eta and c.
+    # wavefunction_grid rounds z = g r and x = 2 tau z, runs the recurrence
+    # at that x and sums log_mag = -tau z + (eta+1) ln z + ln|F| + e ln 2.
+    # - F: the recurrence is within (n+1)^2/2 eps max_k |M_k| of F at its
+    #   x (test_kummer_polynomial_matches_mpmath), and as
+    #   x F'(x) = n (M_n - M_(n-1)) (DLMF 13.3.4), x's relative error of
+    #   eps moves F by at most 2 n eps max_k |M_k|; together at most
+    #   (n+1)^2 eps max_k |M_k|, an absolute error that near a node, where
+    #   F cancels, exceeds |F| itself.
+    # - log_mag: each of its terms carries a few roundings (z, the
+    #   product, eta + 1, a log within 2 ulp, ln 2, the two sums), at most
+    #   3 eps T with T = tau z + |eta+1| (|ln z| + 1) + |ln|F|| + 1, and
+    #   the exp adds 2 ulp.
+    # So u = (u* + e^(-tau z) z^(eta+1) dF) e^d with |d| <= (3 T + 2) eps,
+    # and |u - u*| <= |u*| (3 T + 4) eps + e^(-tau z) z^(eta+1) (n+1)^2 eps
+    # max_k |M_k|.  Samples whose scale e^(-tau z) z^(eta+1) max_k |M_k|
+    # lies below 2^-1000 are in the underflow range and skipped.
+    try:
+        pot = PotentialSpec.from_lambda_b(A=A, delta=delta, lambda_b=lambda_b,
+                                          particle=pion, mode=mode)
+        qn = QuantumNumbers(n=n, l=l)
+        cell = solve_cell(build_residual_spec(constants, pion, pot, qn))
+    except (DomainError, BranchError):
+        reject()
+    energies = [entry.energy for entry in (cell.lower, cell.upper)
+                if entry.status == "converged"]
+    if not energies:
+        reject()
+    eps = np.finfo(np.float64).eps
+    checked = 0
+    for energy in energies:
+        try:
+            sol = build_wave_solution(constants, pion, pot, qn, energy)
+        except DomainError:
+            continue
+        tau, g, c = (mpmath.mpf(v) for v in (sol.tau, sol.growth,
+                                              sol.params.c))
+        eta1 = mpmath.mpf(sol.eta) + 1
+        radii = np.linspace(0.0, reach * default_r_max(sol), 100)
+        u = wavefunction_grid(sol, radii)
+        assert u[0] == 0.0
+        for r, got in zip(radii[1:].tolist(), u[1:].tolist()):
+            z = g * mpmath.mpf(r)
+            x = 2 * tau * z
+            scale = mpmath.exp(-tau * z) * z ** eta1
+            biggest = largest_term(n, c, x)
+            if scale * biggest < mpmath.ldexp(1, -1000):
+                continue
+            F = mpmath.hyp1f1(-n, c, x, zeroprec=1000)
+            want = scale * F
+            T = (tau * z + abs(eta1) * (abs(mpmath.log(z)) + 1)
+                 + (abs(mpmath.log(abs(F))) if F else 0) + 1)
+            bound = (abs(want) * (3 * T + 4) * eps
+                     + scale * (n + 1) ** 2 * eps * biggest)
+            assert abs(got - want) <= bound, (energy, r, got, want)
+            checked += 1
+    if not checked:
+        reject()
 
 
 kummer_polynomial_cases = dict(
