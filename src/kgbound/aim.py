@@ -11,35 +11,51 @@ with the recurrences
     lambda_n = lambda_{n-1}' + lambda_0 lambda_{n-1} + s_{n-1},
     s_n      = s_{n-1}'      + s_0      lambda_{n-1}.
 
-The iteration terminates at level n exactly when
+The iteration terminates at level n when
 
-    delta_n(z) = s_n lambda_{n-1} - s_{n-1} lambda_n
+    delta(z) = s_{n+1} lambda_n - s_n lambda_{n+1}
 
-vanishes identically, which happens iff tau = beta^2 / (2 (eta + n + 1)).
+vanishes identically, as it does at tau = beta^2 / (2 (eta + n + 1)).
 
 Both seeds are polynomials in w = 1/z,
 
     lambda_0 = 2 tau - 2 (eta + 1) w,    s_0 = (2 tau (eta + 1) - beta^2) w,
 
 and d/dz = -w^2 d/dw maps polynomials in w to polynomials in w, so every
-lambda_n, s_n and delta_n is a polynomial in w as well.  Each one is held
-as integer numerators over one positive denominator, reduced so that the
-denominator and the numerators share no factor, and "vanishes identically"
-is the exact statement "every numerator is 0".  seed, iterate and
-termination_delta form each new polynomial in one integer pass: every
-term of its right-hand side is scaled to one common denominator and
-summed into one list of numerators, which is then reduced by a single
-gcd.  No intermediate polynomial is built and no step divides
-polynomials.  Poly's own arithmetic (one gcd per sum or product) gives
-the same canonical results; it stays for callers and as the tests'
-reference.
+lambda_n, s_n and delta is a polynomial in w as well.
+
+The recurrence runs on integers at one fixed scale D: the product td ed
+of the denominators of tau and eta + 1, times the denominator bd of
+beta^2 only where bd does not divide td ed.  (At the tau of exact_tau it
+always divides, so D is smaller by that factor at every level.)  The
+seeds A = D lambda_0 and B = D s_0 then have integer coefficients, and
+so have
+
+    Lambda_{n+1} = D (-w^2 Lambda_n') + A Lambda_n + D Sigma_n,
+    Sigma_{n+1}  = D (-w^2 Sigma_n')  + B Lambda_n,
+
+starting from Lambda_0 = A and Sigma_0 = B, with lambda_n = Lambda_n /
+D^(n+1) and s_n = Sigma_n / D^(n+1) exactly.  seed and iterate hold each
+level as these unreduced integer numerators: no step takes a gcd or an
+lcm, builds a Poly or divides polynomials.  Over the same scale, the
+delta between levels m and m - 1 is
+
+    (Sigma_m Lambda_{m-1} - Sigma_{m-1} Lambda_m) / D^(2m+1),
+
+so "vanishes identically" is the exact statement "every integer numerator
+of that difference is 0", and terminates_at decides so.
+
+Poly is the canonical form of a polynomial in w: integer numerators over
+one positive denominator that shares no factor with them.  AimState's
+lam0, s0, lam and s and termination_delta are Poly views, reduced by one
+gcd when a caller asks for them; the recurrence never builds one.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
+from typing import NamedTuple
 
 from .errors import DomainError
 
@@ -228,21 +244,39 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
     return a.monic()
 
 
-def d_dz(p: Poly) -> Poly:
-    """The z-derivative of a polynomial in w = 1/z: p -> -w^2 p'(w)."""
-    return _poly([0, 0, *(-k * c for k, c in enumerate(p.nums) if k)], p.den)
+class AimState(NamedTuple):
+    """Iteration state at level n: the seed pair and the level-n pair as
+    integer numerators over the fixed scale D,
 
+        lambda_0 = A / D,    s_0 = B / D,
+        lambda_n = L / D^(n+1),    s_n = S / D^(n+1),
 
-@dataclass(frozen=True)
-class AimState:
-    """Iteration state: level n together with the seed pair it grew from,
-    all four as polynomials in w = 1/z."""
+    each a tuple of ints, lowest power of w first, not reduced; L and S
+    have n + 2 entries.  lam0, s0, lam and s are the canonical Poly views,
+    built on demand."""
 
     n: int
-    lam0: Poly
-    s0: Poly
-    lam: Poly
-    s: Poly
+    scale: int
+    lam0_nums: tuple
+    s0_nums: tuple
+    lam_nums: tuple
+    s_nums: tuple
+
+    @property
+    def lam0(self) -> Poly:
+        return _poly(list(self.lam0_nums), self.scale)
+
+    @property
+    def s0(self) -> Poly:
+        return _poly(list(self.s0_nums), self.scale)
+
+    @property
+    def lam(self) -> Poly:
+        return _poly(list(self.lam_nums), self.scale ** (self.n + 1))
+
+    @property
+    def s(self) -> Poly:
+        return _poly(list(self.s_nums), self.scale ** (self.n + 1))
 
 
 def seed(tau, eta, beta_sq) -> AimState:
@@ -251,21 +285,15 @@ def seed(tau, eta, beta_sq) -> AimState:
     en, ed = _ratio(eta)
     bn, bd = _ratio(beta_sq)
     en += ed                    # eta + 1 = en / ed
-    # lambda_0 = 2 tau - 2 (eta + 1) w over td ed, and
-    # s_0 = (2 tau (eta + 1) - beta^2) w over td ed bd
-    lam0 = _poly([2 * tn * ed, -2 * en * td], td * ed)
-    s0 = _poly([0, 2 * tn * en * bd - bn * td * ed], td * ed * bd)
-    return AimState(n=0, lam0=lam0, s0=s0, lam=lam0, s=s0)
-
-
-# The fused steps below sum each new polynomial's numerators over one
-# common denominator D: every term's numerators are scaled by D over that
-# term's own denominator, and _poly normalizes the sum once.
-
-def _add_d_dz(out: list, p: tuple, m: int) -> None:
-    """out += m times the numerators of -w^2 p'(w)."""
-    for k in range(1, len(p)):
-        out[k + 1] -= k * m * p[k]
+    # D = td ed, times bd where bd does not divide td ed, so that
+    # D lambda_0 = 2 tau D - 2 (eta + 1) D w and
+    # D s_0 = (2 tau (eta + 1) - beta^2) D w have integer coefficients
+    d = td * ed
+    if d % bd:
+        d *= bd
+    lam0 = (2 * tn * (d // td), -2 * en * (d // ed))
+    s0 = (0, 2 * tn * en * (d // (td * ed)) - bn * (d // bd))
+    return AimState(0, d, lam0, s0, lam0, s0)
 
 
 def _add_product(out: list, a: tuple, b: tuple, m: int) -> None:
@@ -279,70 +307,67 @@ def _add_product(out: list, a: tuple, b: tuple, m: int) -> None:
 
 def iterate(state: AimState) -> AimState:
     """One step of the recurrence, n -> n + 1."""
-    lam0, s0, lam, s = state.lam0, state.s0, state.lam, state.s
-    L, S = lam.nums, s.nums
-    # lambda_{n+1} = -w^2 lambda_n' + lambda_0 lambda_n + s_n over
-    # D = lcm(d(lambda_0) d(lambda_n), d(s_n)), a multiple of d(lambda_n)
-    prod = lam0.den * lam.den
-    g = gcd(prod, s.den)
-    m = s.den // g              # D / (d(lambda_0) d(lambda_n))
-    size = max(len(S), len(L) + 1, len(lam0.nums) + len(L) - 1)
-    out = [c * (prod // g) for c in S] + [0] * (size - len(S))
-    _add_d_dz(out, L, lam0.den * m)
-    _add_product(out, lam0.nums, L, m)
-    lam_next = _poly(out, prod * m)
-    # s_{n+1} = -w^2 s_n' + s_0 lambda_n over D = lcm(d(s_n), d(s_0) d(lambda_n))
-    prod = s0.den * lam.den
-    g = gcd(prod, s.den)
-    m = s.den // g              # D / (d(s_0) d(lambda_n))
-    out = [0] * max(len(S) + 1, len(s0.nums) + len(L) - 1)
-    _add_d_dz(out, S, prod // g)
-    _add_product(out, s0.nums, L, m)
-    s_next = _poly(out, prod * m)
-    return AimState(n=state.n + 1, lam0=lam0, s0=s0, lam=lam_next, s=s_next)
+    n, d, lam0, s0, L, S = state
+    a0, a1 = lam0
+    b1 = s0[1]                  # s_0 has no constant term, so neither has s_n
+    # Coefficient k + 1 of Lambda_{n+1} = D (-w^2 Lambda_n') + A Lambda_n
+    # + D Sigma_n and of Sigma_{n+1} = D (-w^2 Sigma_n') + B Lambda_n, for
+    # k = 0 .. n + 1, with kd = k D:
+    #   (a1 - kd) L[k] + a0 L[k+1] + D S[k+1]    and    b1 L[k] - kd S[k];
+    # coefficient 0 is a0 L[0] and 0.
+    lam = [a0 * L[0]]
+    s = [0]
+    kd = 0
+    for lk, lk1, sk, sk1 in zip(L, L[1:] + (0,), S, S[1:] + (0,)):
+        lam.append((a1 - kd) * lk + a0 * lk1 + d * sk1)
+        s.append(b1 * lk - kd * sk)
+        kd += d
+    return AimState(n + 1, d, lam0, s0, tuple(lam), tuple(s))
+
+
+def _delta_nums(state: AimState, previous: AimState) -> list:
+    """The integer numerators of S_m L_{m-1} - S_{m-1} L_m, m = state.n."""
+    out = [0] * (len(state.s_nums) + len(previous.lam_nums) - 1)
+    _add_product(out, state.s_nums, previous.lam_nums, 1)
+    _add_product(out, previous.s_nums, state.lam_nums, -1)
+    return out
 
 
 def termination_delta(state: AimState, previous: AimState) -> Poly:
-    """delta = s_n lambda_{n-1} - s_{n-1} lambda_n for consecutive states."""
+    """delta = s_n lambda_{n-1} - s_{n-1} lambda_n for consecutive states,
+    in canonical form: the numerators of _delta_nums over D^(2n+1)."""
     if state.n != previous.n + 1:
         raise DomainError(f"states must be consecutive, got n={state.n} "
                           f"after n={previous.n}")
-    s, lam_prev, s_prev, lam = state.s, previous.lam, previous.s, state.lam
-    # over D = lcm(a, b), a and b the two products' denominators
-    a, b = s.den * lam_prev.den, s_prev.den * lam.den
-    g = gcd(a, b)
-    out = [0] * (max(len(s.nums) + len(lam_prev.nums),
-                     len(s_prev.nums) + len(lam.nums)) - 1)
-    _add_product(out, s.nums, lam_prev.nums, b // g)
-    _add_product(out, s_prev.nums, lam.nums, -(a // g))
-    return _poly(out, a * (b // g))
+    return _poly(_delta_nums(state, previous),
+                 state.scale ** (state.n + 1) * previous.scale ** state.n)
 
 
 def exact_tau(eta, beta_sq, n: int) -> Fraction:
-    """The tau at which the level-n iteration terminates exactly."""
+    """The tau at which the level-n iteration terminates exactly,
+    beta^2 / (2 (eta + n + 1)), built from the numerators and denominators
+    of eta and beta^2 as one Fraction."""
     if not (isinstance(n, int) and n >= 0):
         raise DomainError(f"n must be a non-negative integer, got {n!r}")
-    shift = _coeff(eta) + n + 1
-    if shift == 0:
+    en, ed = _ratio(eta)
+    shift = en + (n + 1) * ed           # (eta + n + 1) ed
+    if not shift:
         raise DomainError(f"eta + n + 1 = 0 at eta={eta}, n={n}: no tau "
                           "terminates this level")
-    return _coeff(beta_sq) / (2 * shift)
+    bn, bd = _ratio(beta_sq)
+    return Fraction(bn * ed, 2 * bd * shift)
 
 
 def terminates_at(n: int, tau, eta, beta_sq) -> bool:
     """Whether the iteration terminates identically at level n for this tau.
 
-    Builds the seed, iterates to level n + 1, and checks that the
-    termination delta between levels n + 1 and n is the zero polynomial.
+    Builds the seed, iterates to level n + 1, and checks that every
+    integer numerator of the termination delta between levels n + 1 and n
+    is 0.
     """
     if not (isinstance(n, int) and n >= 0):
         raise DomainError(f"n must be a non-negative integer, got {n!r}")
     previous = state = seed(tau, eta, beta_sq)
     for _ in range(n + 1):
         previous, state = state, iterate(state)
-    return termination_delta(state, previous).is_zero
-
-
-def verify_level(n: int, eta, beta_sq) -> bool:
-    """Certificate for one level: exact tau makes the delta vanish."""
-    return terminates_at(n, exact_tau(eta, beta_sq, n), eta, beta_sq)
+    return not any(_delta_nums(state, previous))

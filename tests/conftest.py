@@ -8,7 +8,7 @@ import pytest
 
 from kgbound import CouplingMode, ParticleSpec, PhysicalConstants, PotentialSpec
 from kgbound._kernels import residual_grid
-from kgbound.aim import Poly, d_dz
+from kgbound.aim import Poly, exact_tau, terminates_at
 from kgbound.rootfind import SolverConfig, bracket_scan, solve_spectrum
 from kgbound.special import grid_report, kummer_1f1
 
@@ -99,6 +99,17 @@ class RefPoly:
     def scale_arg(self, c):
         return RefPoly(coef * Fraction(c) ** k
                        for k, coef in enumerate(self.coeffs))
+
+
+def d_dz(p):
+    """The z-derivative of a kgbound.aim.Poly in w = 1/z: p -> -w^2 p'(w)."""
+    return Poly((0, 0, *(-k * c for k, c in enumerate(p.coeffs) if k)))
+
+
+def verify_level(n, eta, beta_sq):
+    """kgbound.aim's certificate for one level: the delta vanishes at the
+    exact tau."""
+    return terminates_at(n, exact_tau(eta, beta_sq, n), eta, beta_sq)
 
 
 def ref_terminates_at(n, tau, eta, beta_sq):

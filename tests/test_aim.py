@@ -8,11 +8,12 @@ from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
 from kgbound import DomainError
-from kgbound.aim import (Poly, d_dz, exact_tau, iterate, poly_gcd, seed,
-                         terminates_at, termination_delta, verify_level)
+import kgbound.aim
+from kgbound.aim import (Poly, exact_tau, iterate, poly_gcd, seed,
+                         terminates_at, termination_delta)
 
 from conftest import (RefPoly, composed_delta, composed_iterate,
-                      composed_seed, ref_terminates_at)
+                      composed_seed, d_dz, ref_terminates_at, verify_level)
 
 
 def test_poly_strips_trailing_zeros():
@@ -133,6 +134,26 @@ def test_exact_tau_rejects_vanishing_denominator():
         exact_tau(-3, 4, 2)
     with pytest.raises(DomainError):
         verify_level(0, -1, 4)
+
+
+def test_terminates_at_takes_no_gcd_or_lcm(monkeypatch):
+    # every level is carried unreduced over one fixed scale, and the
+    # verdict reads the delta's integer numerators: neither takes a gcd or
+    # an lcm, at any step
+    calls = []
+    for name in ("gcd", "lcm"):
+        def counted(*args, _name=name, _real=getattr(kgbound.aim, name)):
+            calls.append(_name)
+            return _real(*args)
+        monkeypatch.setattr(kgbound.aim, name, counted)
+    eta, beta_sq = Fraction(37, 11), Fraction(85, 7)
+    tau = exact_tau(eta, beta_sq, 8)
+    assert terminates_at(8, tau, eta, beta_sq)
+    assert not terminates_at(8, tau * Fraction(101, 100), eta, beta_sq)
+    assert calls == []
+    # the counters are live: a Poly view reduces by one gcd
+    assert not iterate(seed(tau, eta, beta_sq)).lam.is_zero
+    assert calls == ["gcd"]
 
 
 def test_termination_truth_table_is_triangular():
@@ -308,10 +329,16 @@ _beta_sqs = st.builds(Fraction, st.integers(0, 60), st.integers(1, 12))
 @example(n=0, eta=Fraction(-1), beta_sq=Fraction(0))
 @example(n=3, eta=Fraction(-1), beta_sq=Fraction(0))
 @example(n=6, eta=Fraction(-1), beta_sq=Fraction(0))
+@example(n=32, eta=Fraction(5, 999_999_999_989),
+         beta_sq=Fraction(7, 999_999_999_937))
+@example(n=40, eta=Fraction(-3, 999_999_999_989),
+         beta_sq=Fraction(50, 999_999_999_937))
 def test_terminates_at_matches_the_fraction_reference(n, eta, beta_sq):
     # exact tau and 1.01 tau where level n has one; eta + n + 1 = 0 has
     # none, and the degenerate seed eta = -1, beta^2 = 0 terminates at
-    # every tau, so a plain tau stands in for both
+    # every tau, so a plain tau stands in for both.  The examples at
+    # levels 32 and 40 with 12-digit denominators give the largest
+    # unreduced numerators.
     if eta + n + 1 == 0:
         taus = (Fraction(3, 7),)
     else:
@@ -351,7 +378,7 @@ def test_fused_steps_equal_the_composed_poly_forms(tau, eta, beta_sq,
     state = seed(tau, eta, beta_sq)
     lam0, s0 = composed_seed(tau, eta, beta_sq)
     assert _canonical(state.lam0) == lam0 and _canonical(state.s0) == s0
-    assert state.lam is state.lam0 and state.s is state.s0
+    assert state.lam == state.lam0 and state.s == state.s0
     lam, s = lam0, s0
     for n in range(1, levels + 1):
         previous, state = state, iterate(state)
