@@ -40,10 +40,39 @@ level as these unreduced integer numerators: no step takes a gcd or an
 lcm, builds a Poly or divides polynomials.  Over the same scale, the
 delta between levels m and m - 1 is
 
-    (Sigma_m Lambda_{m-1} - Sigma_{m-1} Lambda_m) / D^(2m+1),
+    (Sigma_m Lambda_{m-1} - Sigma_{m-1} Lambda_m) / D^(2m+1).
 
-so "vanishes identically" is the exact statement "every integer numerator
-of that difference is 0", and terminates_at decides so.
+That delta is one monomial,
+
+    delta_m = s_m lambda_{m-1} - s_{m-1} lambda_m
+            = -prod_{k=0}^{m} (beta^2 - 2 tau (eta + k + 1)) w^(m+1),
+
+a polynomial identity in tau, eta and beta^2.  Proof: the seeds are the
+equation y'' = lambda_0 y' + s_0 y, that is
+
+    z y'' + (2 (eta + 1) - 2 tau z) y' - (2 tau (eta + 1) - beta^2) y = 0,
+
+and differentiating it shows that y^(k) solves the same equation with
+eta -> eta + k.  Let W_k be the Wronskian of the k-th derivatives of two
+independent solutions, W = W_0 != 0.  Putting y^(k+1) = lambda_{k-1} y' +
+s_{k-1} y and y^(k+2) = lambda_k y' + s_k y into W_{k+1} gives W_{k+1} =
+(lambda_k s_{k-1} - lambda_{k-1} s_k) W, so delta_m = -W_{m+1} / W.  At
+shift k the seed s_0 is (2 tau (eta + k + 1) - beta^2) w, and for the
+shifted equation W_{k+1} = -s_0 W_k: the same relation at k = 0, with
+lambda_{-1} = 1 and s_{-1} = 0 since y' = 1 y' + 0 y.  Multiplying the
+m + 1 factors gives the product.
+
+So every numerator of the delta but coefficient m + 1 is identically 0,
+and "vanishes identically" is the exact statement that this one integer,
+
+    sum_k Sigma_m[k] Lambda_{m-1}[m+1-k]
+        - sum_k Sigma_{m-1}[k] Lambda_m[m+1-k],
+
+is 0: 2m + 2 products where the whole convolution takes about 2 (m+1)^2.
+terminates_at decides so, and termination_delta places the same integer
+at w^(m+1).  The verdict still reads the iterated numerators, so it checks
+the recurrence, not the closed form: level n terminates exactly at the
+tau_j = beta^2 / (2 (eta + j + 1)) with j <= n + 1.
 
 Poly is the canonical form of a polynomial in w: integer numerators over
 one positive denominator that shares no factor with them.  AimState's
@@ -55,6 +84,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
+from operator import mul
 from typing import NamedTuple
 
 from .errors import DomainError
@@ -150,7 +180,7 @@ class Poly:
             if not a or not b:
                 return Poly.zero()
             out = [0] * (len(a) + len(b) - 1)
-            _add_product(out, a, b, 1)
+            _add_product(out, a, b)
             return _poly(out, self.den * other.den)
         f = _coeff(other)
         return _poly([c * f.numerator for c in self.nums],
@@ -228,6 +258,14 @@ def _fill(p: Poly, nums: list, den: int) -> None:
     _set_den(p, den)
 
 
+def _add_product(out: list, a: tuple, b: tuple) -> None:
+    """out += the numerators of a(w) b(w)."""
+    for i, x in enumerate(a):
+        if x:
+            for k, y in enumerate(b, i):
+                out[k] += x * y
+
+
 def _poly(nums: list, den: int) -> Poly:
     p = object.__new__(Poly)
     _fill(p, nums, den)
@@ -296,15 +334,6 @@ def seed(tau, eta, beta_sq) -> AimState:
     return AimState(0, d, lam0, s0, lam0, s0)
 
 
-def _add_product(out: list, a: tuple, b: tuple, m: int) -> None:
-    """out += m times the numerators of a(w) b(w)."""
-    for i, x in enumerate(a):
-        if x:
-            x *= m
-            for k, y in enumerate(b, i):
-                out[k] += x * y
-
-
 def iterate(state: AimState) -> AimState:
     """One step of the recurrence, n -> n + 1."""
     n, d, lam0, s0, L, S = state
@@ -325,22 +354,26 @@ def iterate(state: AimState) -> AimState:
     return AimState(n + 1, d, lam0, s0, tuple(lam), tuple(s))
 
 
-def _delta_nums(state: AimState, previous: AimState) -> list:
-    """The integer numerators of S_m L_{m-1} - S_{m-1} L_m, m = state.n."""
-    out = [0] * (len(state.s_nums) + len(previous.lam_nums) - 1)
-    _add_product(out, state.s_nums, previous.lam_nums, 1)
-    _add_product(out, previous.s_nums, state.lam_nums, -1)
-    return out
+def _delta_coeff(state: AimState, previous: AimState) -> int:
+    """Numerator m + 1, m = state.n, of S_m L_{m-1} - S_{m-1} L_m: the one
+    the theorem above leaves nonzero.  S_m and L_m have m + 2 entries,
+    S_{m-1} and L_{m-1} m + 1, so each zip pairs index k with m + 1 - k."""
+    return (sum(map(mul, reversed(state.s_nums), previous.lam_nums))
+            - sum(map(mul, reversed(state.lam_nums), previous.s_nums)))
 
 
 def termination_delta(state: AimState, previous: AimState) -> Poly:
-    """delta = s_n lambda_{n-1} - s_{n-1} lambda_n for consecutive states,
-    in canonical form: the numerators of _delta_nums over D^(2n+1)."""
+    """delta = s_n lambda_{n-1} - s_{n-1} lambda_n for consecutive states of
+    one chain, in canonical form: _delta_coeff at w^(n+1) over D^(2n+1)."""
     if state.n != previous.n + 1:
         raise DomainError(f"states must be consecutive, got n={state.n} "
                           f"after n={previous.n}")
-    return _poly(_delta_nums(state, previous),
-                 state.scale ** (state.n + 1) * previous.scale ** state.n)
+    if (state.scale, state.lam0_nums, state.s0_nums) != \
+            (previous.scale, previous.lam0_nums, previous.s0_nums):
+        raise DomainError("states must come from one seed")
+    n = state.n
+    return _poly([0] * (n + 1) + [_delta_coeff(state, previous)],
+                 state.scale ** (2 * n + 1))
 
 
 def exact_tau(eta, beta_sq, n: int) -> Fraction:
@@ -361,13 +394,13 @@ def exact_tau(eta, beta_sq, n: int) -> Fraction:
 def terminates_at(n: int, tau, eta, beta_sq) -> bool:
     """Whether the iteration terminates identically at level n for this tau.
 
-    Builds the seed, iterates to level n + 1, and checks that every
-    integer numerator of the termination delta between levels n + 1 and n
-    is 0.
+    Builds the seed, iterates to level n + 1, and checks that the one
+    integer numerator the termination delta between levels n + 1 and n
+    can have is 0.
     """
     if not (isinstance(n, int) and n >= 0):
         raise DomainError(f"n must be a non-negative integer, got {n!r}")
     previous = state = seed(tau, eta, beta_sq)
     for _ in range(n + 1):
         previous, state = state, iterate(state)
-    return not any(_delta_nums(state, previous))
+    return not _delta_coeff(state, previous)

@@ -848,11 +848,12 @@ def _cmd_aim_verify(args) -> int:
                 tau *= Fraction(101, 100)
             if aim.terminates_at(n, tau, eta, beta_sq):
                 hits += 1
-                # Level n also terminates at every lower level's exact tau,
+                # Level n also terminates at tau_k for every k <= n + 1,
                 # which the 1% shift can land on (eta = 60 at n = 40 makes
-                # 1.01 tau_40 = tau_39).
+                # 1.01 tau_40 = tau_39; eta = -102 at n = 0 makes
+                # 1.01 tau_0 = tau_1).
                 if args.perturb and all(tau != aim.exact_tau(eta, beta_sq, k)
-                                        for k in range(n + 1)):
+                                        for k in range(n + 2)):
                     unexplained += 1
         if args.perturb:
             # The certificate line fails by construction; a perturbed seed

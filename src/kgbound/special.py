@@ -14,18 +14,19 @@ second independent solution is discarded: it behaves as (g r)^(-eta) near
 the origin and is not regular there, and a line with eta + 1 <= 0 is
 refused for the same reason.  u is reported unnormalized.
 
-kummer_polynomial evaluates 1F1(-n; c; x) by the three-term recurrence in
+_kummer_scaled evaluates 1F1(-n; c; x) by the three-term recurrence in
 the degree (DLMF 13.3.1), which keeps its accuracy where the power series
 cancels.  Each step is scaled by an exact power of two, so the recurrence
-passes the largest double where u underflows.  It takes a float or an array
-and uses only +, -, *, / and that exact scaling.  wavefunction_u (one
-radius, the reference that raises every error) and wavefunction_grid (the
-whole array) then take the logarithms and the exponential from NumPy's
-ufuncs, on a float or on the array, so on one machine they agree bit for
-bit.  NumPy picks those loops by the CPU's SIMD support, so their last
-bits may differ from one machine to another, as libm's may.  kummer_1f1 sums
-the power series of 1F1(a; c; x) for any a: it is the mpmath-tested
-reference and the way to evaluate a function off an eigenvalue.
+passes the largest double where u underflows; it returns the scaled value
+and its power of two apart.  It takes a float or an array and uses only
++, -, *, / and that exact scaling.  wavefunction_u (one radius, the
+reference that raises every error) and wavefunction_grid (the whole
+array) then take the logarithms and the exponential from NumPy's ufuncs,
+on a float or on the array, so on one machine they agree bit for bit.
+NumPy picks those loops by the CPU's SIMD support, so their last bits may
+differ from one machine to another, as libm's may.  kummer_1f1 sums the
+power series of 1F1(a; c; x) for any a: it is the mpmath-tested reference
+and the way to evaluate a function off an eigenvalue.
 """
 
 from __future__ import annotations
@@ -111,13 +112,6 @@ def _kummer_scaled(n: int, c: float, x):
             prev = np.ldexp(prev, -shift)
             e += shift
     return cur, e
-
-
-def kummer_polynomial(n: int, c: float, x):
-    """1F1(-n; c; x) at a float or an array x; inf past the largest double."""
-    M, e = _kummer_scaled(n, c, x)
-    with np.errstate(over="ignore"):
-        return np.ldexp(M, e)
 
 
 @dataclass(frozen=True)

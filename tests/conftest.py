@@ -10,7 +10,8 @@ from kgbound import CouplingMode, ParticleSpec, PhysicalConstants, PotentialSpec
 from kgbound._kernels import residual_grid
 from kgbound.aim import Poly, exact_tau, terminates_at
 from kgbound.rootfind import SolverConfig, bracket_scan, solve_spectrum
-from kgbound.special import grid_report, kummer_1f1
+from kgbound.special import (_kummer_scaled, grid_report,
+                             kummer_1f1)
 
 FIXTURE_DIR = os.path.join(os.path.dirname(__file__), "fixtures")
 GRID_VALUES = (-0.003, 0.0, 0.003)
@@ -42,6 +43,14 @@ def scan_brackets(spec, config):
     E = scan_grid(spec, config)
     res, _, den, status = (a[0] for a in residual_grid([spec], E))
     return bracket_scan(E, res, den, status)
+
+
+def kummer_polynomial(n, c, x):
+    """1F1(-n; c; x) at a float or an array x from kgbound.special's scaled
+    recurrence; inf past the largest double."""
+    M, e = _kummer_scaled(n, c, x)
+    with np.errstate(over="ignore"):
+        return np.ldexp(M, e)
 
 
 def series_report(sol, r_max, points=2000):

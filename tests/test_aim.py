@@ -119,6 +119,14 @@ def test_termination_delta_needs_consecutive_states():
         termination_delta(s2, s0)
 
 
+def test_termination_delta_needs_states_of_one_seed():
+    # the delta is one monomial only between levels of one chain
+    other = iterate(seed(1, 0, 3))
+    with pytest.raises(DomainError, match="one seed"):
+        termination_delta(iterate(other), iterate(seed(1, 0, 2)))
+    termination_delta(iterate(other), other)
+
+
 def test_exact_tau():
     assert exact_tau(0, 4, 0) == 2
     assert exact_tau(0, 4, 1) == 1
@@ -154,6 +162,26 @@ def test_terminates_at_takes_no_gcd_or_lcm(monkeypatch):
     # the counters are live: a Poly view reduces by one gcd
     assert not iterate(seed(tau, eta, beta_sq)).lam.is_zero
     assert calls == ["gcd"]
+
+
+def test_terminates_at_multiplies_no_polynomials(monkeypatch):
+    # the verdict reads the one coefficient the delta can have, not the
+    # convolution of every numerator: no polynomial product, at any level
+    calls = []
+    real = kgbound.aim._add_product
+
+    def counted(*args):
+        calls.append(len(args[0]))
+        return real(*args)
+    monkeypatch.setattr(kgbound.aim, "_add_product", counted)
+    eta, beta_sq = Fraction(37, 11), Fraction(85, 7)
+    tau = exact_tau(eta, beta_sq, 8)
+    assert terminates_at(8, tau, eta, beta_sq)
+    assert not terminates_at(8, tau * Fraction(101, 100), eta, beta_sq)
+    assert calls == []
+    # the counter is live: a Poly product convolves once
+    assert Poly((1, 2)) * Poly((0, 3)) == Poly((0, 3, 6))
+    assert calls == [3]
 
 
 def test_termination_truth_table_is_triangular():
@@ -389,3 +417,41 @@ def test_fused_steps_equal_the_composed_poly_forms(tau, eta, beta_sq,
         assert _canonical(state.s) == s
         assert _canonical(termination_delta(state, previous)) == \
             composed_delta(prev_lam, prev_s, lam, s)
+
+
+# --------------------------------------------- the delta's closed form
+
+@settings(max_examples=200, deadline=None)
+@given(tau=_exact, eta=st.one_of(st.just(-1), _exact), beta_sq=_exact,
+       degenerate=st.booleans(), m=st.integers(1, 8))
+@example(tau=0, eta=-1, beta_sq=0, degenerate=False, m=8)
+@example(tau=0, eta=Fraction(3, 7), beta_sq=5, degenerate=False, m=4)
+@example(tau=Fraction(3, 7), eta=-1, beta_sq=5, degenerate=False, m=4)
+@example(tau=Fraction(-3, 10 ** 12), eta=Fraction(5, 999_999_999_989),
+         beta_sq=0, degenerate=True, m=4)
+@example(tau=Fraction(3, 999_999_999_961), eta=Fraction(5, 999_999_999_989),
+         beta_sq=Fraction(7, 999_999_999_937), degenerate=False, m=32)
+@example(tau=Fraction(-11, 999_999_999_961),
+         eta=Fraction(-3, 999_999_999_989),
+         beta_sq=Fraction(50, 999_999_999_937), degenerate=False, m=40)
+def test_termination_delta_is_the_closed_form_monomial(tau, eta, beta_sq,
+                                                       degenerate, m):
+    # delta_m = s_m lambda_{m-1} - s_{m-1} lambda_m
+    #         = -prod_{k=0}^{m} (beta^2 - 2 tau (eta + k + 1)) w^(m+1)
+    # at every level up to m: the full delta of the composed Poly chain,
+    # every coefficient of it, and termination_delta's monomial.  The
+    # degenerate seed beta^2 = 2 tau (eta + 1) makes the k = 0 factor 0.
+    tau, eta, beta_sq = Fraction(tau), Fraction(eta), Fraction(beta_sq)
+    if degenerate:
+        beta_sq = 2 * tau * (eta + 1)
+    lam0, s0 = lam, s = composed_seed(tau, eta, beta_sq)
+    state = seed(tau, eta, beta_sq)
+    product = -(beta_sq - 2 * tau * (eta + 1))
+    for n in range(1, m + 1):
+        product *= beta_sq - 2 * tau * (eta + n + 1)
+        closed = Poly([0] * (n + 1) + [product])
+        previous, state = state, iterate(state)
+        prev_lam, prev_s = lam, s
+        lam, s = composed_iterate(lam0, s0, lam, s)
+        assert composed_delta(prev_lam, prev_s, lam, s) == closed
+        assert termination_delta(state, previous) == closed

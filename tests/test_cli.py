@@ -14,6 +14,7 @@ import subprocess
 import sys
 import warnings
 from datetime import datetime, timezone
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -1020,6 +1021,20 @@ def test_aim_verify_perturbed_tau_on_a_lower_level_is_no_alarm(capsys):
     assert "level n=40: 1/1 perturbed seeds terminate" in out
     assert "certificate: FAIL" in out
     assert "warning" not in out
+
+
+def test_aim_verify_perturbed_tau_on_the_next_level_is_no_alarm(capsys,
+                                                                monkeypatch):
+    # Level n terminates at tau_{n+1} too.  At eta = -102, beta^2 = 5,
+    # 1.01 tau_0 = -1/40 = tau_1, so level 0 terminates at the perturbed
+    # tau; the command's own draws (eta >= 1/12) never reach this case.
+    draws = iter([Fraction(-102), Fraction(5)])
+    monkeypatch.setattr(cli, "_random_rational",
+                        lambda rng, lo, hi: next(draws))
+    assert main(["aim-verify", "--nmax=0", "--seeds=1", "--perturb"]) == 2
+    out = capsys.readouterr().out
+    assert out == ("level n=0: 1/1 perturbed seeds terminate (tau off by 1%) "
+                   "-> FAIL\ncertificate: FAIL\n")
 
 
 @pytest.mark.parametrize("flag, message", [

@@ -16,10 +16,10 @@ from kgbound.rootfind import solve_cell
 from kgbound.special import (MAX_RADIAL_POINTS, BoundaryReport, KummerParams,
                              boundary_report, build_wave_solution,
                              default_r_max, grid_report, kummer_1f1,
-                             kummer_polynomial, normalize_on_grid,
-                             wavefunction_grid, wavefunction_u)
+                             normalize_on_grid, wavefunction_grid,
+                             wavefunction_u)
 
-from conftest import series_report
+from conftest import kummer_polynomial, series_report
 
 mpmath.mp.dps = 40
 
